@@ -12,8 +12,7 @@ from .channel import (LinkConfig, MimoChannel, MultiSectionModel, add_awgn,
                       run_link, span_noise_power_ratio,
                       synthesize_mimo_channel, write_channel)
 from .config import ExperimentConfig, validate_config
-from .errors import (AlignmentError, ConfigError, DivergenceError,
-                     WgnLinkError)
+from .errors import AlignmentError, ConfigError, WgnLinkError
 from .estimation import (ImpulseResponse, MdlSpectrum, compare_channels,
                          estimate_channel, impulse_response_from_channel,
                          mdl_from_channel)

@@ -121,7 +121,7 @@ def main(argv=None) -> int:
             try:
                 runner.characterize_captures(f_in, f_out, pipe, args.out,
                                              emit_plots=not args.no_plots)
-            except WgnLinkError as exc:
+            except (WgnLinkError, ValueError) as exc:
                 log.error("characterization failed: %s", exc)
                 return 2
             return 0

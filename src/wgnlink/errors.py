@@ -6,11 +6,11 @@ class WgnLinkError(Exception):
 
 
 class AlignmentError(WgnLinkError):
-    """Cross-correlation peak too weak: captures are not the same noise instantiation."""
+    """Cross-correlation peak too weak to align the captures.
 
-
-class DivergenceError(WgnLinkError):
-    """Equalizer error grew instead of converging; usually the step size is too large."""
+    Unrelated captures cause it, and so can a frequency offset or phase drift
+    that decorrelates captures of the same noise instantiation.
+    """
 
 
 class ConfigError(WgnLinkError):

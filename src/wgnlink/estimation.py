@@ -1,8 +1,8 @@
 """Inverted-role channel estimation, MDL spectra, and impulse responses.
 
 Running the data-aided FDE with the transmitted and received fields swapped
-makes the converged equalizer weights a frequency-domain estimate of the
-channel itself.  Per-bin singular value decomposition then yields the
+makes the equalizer weights a frequency-domain estimate of the channel
+itself.  Per-bin singular value decomposition then yields the
 mode-dependent loss spectrum, and an inverse Fourier transform of the taps
 yields the channel impulse response.
 """
@@ -66,7 +66,8 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
     aligned by cross-correlation, but no dispersion compensation is applied:
     the estimate must contain the complete channel response.  The received
     field serves as the equalizer reference and the transmitted field as the
-    processed input, so the converged taps approximate H(f) per bin.
+    processed input, so the per-bin least-squares taps approximate H(f).
+    The equalized field itself is not needed and is not computed.
     """
     def prep(sig: MimoSignal) -> MimoSignal:
         out = sig.map(lambda t: resample(t, cfg.target_rate))
@@ -81,7 +82,7 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
     alignment = align_by_crosscorrelation(f_in_p, f_out_p, max_lag,
                                           cfg.align_threshold)
     f_in_t, f_out_t, _ = trim_aligned(f_in_p, f_out_p, alignment.lag)
-    _, state = fde_lms_equalize(f_out_t, f_in_t, cfg)
+    _, state = fde_lms_equalize(f_out_t, f_in_t, cfg, with_output=False)
     bin_spacing = cfg.target_rate / state.block_size
     return MimoChannel(state.taps, bin_spacing)
 

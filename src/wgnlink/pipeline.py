@@ -1,9 +1,11 @@
-"""Receive-side processing: alignment, EDC, FDE-LMS equalization, phase recovery.
+"""Receive-side processing: alignment, EDC, FDE equalization, phase recovery.
 
 The chain is fully data-aided: the transmitted WGN capture is known in its
 entirety, so the whole sequence serves as the equalizer reference and no
-training/payload split exists.  Multiple passes over the same capture
-replace the usual training phase.
+training/payload split exists.  The equalizer taps are solved in closed
+form, per frequency bin, from cross-spectra averaged over the whole capture:
+the least-squares limit of the paper's LMS equalizer, with no training phase
+and no step size.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from .channel import LinkConfig, _apply_dispersion
-from .errors import AlignmentError, DivergenceError
+from .errors import AlignmentError
 from .signals import ComplexSignal, MimoSignal, gaussian_filter, resample
+
+# Overlap-save blocks whose spectra are held at once; bounds the equalizer's
+# working set independently of the capture length.
+_CHUNK_BLOCKS = 16
+# Diagonal load on the per-bin input covariance, relative to the mean
+# per-bin, per-mode input power: keeps the taps finite when a short capture
+# has fewer blocks than modes.
+_DIAG_LOAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,9 @@ class PipelineConfig:
     filter_order: int = 4
     oversampling: int = 2               # samples/symbol of the assumed baud rate
     phase_window: int = 200
+    # accepted for configs written for the paper's LMS equalizer; the
+    # closed-form equalizer has no step size or passes, so neither has an
+    # effect (lms_step is recorded as EqualizerState.step_size)
     lms_step: float = 0.05
     lms_passes: int = 3
     block_size: int = 4096
@@ -84,6 +97,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
+        if self.block_size < 2 or self.block_size & (self.block_size - 1):
+            raise ValueError("block_size must be a power of two >= 2")
 
     @property
     def assumed_baud(self) -> float:
@@ -130,7 +145,8 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     if ratio < threshold:
         raise AlignmentError(
             f"correlation peak ratio {ratio:.2f} below threshold {threshold}; "
-            "captures do not share a noise instantiation")
+            "the captures may be unrelated, or a frequency offset or phase "
+            "drift decorrelates them")
     lag = int(lags[best])
     return AlignmentResult(lag=lag, phase=float(np.angle(corr[lag])),
                            peak_ratio=float(ratio))
@@ -166,14 +182,24 @@ def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
 
 
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
-                     cfg: PipelineConfig) -> tuple[MimoSignal, EqualizerState]:
-    """Data-aided frequency-domain LMS MIMO equalizer (overlap-save).
+                     cfg: PipelineConfig, with_output: bool = True
+                     ) -> tuple[Optional[MimoSignal], EqualizerState]:
+    """Data-aided frequency-domain MIMO equalizer (overlap-save), solved in
+    closed form.
 
-    Per block and per frequency bin k the taps follow the normalized rule
-    W[k] += mu / P[k] * E[k] X[k]^H with E the reference-minus-output error
-    and P[k] a running estimate of the per-bin input power.  The step is
-    halved on each pass so late passes approach the Wiener solution.  The
-    equalized field is produced by a final frozen-tap overlap-save pass.
+    The capture is cut into overlap-save blocks of ``cfg.block_size``
+    samples at a hop of half a block, after a leading half-block of zeros.
+    Per frequency bin k the taps are the least-squares (Wiener) solution
+    ``W[k] = R_dx[k] R_xx[k]^-1`` over all blocks, with ``R_xx = sum X X^H``
+    of the input (`f_out`) spectra and ``R_dx = sum D X^H`` against the
+    reference (`f_in`) spectra.  This is the limit the paper's LMS, with its
+    step halved on every pass, converges toward; ``cfg.lms_step`` and
+    ``cfg.lms_passes`` have no effect on it.
+
+    The equalized field comes from a frozen-tap overlap-save pass, and
+    ``error_trace`` holds its NMSE per block.  With ``with_output=False``
+    that pass is skipped: the first element of the result is None and the
+    trace is empty.
     """
     if f_in.n_tributaries != f_out.n_tributaries:
         raise ValueError("tributary count mismatch")
@@ -185,63 +211,64 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     hop = block // 2
     if n < block:
         raise ValueError("signal shorter than one equalizer block")
-
-    x = f_out.as_array()
-    d = f_in.as_array()
     n_blocks = -(-n // hop)
-    padded = n_blocks * hop + hop
-    xp = np.zeros((m, padded), dtype=complex)
-    dp = np.zeros((m, padded), dtype=complex)
-    xp[:, hop:hop + n] = x
-    dp[:, hop:hop + n] = d
+    chunks = [(b, min(b + _CHUNK_BLOCKS, n_blocks))
+              for b in range(0, n_blocks, _CHUNK_BLOCKS)]
 
-    taps = np.zeros((block, m, m), dtype=complex)
-    taps[:] = np.eye(m)
-    power: np.ndarray | None = None
+    # stacked [R_xx; R_dx] per bin, from the stacked [X; D] block spectra
+    corr = np.zeros((block, 2 * m, m), dtype=complex)
+    both = f_out.tributaries + f_in.tributaries
+    for first, stop in chunks:
+        spec = _block_spectra(both, first, stop, hop)
+        corr += spec @ np.conj(spec[:, :m].transpose(0, 2, 1))
+    r_xx, r_dx = corr[:, :m], corr[:, m:]
+    power = np.trace(r_xx, axis1=1, axis2=2).real.mean() / m
+    r_xx += (_DIAG_LOAD * power) * np.eye(m)
+    # W R_xx = R_dx with R_xx Hermitian  <=>  R_xx W^H = R_dx^H
+    taps = np.conj(np.linalg.solve(r_xx, np.conj(r_dx.transpose(0, 2, 1)))
+                   .transpose(0, 2, 1))
+
     trace: list[float] = []
-
-    for p in range(cfg.lms_passes):
-        mu = cfg.lms_step * 0.5 ** p
-        for b in range(n_blocks):
-            i = b * hop
-            spec_x = np.fft.fft(xp[:, i:i + block], axis=1).T  # (block, M)
-            spec_d = np.fft.fft(dp[:, i:i + block], axis=1).T
-            y = np.einsum("kij,kj->ki", taps, spec_x)
-            err = spec_d - y
-            pw = np.sum(np.abs(spec_x) ** 2, axis=1)
-            power = pw if power is None else 0.9 * power + 0.1 * pw
-            taps += (mu / (power[:, None, None] + 1e-12)) * np.einsum(
-                "ki,kj->kij", err, np.conj(spec_x))
-            e_t = np.fft.ifft(err.T, axis=1)[:, hop:]
-            d_t = dp[:, i + hop:i + block]
-            den = np.sum(np.abs(d_t) ** 2)
-            nmse = np.sum(np.abs(e_t) ** 2) / den if den > 0 else 0.0
-            trace.append(10 * np.log10(max(nmse, 1e-30)))
-            _check_divergence(trace, cfg.lms_step)
-
-    out = np.zeros((m, padded), dtype=complex)
-    for b in range(n_blocks):
-        i = b * hop
-        spec_x = np.fft.fft(xp[:, i:i + block], axis=1).T
-        y = np.einsum("kij,kj->ki", taps, spec_x)
-        out[:, i + hop:i + block] = np.fft.ifft(y.T, axis=1)[:, hop:]
+    f_eq = None
+    if with_output:
+        out = np.empty((m, n), dtype=complex)
+        for first, stop in chunks:
+            spec_x = _block_spectra(f_out.tributaries, first, stop, hop)
+            # overlap-save keeps the second half of each block
+            y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
+            seg = slice(first * hop, min(stop * hop, n))
+            y = y.transpose(1, 2, 0).reshape(m, -1)[:, :seg.stop - seg.start]
+            out[:, seg] = y
+            d = np.stack([t.samples[seg] for t in f_in.tributaries])
+            starts = np.arange(0, y.shape[1], hop)
+            err = np.add.reduceat(np.sum(np.abs(d - y) ** 2, axis=0), starts)
+            ref = np.add.reduceat(np.sum(np.abs(d) ** 2, axis=0), starts)
+            nmse = np.divide(err, ref, out=np.zeros_like(err), where=ref > 0)
+            trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
+        f_eq = MimoSignal.from_array(out, f_in.sample_rate)
 
     state = EqualizerState(taps=taps, block_size=block, overlap=hop,
-                           step_size=cfg.lms_step, error_trace=trace)
-    f_eq = MimoSignal.from_array(out[:, hop:hop + n], f_in.sample_rate)
+                           step_size=cfg.lms_step,
+                           error_trace=[float(v) for v in trace])
     return f_eq, state
 
 
-def _check_divergence(trace: list[float], step: float,
-                      span: int = 10, rise_db: float = 3.0) -> None:
-    if len(trace) <= span:
-        return
-    recent = trace[-(span + 1):]
-    if all(b > a for a, b in zip(recent, recent[1:])) and \
-            recent[-1] - recent[0] > rise_db:
-        raise DivergenceError(
-            f"equalizer error rose {recent[-1] - recent[0]:.1f} dB over "
-            f"{span} blocks; step size {step} is too large")
+def _block_spectra(tribs, first: int, stop: int, hop: int) -> np.ndarray:
+    """FFTs of overlap-save blocks ``first..stop-1`` of the equal-length
+    tributaries `tribs`, as a contiguous (2*hop, len(tribs), blocks) array.
+
+    Block b covers samples ``(b-1)*hop .. (b+1)*hop``, zero outside the
+    signal; frames are cut from the tributaries without padding them first.
+    """
+    n = len(tribs[0])
+    lo = (first - 1) * hop
+    buf = np.zeros((len(tribs), (stop - first + 1) * hop), dtype=complex)
+    a, b = max(lo, 0), min(stop * hop, n)
+    for row, t in zip(buf, tribs):
+        row[a - lo:b - lo] = t.samples[a:b]
+    frames = np.lib.stride_tricks.sliding_window_view(
+        buf, 2 * hop, axis=1)[:, ::hop]
+    return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
 
 
 def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
@@ -277,10 +304,10 @@ def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
 def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
                  link: LinkConfig, cfg: PipelineConfig,
                  n_recirculations: int = 1) -> PipelineResult:
-    """Full receive chain: resample, filter, EDC, align, FDE-LMS, phase recovery.
+    """Full receive chain: resample, filter, EDC, align, FDE, phase recovery.
 
     EDC compensates ``n_recirculations * span_length`` of dispersion on the
-    transmitted capture only.  Returns the co-trimmed reference and the
+    received capture only.  Returns the co-trimmed reference and the
     equalized field.
     """
     if f_in_raw.n_tributaries != f_out_raw.n_tributaries:

@@ -103,6 +103,8 @@ def generate_wgn(n_samples: int, sample_rate: float, mean_power: float,
 def generate_wgn_mimo(n_tributaries: int, n_samples: int, sample_rate: float,
                       mean_power: float, seed: int) -> MimoSignal:
     """Independent WGN per tributary; tributary m uses a sub-seed of `seed`."""
+    if n_samples < 1 or mean_power <= 0:
+        raise ValueError("n_samples must be >= 1 and mean_power positive")
     seq = np.random.SeedSequence(seed).spawn(n_tributaries)
     tribs = []
     for sub in seq:
@@ -111,8 +113,6 @@ def generate_wgn_mimo(n_tributaries: int, n_samples: int, sample_rate: float,
         s = scale * (rng.standard_normal(n_samples)
                      + 1j * rng.standard_normal(n_samples))
         tribs.append(ComplexSignal(s, sample_rate))
-    if n_samples < 1 or mean_power <= 0:
-        raise ValueError("n_samples must be >= 1 and mean_power positive")
     return MimoSignal(tribs)
 
 

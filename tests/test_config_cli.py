@@ -101,6 +101,15 @@ class TestCliVerbs:
                        _write(tmp_path, "not: a\nvalid: config")])
         assert rc == 1
 
+    def test_bad_block_size_is_exit_1(self, tmp_path):
+        text = "pipeline:\n  block_size: 4000\n" + MINIMAL
+        with pytest.raises(ConfigError, match="block_size"):
+            validate_config(_write(tmp_path, text))
+        cfg = _write(tmp_path, text)
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert cli.main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--no-plots"]) == 1
+
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 1
@@ -158,6 +167,16 @@ class TestCliVerbs:
         bad.write_bytes(b"\x00" * 100)
         rc = cli.main(["characterize", "--input", str(bad), "--output",
                        str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    def test_characterize_mode_count_mismatch_exit_2(self, tmp_path):
+        fi, fo = tmp_path / "in.bin", tmp_path / "out.bin"
+        with open(fi, "wb") as f:
+            write_signal(f, generate_wgn_mimo(2, 120_000, 40e9, 1.0, seed=7))
+        with open(fo, "wb") as f:
+            write_signal(f, generate_wgn_mimo(4, 120_000, 40e9, 1.0, seed=7))
+        rc = cli.main(["characterize", "--input", str(fi), "--output",
+                       str(fo), "--out", str(tmp_path / "char")])
         assert rc == 2
 
     def test_runtime_failure_exit_2(self, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wgnlink import estimation
 from wgnlink.channel import (MimoChannel, add_awgn, apply_channel,
                              apply_chromatic_dispersion, dispersion_phase,
                              synthesize_mimo_channel)
@@ -29,6 +30,24 @@ class TestEstimateChannel:
         est = estimate_channel(sig, sig, cfg)
         err = np.linalg.norm(est.matrices - np.eye(2)[None], axis=(1, 2))
         assert np.max(err) < 1e-2
+
+    def test_taps_only_call_matches_full_call(self, monkeypatch):
+        calls = []
+
+        def equalize(f_in, f_out, cfg, **kwargs):
+            result = fde_lms_equalize(f_in, f_out, cfg, **kwargs)
+            calls.append((result, fde_lms_equalize(f_in, f_out, cfg)[1]))
+            return result
+
+        monkeypatch.setattr(estimation, "fde_lms_equalize", equalize)
+        sig = generate_wgn_mimo(2, 100_000, RATE, 1.0, seed=17)
+        truth = synthesize_mimo_channel(2, 1.0, 1e-10, BLOCK, SPACING,
+                                        seed=18)
+        out = add_awgn(apply_channel(sig, truth), 30.0, seed=19)
+        est = estimate_channel(sig, out, PipelineConfig(filter_bw=None))
+        (f_eq, taps_only), full = calls[0]
+        assert f_eq is None and taps_only.error_trace == []
+        assert np.array_equal(est.matrices, full.taps)
 
     def test_known_channel_at_30db(self):
         sig = generate_wgn_mimo(2, 500_000, RATE, 1.0, seed=2)

@@ -80,6 +80,12 @@ class TestGenerateWgn:
         with pytest.raises(ValueError):
             generate_wgn(10, 1.0, 0.0, seed=0)
 
+    def test_mimo_invalid_arguments_rejected_before_generating(self):
+        with pytest.raises(ValueError, match="mean_power"):
+            generate_wgn_mimo(2, 10, 1.0, -1.0, seed=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            generate_wgn_mimo(2, 0, 1.0, 1.0, seed=0)
+
     def test_mimo_tributaries_independent(self):
         sig = generate_wgn_mimo(2, 100_000, 1.0, 1.0, seed=2)
         a, b = (t.samples for t in sig.tributaries)
