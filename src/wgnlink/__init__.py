@@ -16,9 +16,8 @@ from .errors import AlignmentError, ConfigError, WgnLinkError
 from .estimation import (ImpulseResponse, MdlSpectrum, compare_channels,
                          estimate_channel, impulse_response_from_channel,
                          mdl_from_channel)
-from .metrics import (MiEstimate, RingConstellation, build_ring_constellation,
-                      estimate_mi, estimate_mi_discrete, estimate_snr,
-                      qam16_constellation, quantize_to_rings)
+from .metrics import (RingConstellation, build_ring_constellation, estimate_mi,
+                      estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import (AlignmentResult, EqualizerState, PipelineConfig,
                        PipelineResult, align_by_crosscorrelation, apply_edc,
                        fde_lms_equalize, phase_recovery, read_equalizer_state,

@@ -108,6 +108,8 @@ class LinkConfig:
 def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,
                      length_km: float, wavelength_nm: float) -> np.ndarray:
     """Quadratic dispersion phase pi * lambda0^2 * D * L * f^2 / c (radians)."""
+    if wavelength_nm <= 0:
+        raise ValueError("wavelength must be positive")
     d_si = dispersion_coeff * 1e-6          # ps/(nm km) -> s/m^2
     lam = wavelength_nm * 1e-9
     return (np.pi * lam * lam * d_si * (length_km * 1e3)
@@ -126,8 +128,6 @@ def apply_chromatic_dispersion(signal: MimoSignal, dispersion_coeff: float,
 def _apply_dispersion(signal: MimoSignal, dispersion_coeff: float,
                       length_km: float, wavelength_nm: float,
                       sign: float) -> MimoSignal:
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
     n = len(signal)
     f = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
     rot = np.exp(sign * 1j * dispersion_phase(f, dispersion_coeff, length_km,

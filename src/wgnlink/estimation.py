@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel, _channel_on_grid
-from .pipeline import (PipelineConfig, align_by_crosscorrelation,
+from .pipeline import (PipelineConfig, _front_end, align_by_crosscorrelation,
                        fde_lms_equalize, trim_aligned)
-from .signals import MimoSignal, gaussian_filter, resample
+from .signals import MimoSignal
 
 _NMSE_CAP_DB = -120.0
 
@@ -62,22 +62,15 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig) -> MimoChannel:
     """Estimate the full channel by running the FDE with inverted roles.
 
-    The captures are resampled and filtered as in the forward pipeline and
+    The captures pass through the forward pipeline's front end and are
     aligned by cross-correlation, but no dispersion compensation is applied:
     the estimate must contain the complete channel response.  The received
     field serves as the equalizer reference and the transmitted field as the
     processed input, so the per-bin least-squares taps approximate H(f).
     The equalized field itself is not needed and is not computed.
     """
-    def prep(sig: MimoSignal) -> MimoSignal:
-        out = sig.map(lambda t: resample(t, cfg.target_rate))
-        if cfg.filter_bw is not None:
-            out = out.map(lambda t: gaussian_filter(t, cfg.filter_bw,
-                                                    cfg.filter_order))
-        return out
-
-    f_in_p = prep(f_in)
-    f_out_p = prep(f_out)
+    f_in_p = _front_end(f_in, cfg)
+    f_out_p = _front_end(f_out, cfg)
     max_lag = min(cfg.align_max_lag, len(f_in_p) // 2 - 1)
     alignment = align_by_crosscorrelation(f_in_p, f_out_p, max_lag,
                                           cfg.align_threshold)

@@ -16,9 +16,10 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from .channel import LinkConfig, _apply_dispersion
+from .channel import LinkConfig, _apply_dispersion, dispersion_phase
 from .errors import AlignmentError
-from .signals import ComplexSignal, MimoSignal, gaussian_filter, resample
+from .signals import (ComplexSignal, MimoSignal, _gaussian_response,
+                      _resample_spectrum)
 
 # Overlap-save blocks whose spectra are held at once; bounds the equalizer's
 # working set independently of the capture length.
@@ -181,6 +182,33 @@ def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
                              wavelength_nm, sign=-1.0)
 
 
+def _front_end(sig: MimoSignal, cfg: PipelineConfig,
+               link: Optional[LinkConfig] = None,
+               edc_km: float = 0.0) -> MimoSignal:
+    """Receiver front end: resample to ``cfg.target_rate``, Gaussian filter
+    (unless ``cfg.filter_bw`` is None) and, when `link` is given, EDC of
+    `edc_km` of its fiber.
+
+    Equal to ``apply_edc(gaussian_filter(resample(.)))`` per tributary, but
+    done as one FFT of the whole capture, a spectral resample, one multiply
+    by the filter and EDC responses and one inverse FFT.  A capture already
+    at the target rate with neither stage asked for is returned as is.
+    """
+    rate = cfg.target_rate
+    if sig.sample_rate == rate and cfg.filter_bw is None and link is None:
+        return sig
+    n_out = int(round(len(sig) * rate / sig.sample_rate))
+    spec = _resample_spectrum(np.fft.fft(sig.as_array(), axis=1), n_out)
+    if cfg.filter_bw is not None:
+        spec *= _gaussian_response(n_out, rate, cfg.filter_bw,
+                                   cfg.filter_order)
+    if link is not None:
+        spec *= np.exp(-1j * dispersion_phase(
+            np.fft.fftfreq(n_out, d=1.0 / rate), link.dispersion_coeff,
+            edc_km, link.center_wavelength))
+    return MimoSignal.from_array(np.fft.ifft(spec, axis=1), rate)
+
+
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig, with_output: bool = True
                      ) -> tuple[Optional[MimoSignal], EqualizerState]:
@@ -313,18 +341,9 @@ def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
     if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
         raise ValueError("capture tributary counts differ")
 
-    def prep(sig: MimoSignal) -> MimoSignal:
-        out = sig.map(lambda t: resample(t, cfg.target_rate))
-        if cfg.filter_bw is not None:
-            out = out.map(lambda t: gaussian_filter(t, cfg.filter_bw,
-                                                    cfg.filter_order))
-        return out
-
-    f_in = prep(f_in_raw)
-    f_out = prep(f_out_raw)
-    f_out = apply_edc(f_out, link.dispersion_coeff,
-                      link.span_length * n_recirculations,
-                      link.center_wavelength)
+    f_in = _front_end(f_in_raw, cfg)
+    f_out = _front_end(f_out_raw, cfg, link,
+                       link.span_length * n_recirculations)
     max_lag = min(cfg.align_max_lag, len(f_in) // 2 - 1)
     alignment = align_by_crosscorrelation(f_in, f_out, max_lag,
                                           cfg.align_threshold)

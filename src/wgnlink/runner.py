@@ -19,7 +19,6 @@ import numpy as np
 from . import svgplot
 from .channel import run_link
 from .config import ExperimentConfig
-from .errors import WgnLinkError
 from .estimation import estimate_channel, impulse_response_from_channel, \
     mdl_from_channel
 from .metrics import (build_ring_constellation, estimate_mi,
@@ -170,27 +169,30 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
     def handle(task, outcome):
         value, seed, _ = task
         if isinstance(outcome, Exception):
-            log.error("sweep point %s seed %s failed: %s", value, seed, outcome)
+            log.error("sweep point %s seed %s failed: %r", value, seed,
+                      outcome, exc_info=outcome)
             errors.append({"sweep_value": value, "seed": seed,
-                           "error": str(outcome)})
+                           "error": str(outcome) or type(outcome).__name__})
             return
         rows.extend(outcome["rows"])
         if "mdl" in outcome:
             extras[value] = outcome
 
+    # any per-point failure, including MemoryError or a BrokenProcessPool
+    # from a killed worker, is recorded so the finished points are written
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_task, cfg, kind, t) for t in tasks]
             for task, fut in zip(tasks, futures):
                 try:
                     handle(task, fut.result())
-                except (WgnLinkError, ValueError) as exc:
+                except Exception as exc:
                     handle(task, exc)
     else:
         for task in tasks:
             try:
                 handle(task, _run_task(cfg, kind, task))
-            except (WgnLinkError, ValueError) as exc:
+            except Exception as exc:
                 handle(task, exc)
 
     suffix = "" if kind == "wgn" else f"_{kind}"

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
 import numpy as np
-from scipy.signal import resample as _fft_resample
 
 _MAGIC = b"WGNC"
 _VERSION = 1
@@ -130,8 +129,36 @@ def resample(signal: ComplexSignal, new_rate: float) -> ComplexSignal:
     n_out = int(round(n * new_rate / signal.sample_rate))
     if n_out == n:
         return ComplexSignal(signal.samples.copy(), new_rate)
-    out = _fft_resample(signal.samples, n_out)
-    return ComplexSignal(out, new_rate)
+    spec = _resample_spectrum(np.fft.fft(signal.samples), n_out)
+    return ComplexSignal(np.fft.ifft(spec), new_rate)
+
+
+def _resample_spectrum(spec: np.ndarray, n_out: int) -> np.ndarray:
+    """Cut or zero-pad the FFT `spec` (last axis) to `n_out` bins, scaled so
+    that its inverse FFT is the resampled signal.
+
+    When the shorter of the two lengths, m, is even, its unpaired bin m/2 is
+    split into a +-m/2 pair on upsampling and the pair is merged back into
+    one bin on downsampling, as in the common FFT resampler.
+    Returns `spec` itself when the length does not change.
+    """
+    n = spec.shape[-1]
+    if n_out == n:
+        return spec
+    m = min(n, n_out)
+    m2 = m // 2 + 1
+    out = np.zeros(spec.shape[:-1] + (n_out,), dtype=complex)
+    out[..., :m2] = spec[..., :m2]
+    if m2 < m:
+        out[..., m2 - m:] = spec[..., m2 - m:]
+    if m % 2 == 0:
+        if n_out < n:
+            out[..., -(m // 2)] += spec[..., -(m // 2)]
+        else:
+            out[..., m // 2] /= 2
+            out[..., n_out - m // 2] = out[..., m // 2]
+    out /= n / n_out
+    return out
 
 
 def gaussian_filter(signal: ComplexSignal, bandwidth_3db: float,
@@ -141,20 +168,28 @@ def gaussian_filter(signal: ComplexSignal, bandwidth_3db: float,
     |H(f)| = exp(-ln2/2 * (|f|/B)^(2k)) with B the single-sided 3-dB
     cutoff and k the order; H(0) = 1 exactly.
     """
+    n = len(signal)
+    h = _gaussian_response(n, signal.sample_rate, bandwidth_3db, order)
+    if n == 0:
+        return signal
+    out = np.fft.ifft(np.fft.fft(signal.samples) * h)
+    return ComplexSignal(out, signal.sample_rate)
+
+
+def _gaussian_response(n: int, sample_rate: float, bandwidth_3db: float,
+                       order: int) -> np.ndarray:
+    """The :func:`gaussian_filter` response on the FFT grid of `n` samples at
+    `sample_rate`; warns when the bandwidth exceeds Nyquist."""
     if bandwidth_3db <= 0:
         raise ValueError("bandwidth_3db must be positive")
     if order < 1:
         raise ValueError("order must be >= 1")
-    if bandwidth_3db > signal.sample_rate / 2:
+    if bandwidth_3db > sample_rate / 2:
         warnings.warn("filter bandwidth exceeds Nyquist; applying as-is",
-                      stacklevel=2)
-    n = len(signal)
-    if n == 0:
-        return signal
-    f = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
-    h = np.exp(-0.5 * np.log(2.0) * (np.abs(f) / bandwidth_3db) ** (2 * order))
-    out = np.fft.ifft(np.fft.fft(signal.samples) * h)
-    return ComplexSignal(out, signal.sample_rate)
+                      stacklevel=3)
+    f = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    return np.exp(-0.5 * np.log(2.0) * (np.abs(f) / bandwidth_3db)
+                  ** (2 * order))
 
 
 def measure_power(signal: ComplexSignal) -> float:

@@ -1,11 +1,16 @@
 """Tests for config parsing, the CLI verbs, and experiment output contracts."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wgnlink
 from wgnlink import cli, runner
 from wgnlink.channel import LinkConfig
 from wgnlink.config import ExperimentConfig, validate_config
@@ -188,6 +193,44 @@ class TestCliVerbs:
         assert rc == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["errors"]
+
+    @pytest.mark.parametrize("jobs", [
+        1, pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers see the patched point function only when forked"))])
+    def test_failed_point_keeps_finished_points(self, tmp_path, monkeypatch,
+                                                jobs):
+        point = runner._wgn_point
+
+        def failing(cfg, value, seed, characterize):
+            if value == 2:
+                raise MemoryError()
+            return point(cfg, value, seed, characterize)
+
+        monkeypatch.setattr(runner, "_wgn_point", failing)
+        out = tmp_path / "results"
+        rc = cli.main(["simulate", "--config", _write(tmp_path, TINY_SWEEP),
+                       "--out", str(out), "--no-plots", "--jobs", str(jobs)])
+        assert rc == 2
+        rows = (out / "mi_results.csv").read_text().strip().splitlines()[1:]
+        # sweep value 1 x 2 seeds x 2 tributaries
+        assert len(rows) == 4
+        assert {r.split(",")[2] for r in rows} == {"1"}
+        assert (out / "mdl_1.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["sweep_value"], e["seed"], e["error"])
+                for e in manifest["errors"]] == [(2, 3, "MemoryError"),
+                                                 (2, 4, "MemoryError")]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(wgnlink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, wgnlink.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOutputContracts:

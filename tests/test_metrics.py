@@ -8,7 +8,7 @@ from scipy import integrate
 
 from wgnlink.metrics import (RingConstellation, build_ring_constellation,
                              estimate_mi, estimate_mi_discrete, estimate_snr,
-                             qam16_constellation, quantize_to_rings)
+                             qam16_constellation)
 from wgnlink.signals import ComplexSignal, generate_wgn
 
 
@@ -94,39 +94,6 @@ class TestBuildRingConstellation:
             RingConstellation(np.array([0.5, 1.0]), np.array([0.6, 0.6]), 64)
         with pytest.raises(ValueError):
             RingConstellation(np.array([0.5, 1.0]), np.array([0.5, 0.5]), 2)
-
-
-class TestQuantizeToRings:
-    def test_exact_point_maps_to_itself(self):
-        rings = build_ring_constellation(4, 1.0, phase_points=8)
-        pt = rings.radii[2] * np.exp(1j * 2 * np.pi * 3 / 8)
-        sig = ComplexSignal(np.array([pt]), 1.0)
-        out = quantize_to_rings(sig, rings)
-        assert out[0] == pytest.approx(pt, rel=1e-12)
-
-    def test_midpoint_ties_to_lower_ring(self):
-        rings = build_ring_constellation(4, 1.0, phase_points=8)
-        mid = 0.5 * (rings.radii[1] + rings.radii[2])
-        sig = ComplexSignal(np.array([mid + 0j]), 1.0)
-        out = quantize_to_rings(sig, rings)
-        assert abs(out[0]) == pytest.approx(rings.radii[1], rel=1e-12)
-
-    def test_occupancy_matches_rayleigh_cdf_oracle(self):
-        # nearest-ring decision boundaries are radius midpoints, so the
-        # expected occupancy is the Rayleigh probability of each midpoint
-        # cell (close to, but not exactly, 1/16 for the edge rings)
-        rings = build_ring_constellation(16, 1.0)
-        bounds = np.concatenate([[0.0],
-                                 0.5 * (rings.radii[1:] + rings.radii[:-1]),
-                                 [np.inf]])
-        cdf = 1.0 - np.exp(-bounds ** 2)  # Rayleigh CDF, sigma^2 = 1/2
-        expected = np.diff(cdf)
-        sig = generate_wgn(1_000_000, 1.0, 1.0, seed=1)
-        mags = np.abs(quantize_to_rings(sig, rings))
-        for r, exp_occ in zip(rings.radii, expected):
-            occ = np.mean(np.isclose(mags, r))
-            assert occ == pytest.approx(exp_occ, abs=0.002)
-        assert np.all(np.abs(expected - 1 / 16) < 0.015)
 
 
 class TestEstimateMi:

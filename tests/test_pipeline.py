@@ -17,7 +17,8 @@ from wgnlink.pipeline import (EqualizerState, PipelineConfig,
                               fde_lms_equalize, phase_recovery,
                               read_equalizer_state, run_pipeline,
                               trim_aligned, write_equalizer_state)
-from wgnlink.signals import ComplexSignal, MimoSignal, generate_wgn_mimo
+from wgnlink.signals import (ComplexSignal, MimoSignal, gaussian_filter,
+                             generate_wgn_mimo, resample)
 
 
 def _nmse_db(est, ref):
@@ -90,6 +91,51 @@ class TestEdc:
         expected = dispersion_phase(freqs, 17.0, 18.0, 1550.0)
         err = np.angle(ratio * np.exp(-1j * expected))
         assert np.max(np.abs(err)) < 1e-6
+
+
+class TestFrontEnd:
+    LINK = LinkConfig(dispersion_coeff=17.0, center_wavelength=1550.0)
+
+    def _reference(self, sig, cfg, edc_km):
+        out = sig.map(lambda t: resample(t, cfg.target_rate))
+        if cfg.filter_bw is not None:
+            out = out.map(lambda t: gaussian_filter(t, cfg.filter_bw,
+                                                    cfg.filter_order))
+        if edc_km is not None:
+            out = apply_edc(out, self.LINK.dispersion_coeff, edc_km,
+                            self.LINK.center_wavelength)
+        return out
+
+    @pytest.mark.parametrize("rate, n, filter_bw, edc_km", [
+        (40e9, 30_000, 15e9, 156.0),
+        (40e9, 30_001, None, None),
+        (40e9, 30_000, 15e9, None),
+        (40e9, 30_001, None, 78.0),
+        (90e9, 45_000, 15e9, 78.0),
+        (60e9, 30_000, 15e9, 78.0),
+    ])
+    def test_equals_resample_filter_edc_chain(self, rate, n, filter_bw,
+                                              edc_km):
+        sig = generate_wgn_mimo(3, n, rate, 1.0, seed=n)
+        cfg = PipelineConfig(target_rate=60e9, filter_bw=filter_bw)
+        link = None if edc_km is None else self.LINK
+        out = pipeline._front_end(sig, cfg, link, edc_km or 0.0)
+        ref = self._reference(sig, cfg, edc_km)
+        assert out.sample_rate == ref.sample_rate == 60e9
+        a, b = out.as_array(), ref.as_array()
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+    def test_target_rate_without_stages_is_unchanged(self):
+        sig = generate_wgn_mimo(2, 10_000, 60e9, 1.0, seed=3)
+        cfg = PipelineConfig(target_rate=60e9, filter_bw=None)
+        assert pipeline._front_end(sig, cfg) is sig
+
+    def test_filter_above_nyquist_warns(self):
+        sig = generate_wgn_mimo(2, 10_000, 20e9, 1.0, seed=4)
+        cfg = PipelineConfig(target_rate=20e9, filter_bw=15e9)
+        with pytest.warns(UserWarning, match="Nyquist"):
+            pipeline._front_end(sig, cfg)
 
 
 class TestFdeLms:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sp_signal
 from scipy import stats
 
 from wgnlink.signals import (ComplexSignal, MimoSignal, gaussian_filter,
@@ -135,6 +136,18 @@ class TestResample:
         sl = slice(500, -500)
         nmse = np.mean(np.abs(err[sl]) ** 2) / np.mean(np.abs(sig.samples[sl]) ** 2)
         assert 10 * np.log10(nmse) < -50
+
+    # (n, n_out): the shorter length even (unpaired Nyquist bin split or
+    # merged) and odd, up and down, and the identity at both parities
+    @pytest.mark.parametrize("n, n_out", [(1000, 1501), (1501, 1000),
+                                          (1001, 1500), (1500, 1001),
+                                          (1000, 1000), (1001, 1001)])
+    def test_matches_scipy(self, n, n_out):
+        sig = generate_wgn(n, 40e9, 1.0, seed=n + n_out)
+        out = resample(sig, 40e9 * n_out / n)
+        ref = sp_signal.resample(sig.samples, n_out)
+        assert len(out) == n_out
+        assert np.max(np.abs(out.samples - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_empty_input(self):
         sig = ComplexSignal(np.empty(0, dtype=complex), 40e9)
