@@ -4,8 +4,10 @@ The channel model is deliberately phenomenological: chromatic dispersion is
 an exact all-pass quadratic phase, mode coupling is a seeded multi-section
 unitary/delay cascade with a frequency-flat singular-value (MDL) profile,
 amplifier noise is additive Gaussian per span, and nonlinear interference
-is a cubic-in-power additive Gaussian term.  A split-step solver is out of
-scope by design.
+is a cubic-in-power additive Gaussian term.  Both noises are white, so
+:func:`run_link` injects them per frequency bin at the Parseval-scaled
+power and a link costs one FFT pair whatever its loop count.  A split-step
+solver is out of scope by design.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .signals import ComplexSignal, MimoSignal
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+_COUPLING_CHUNK = 16384  # bins per cache-resident pass of the coupling
 
 
 @dataclass(frozen=True)
@@ -164,16 +167,24 @@ class MultiSectionModel:
         sigma = ratio ** exponents
         self.sigma = sigma / np.sqrt(np.mean(sigma ** 2))
 
+    def delay_rotation(self, freqs: np.ndarray) -> np.ndarray:
+        """Per-section DGD phase exp(-2j pi f tau_i), shape (M, len(freqs))."""
+        return np.exp(-2j * np.pi * self.delays[:, None] * freqs[None, :])
+
     def apply_spectrum(self, spectrum: np.ndarray,
-                       freqs: np.ndarray) -> np.ndarray:
-        """Apply H(f) to an (M, N) frequency-domain field without
-        materializing per-bin matrices."""
-        out = self.output_unitary @ spectrum
-        out = self.sigma[:, None] * out
-        rot = np.exp(-2j * np.pi * freqs[None, :] * self.delays[:, None])
-        for u in reversed(self.unitaries):
-            out = u @ (rot * out)
-        return out
+                       rotation: np.ndarray) -> np.ndarray:
+        """Apply H(f) in place to an (M, N) spectrum, ``rotation`` being
+        ``delay_rotation(freqs)``; bins pass all sections one cache-sized
+        chunk at a time, and no per-bin matrix is materialized."""
+        for s in range(0, spectrum.shape[1], _COUPLING_CHUNK):
+            out = self.output_unitary @ spectrum[:, s:s + _COUPLING_CHUNK]
+            out *= self.sigma[:, None]
+            rot = rotation[:, s:s + _COUPLING_CHUNK]
+            for u in reversed(self.unitaries):
+                out *= rot
+                out = u @ out
+            spectrum[:, s:s + _COUPLING_CHUNK] = out
+        return spectrum
 
     def sample(self, n_bins: int, bin_spacing: float) -> MimoChannel:
         """Materialize per-bin matrices on an FFT-ordered grid."""
@@ -181,7 +192,7 @@ class MultiSectionModel:
         m = self.n_modes
         h = np.broadcast_to(self.output_unitary * self.sigma[:, None],
                             (n_bins, m, m)).copy()
-        rot = np.exp(-2j * np.pi * freqs[:, None] * self.delays[None, :])
+        rot = self.delay_rotation(freqs).T
         for u in reversed(self.unitaries):
             h = np.einsum("ij,kjl->kil", u, rot[:, :, None] * h)
         return MimoChannel(h, bin_spacing)
@@ -303,8 +314,11 @@ def run_link(signal: MimoSignal, cfg: LinkConfig, n_recirculations: int,
 
     Each span applies, in order: chromatic dispersion over the span length,
     the span's mode-coupling section (identity when both MDL and DGD are
-    zero), and the combined ASE + nonlinear-interference noise.  LO phase
-    noise and frequency offset are applied once at the receiver.
+    zero), and the combined ASE + nonlinear-interference noise.  The field
+    stays a spectrum from one FFT to one IFFT whatever the loop count: the
+    white noise is drawn per frequency bin, at the per-sample power the
+    signal power (measured by Parseval) sets.  LO phase noise and frequency
+    offset are applied once at the receiver.
     """
     if n_recirculations < 1:
         raise ValueError("n_recirculations must be >= 1")
@@ -317,29 +331,38 @@ def run_link(signal: MimoSignal, cfg: LinkConfig, n_recirculations: int,
         model = MultiSectionModel(cfg.n_modes, cfg.mdl_per_span,
                                   cfg.dgd_per_span, model_seed,
                                   cfg.n_sections)
-    noise_ratio = span_noise_power_ratio(cfg)
-    noise_rng = np.random.default_rng(noise_seed)
-
-    data = signal.as_array()
-    n = data.shape[1]
-    freqs = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
-    disp_rot = np.exp(1j * dispersion_phase(freqs, cfg.dispersion_coeff,
-                                            cfg.span_length,
-                                            cfg.center_wavelength))
-    for _ in range(n_recirculations):
-        spec = np.fft.fft(data, axis=1) * disp_rot[None, :]
-        if model is not None:
-            spec = model.apply_spectrum(spec, freqs)
-        data = np.fft.ifft(spec, axis=1)
-        if noise_ratio > 0:
-            power = np.mean(np.abs(data) ** 2)
-            scale = np.sqrt(power * noise_ratio / 2.0)
-            data = data + scale * (noise_rng.standard_normal(data.shape)
-                                   + 1j * noise_rng.standard_normal(data.shape))
-    out = MimoSignal.from_array(data, signal.sample_rate)
+    spec = np.fft.fft(signal.as_array(), axis=1)
+    # the loop's buffers are freed before the IFFT allocates the output, so
+    # it can reuse their memory instead of raising the peak RSS
+    _recirculate(spec, signal.sample_rate, cfg, model,
+                 np.random.default_rng(noise_seed), n_recirculations)
+    out = MimoSignal.from_array(np.fft.ifft(spec, axis=1), signal.sample_rate)
     out = apply_phase_noise(out, cfg.lo_linewidth, lo_seed)
     out = apply_frequency_offset(out, cfg.frequency_offset)
     return out
+
+
+def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
+                 model, noise_rng, n_recirculations: int) -> None:
+    """The span loop of :func:`run_link`, in place on an (M, N) spectrum."""
+    m, n = spec.shape
+    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    disp_rot = np.exp(1j * dispersion_phase(freqs, cfg.dispersion_coeff,
+                                            cfg.span_length,
+                                            cfg.center_wavelength))
+    delay_rot = model.delay_rotation(freqs) if model is not None else None
+    noise_ratio = span_noise_power_ratio(cfg)
+    for _ in range(n_recirculations):
+        spec *= disp_rot
+        if model is not None:
+            model.apply_spectrum(spec, delay_rot)
+        if noise_ratio > 0:
+            # Parseval: mean |x|^2 = sum |X|^2 / (M N^2); white noise of
+            # per-sample power s has per-bin power N s
+            power = np.vdot(spec, spec).real / (m * n * n)
+            noise = noise_rng.standard_normal((m, 2 * n)).view(np.complex128)
+            noise *= np.sqrt(n * power * noise_ratio / 2.0)
+            spec += noise
 
 
 def write_channel(f: BinaryIO, channel: MimoChannel) -> None:

@@ -59,13 +59,18 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
                                       result.f_eq.tributaries)):
         ref_d = _decimate(ref, osr, cfg.mi_max_symbols)
         eq_d = _decimate(eq, osr, cfg.mi_max_symbols)
+        mi = estimate_mi(ref_d, eq_d, rings)
+        if mi >= np.log2(rings.n_points):
+            log.warning("sweep value %s seed %s tributary %d: MI at the "
+                        "clamp log2(64 * n_rings) = %.2f bits (n_rings=%d)",
+                        value, seed, m, mi, cfg.n_rings)
         rows.append({
             "signal": "wgn", "sweep_axis": cfg.sweep_axis,
             "sweep_value": value,
             "distance_km": n_rec * link.span_length,
             "launch_power_dbm": link.launch_power_dbm,
             "seed": seed, "tributary": m,
-            "bits_per_symbol": estimate_mi(ref_d, eq_d, rings),
+            "bits_per_symbol": mi,
             "assumed_baud": cfg.pipeline.assumed_baud,
             "snr_db": estimate_snr(ref_d, eq_d),
         })

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from wgnlink.channel import (SPEED_OF_LIGHT, LinkConfig, MimoChannel,
-                             add_awgn, apply_channel,
+from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
+                             MimoChannel, MultiSectionModel, add_awgn,
+                             apply_channel,
                              apply_chromatic_dispersion,
                              apply_frequency_offset, apply_phase_noise,
                              dispersion_phase, read_channel, run_link,
@@ -246,6 +247,43 @@ class TestRunLink:
         a = run_link(sig, cfg, 2, seed=7)
         b = run_link(sig, cfg, 2, seed=7)
         assert np.array_equal(a.as_array(), b.as_array())
+
+    def test_noiseless_coupled_link_matches_materialized_channel(self):
+        # the spectral loop with its once-built DGD rotation against the
+        # per-span time-domain chain: dispersion, then the sampled matrices;
+        # n spans two full coupling chunks and a partial one
+        cfg = LinkConfig(span_snr_db=float("inf"), nlin_coeff=0.0,
+                         mdl_per_span=2.0, dgd_per_span=5e-11)
+        n, rate, seed = 2 * _COUPLING_CHUNK + 7232, 40e9, 11
+        sig = generate_wgn_mimo(2, n, rate, 1.0, seed=22)
+        out = run_link(sig, cfg, 3, seed=seed)
+        model_seed = np.random.SeedSequence(seed).spawn(3)[0]
+        channel = MultiSectionModel(2, cfg.mdl_per_span, cfg.dgd_per_span,
+                                    model_seed, cfg.n_sections).sample(
+                                        n, rate / n)
+        ref = sig
+        for _ in range(3):
+            ref = apply_chromatic_dispersion(ref, cfg.dispersion_coeff,
+                                             cfg.span_length,
+                                             cfg.center_wavelength)
+            ref = apply_channel(ref, channel)
+        np.testing.assert_allclose(out.as_array(), ref.as_array(), rtol=0,
+                                   atol=1e-10)
+
+    def test_span_noise_power_and_whiteness(self):
+        cfg = LinkConfig(span_snr_db=20.0, nlin_coeff=0.0)
+        sig = generate_wgn_mimo(2, 400_000, 40e9, 1.0, seed=23)
+        out = run_link(sig, cfg, 1, seed=12)
+        clean = apply_chromatic_dispersion(sig, cfg.dispersion_coeff,
+                                           cfg.span_length,
+                                           cfg.center_wavelength).as_array()
+        noise = out.as_array() - clean
+        ratio = np.mean(np.abs(noise) ** 2) / np.mean(np.abs(clean) ** 2)
+        assert ratio == pytest.approx(0.01, rel=0.02)
+        spec = np.abs(np.fft.fft(noise, axis=1)) ** 2
+        inner = np.abs(np.fft.fftfreq(noise.shape[1])) < 0.25
+        assert (np.mean(spec[:, inner]) / np.mean(spec[:, ~inner])
+                == pytest.approx(1.0, rel=0.03))
 
     def test_mode_count_mismatch(self):
         cfg = LinkConfig(n_modes=6)

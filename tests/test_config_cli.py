@@ -1,6 +1,7 @@
 """Tests for config parsing, the CLI verbs, and experiment output contracts."""
 
 import json
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -34,6 +35,22 @@ seeds: [3, 4]
 n_samples: 120000
 mi_max_symbols: 30000
 """
+
+COUPLED_SWEEP = """
+link:
+  span_snr_db: 20.0
+  mdl_per_span: 0.5
+  dgd_per_span: 1.0e-11
+sweep:
+  recirculations: [1, 2]
+seeds: [3, 4]
+n_samples: 40000
+mi_max_symbols: 10000
+"""
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers see the patched point function only when forked")
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -194,10 +211,7 @@ class TestCliVerbs:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["errors"]
 
-    @pytest.mark.parametrize("jobs", [
-        1, pytest.param(2, marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="workers see the patched point function only when forked"))])
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
     def test_failed_point_keeps_finished_points(self, tmp_path, monkeypatch,
                                                 jobs):
         point = runner._wgn_point
@@ -244,6 +258,38 @@ class TestOutputContracts:
             assert rc == 0
             outs.append((out / "mi_results.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @FORK_ONLY
+    def test_jobs_do_not_change_csv_bytes(self, tmp_path):
+        cfg_path = _write(tmp_path, COUPLED_SWEEP)
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            rc = cli.main(["simulate", "--config", cfg_path, "--out",
+                           str(out), "--no-plots", "--jobs", str(jobs)])
+            assert rc == 0
+            outs.append({p.name: p.read_bytes()
+                         for p in sorted(out.glob("*.csv"))})
+        assert sorted(outs[0]) == ["impulse_1.csv", "impulse_2.csv",
+                                   "mdl_1.csv", "mdl_2.csv",
+                                   "mi_results.csv"]
+        assert outs[0] == outs[1]
+
+    def test_mi_clamp_is_logged(self, tmp_path, caplog):
+        text = MINIMAL + "n_rings: 1\nlink:\n  span_snr_db: 30.0\n"
+        out = tmp_path / "results"
+        with caplog.at_level(logging.WARNING, logger="wgnlink.runner"):
+            rc = cli.main(["simulate", "--config", _write(tmp_path, text),
+                           "--out", str(out), "--no-plots"])
+        assert rc == 0
+        rows = (out / "mi_results.csv").read_text().strip().splitlines()[1:]
+        assert {r.split(",")[7] for r in rows} == {"6"}
+        clamped = [m for m in (r.getMessage() for r in caplog.records
+                               if r.levelno == logging.WARNING)
+                   if "clamp" in m]
+        assert len(clamped) == 2
+        assert "sweep value 1 seed 3 tributary 0" in clamped[0]
+        assert "n_rings=1" in clamped[0]
 
     def test_rows_carry_provenance(self, tmp_path):
         out = tmp_path / "results"
