@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel, _channel_on_grid
-from .pipeline import (PipelineConfig, _front_end, align_by_crosscorrelation,
-                       fde_lms_equalize, trim_aligned)
+from .pipeline import (PipelineConfig, _align, _front_end_spectrum,
+                       _time_signal, fde_lms_equalize, trim_aligned)
 from .signals import MimoSignal
 
 _NMSE_CAP_DB = -120.0
@@ -62,22 +62,33 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig) -> MimoChannel:
     """Estimate the full channel by running the FDE with inverted roles.
 
-    The captures pass through the forward pipeline's front end and are
-    aligned by cross-correlation, but no dispersion compensation is applied:
-    the estimate must contain the complete channel response.  The received
-    field serves as the equalizer reference and the transmitted field as the
-    processed input, so the per-bin least-squares taps approximate H(f).
-    The equalized field itself is not needed and is not computed.
+    Each capture passes the forward pipeline's front end once, and the pair
+    is aligned by cross-correlation from those spectra, but no dispersion
+    compensation is applied: the estimate must contain the complete channel
+    response.  The received field serves as the equalizer reference and the
+    transmitted field as the processed input, so the per-bin least-squares
+    taps approximate H(f).  The equalized field itself is not needed and is
+    not computed.  ``run_pipeline(..., characterize=True)`` gives the same
+    estimate from the forward pipeline's own front-end pass.
     """
-    f_in_p = _front_end(f_in, cfg)
-    f_out_p = _front_end(f_out, cfg)
-    max_lag = min(cfg.align_max_lag, len(f_in_p) // 2 - 1)
-    alignment = align_by_crosscorrelation(f_in_p, f_out_p, max_lag,
-                                          cfg.align_threshold)
-    f_in_t, f_out_t, _ = trim_aligned(f_in_p, f_out_p, alignment.lag)
+    spec_in = _front_end_spectrum(f_in, cfg)
+    spec_out = _front_end_spectrum(f_out, cfg)
+    rate = cfg.target_rate
+    return _inverted_role_channel(_time_signal(spec_in, f_in, rate),
+                                  _time_signal(spec_out, f_out, rate), cfg,
+                                  (spec_in, spec_out))
+
+
+def _inverted_role_channel(f_in: MimoSignal, f_out: MimoSignal,
+                           cfg: PipelineConfig, spectra: tuple
+                           ) -> MimoChannel:
+    """Channel estimate from front-end outputs without EDC: align them
+    (from their `spectra`), trim, and solve the taps-only equalizer with
+    the received field as the reference and the transmitted as the input."""
+    alignment = _align(f_in, f_out, cfg, spectra)
+    f_in_t, f_out_t, _ = trim_aligned(f_in, f_out, alignment.lag)
     _, state = fde_lms_equalize(f_out_t, f_in_t, cfg, with_output=False)
-    bin_spacing = cfg.target_rate / state.block_size
-    return MimoChannel(state.taps, bin_spacing)
+    return MimoChannel(state.taps, cfg.target_rate / state.block_size)
 
 
 def mdl_from_channel(channel: MimoChannel,

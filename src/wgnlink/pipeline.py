@@ -6,6 +6,12 @@ training/payload split exists.  The equalizer taps are solved in closed
 form, per frequency bin, from cross-spectra averaged over the whole capture:
 the least-squares limit of the paper's LMS equalizer, with no training phase
 and no step size.
+
+Each capture passes the front end once: one FFT, a spectral resample and
+the Gaussian filter.  That spectrum feeds both the cross-correlation
+alignment (one inverse FFT of the summed cross-spectrum) and, on a
+characterized capture pair, the inverted-role channel estimate, which sees
+the received spectrum before the EDC multiply.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from .channel import LinkConfig, _apply_dispersion, dispersion_phase
+from .channel import (LinkConfig, MimoChannel, _apply_dispersion,
+                      dispersion_phase)
 from .errors import AlignmentError
 from .signals import (ComplexSignal, MimoSignal, _gaussian_response,
                       _resample_spectrum)
@@ -96,8 +103,19 @@ class PipelineConfig:
     align_threshold: float = 10.0
 
     def __post_init__(self):
+        if self.target_rate <= 0:
+            raise ValueError("target_rate must be positive")
+        if self.filter_bw is not None and self.filter_bw <= 0:
+            raise ValueError("filter_bw must be positive (or null to "
+                             "disable the filter)")
+        if self.filter_order < 1:
+            raise ValueError("filter_order must be >= 1")
         if self.oversampling < 1:
             raise ValueError("oversampling must be >= 1")
+        if self.phase_window < 1:
+            raise ValueError("phase_window must be >= 1")
+        if self.lms_step <= 0:
+            raise ValueError("lms_step must be positive")
         if self.block_size < 2 or self.block_size & (self.block_size - 1):
             raise ValueError("block_size must be a power of two >= 2")
 
@@ -113,28 +131,45 @@ class PipelineResult:
     state: EqualizerState
     alignment: AlignmentResult
     trim_start_in: int    # offset of f_in[0] in the resampled input timeline
+    channel: Optional[MimoChannel] = None  # set when asked to characterize
 
 
 def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
-                              max_lag: int,
-                              threshold: float = 10.0) -> AlignmentResult:
+                              max_lag: int, threshold: float = 10.0, *,
+                              spectra: Optional[tuple] = None
+                              ) -> AlignmentResult:
     """Locate the delay of f_out relative to f_in by FFT cross-correlation.
 
-    The complex per-tributary correlations are summed (common-LO phase), the
-    winning lag maximizes the summed magnitude over ``[-max_lag, max_lag]``,
-    and ties break toward the smallest |lag|.  A peak-to-RMS ratio below
-    `threshold` raises :class:`AlignmentError`.
+    The per-tributary cross-spectra ``F_out,m conj(F_in,m)`` are summed
+    (common-LO phase) and inverted with one IFFT; the winning lag maximizes
+    the correlation magnitude over ``[-max_lag, max_lag]``, and ties break
+    toward the smallest |lag|.  A peak-to-RMS ratio below `threshold` raises
+    :class:`AlignmentError`.
+
+    ``spectra=(spec_in, spec_out)`` are the (M, N) FFTs of the two signals,
+    as the receiver front end computes them; either may be None.  They are
+    used when both signals have the same length N, and then aligning costs a
+    single IFFT.  A spectrum not given, or any spectrum when the lengths
+    differ, is computed tributary by tributary over the first
+    ``min(len(f_in), len(f_out))`` samples.
     """
     if f_in.sample_rate != f_out.sample_rate:
         raise ValueError("signals must share a sample rate")
     n = min(len(f_in), len(f_out))
     if n < 2 * max_lag:
         raise ValueError("signals shorter than 2 * max_lag")
-    corr = np.zeros(n, dtype=complex)
-    for a, b in zip(f_in.tributaries, f_out.tributaries):
-        fa = np.fft.fft(a.samples[:n])
-        fb = np.fft.fft(b.samples[:n])
-        corr += np.fft.ifft(fb * np.conj(fa))
+    spec_in = spec_out = None
+    if spectra is not None and len(f_in) == len(f_out):
+        spec_in, spec_out = spectra
+        for spec, sig in ((spec_in, f_in), (spec_out, f_out)):
+            if spec is not None and spec.shape != (sig.n_tributaries, n):
+                raise ValueError("spectra do not match the signals")
+    cross = np.zeros(n, dtype=complex)
+    for m, (a, b) in enumerate(zip(f_in.tributaries, f_out.tributaries)):
+        fa = np.fft.fft(a.samples[:n]) if spec_in is None else spec_in[m]
+        fb = np.fft.fft(b.samples[:n]) if spec_out is None else spec_out[m]
+        cross += fb * np.conj(fa)
+    corr = np.fft.ifft(cross)
     lags = np.concatenate([np.arange(-max_lag, 0), np.arange(0, max_lag + 1)])
     mags = np.abs(corr[lags])
     order = np.lexsort((np.abs(lags), -mags))  # smallest |lag| wins ties
@@ -160,18 +195,15 @@ def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
     Returns the trimmed pair and the offset of the trimmed reference inside
     the original f_in timeline.
     """
-    a = f_in.as_array()
-    b = f_out.as_array()
-    if lag >= 0:
-        b = b[:, lag:]
-        start_in = 0
-    else:
-        a = a[:, -lag:]
-        start_in = -lag
-    n = min(a.shape[1], b.shape[1])
-    return (MimoSignal.from_array(a[:, :n], f_in.sample_rate),
-            MimoSignal.from_array(b[:, :n], f_out.sample_rate),
-            start_in)
+    start_in, start_out = max(-lag, 0), max(lag, 0)
+    n = max(min(len(f_in) - start_in, len(f_out) - start_out), 0)
+
+    def cut(sig, start):  # views of the tributaries, not copies
+        return MimoSignal([ComplexSignal(t.samples[start:start + n],
+                                         sig.sample_rate)
+                           for t in sig.tributaries])
+
+    return cut(f_in, start_in), cut(f_out, start_out), start_in
 
 
 def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
@@ -182,31 +214,74 @@ def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
                              wavelength_nm, sign=-1.0)
 
 
-def _front_end(sig: MimoSignal, cfg: PipelineConfig,
-               link: Optional[LinkConfig] = None,
-               edc_km: float = 0.0) -> MimoSignal:
-    """Receiver front end: resample to ``cfg.target_rate``, Gaussian filter
-    (unless ``cfg.filter_bw`` is None) and, when `link` is given, EDC of
-    `edc_km` of its fiber.
-
-    Equal to ``apply_edc(gaussian_filter(resample(.)))`` per tributary, but
-    done as one FFT of the whole capture, a spectral resample, one multiply
-    by the filter and EDC responses and one inverse FFT.  A capture already
-    at the target rate with neither stage asked for is returned as is.
+def _front_end_spectrum(sig: MimoSignal,
+                        cfg: PipelineConfig) -> Optional[np.ndarray]:
+    """Spectrum of `sig` resampled to ``cfg.target_rate`` and Gaussian
+    filtered (unless ``cfg.filter_bw`` is None), as an (M, n) array: one FFT
+    of the whole capture, a spectral resample and one multiply by the filter
+    response.  None when the capture is already at the target rate and
+    unfiltered: the front end then passes it through.
     """
     rate = cfg.target_rate
-    if sig.sample_rate == rate and cfg.filter_bw is None and link is None:
-        return sig
+    if sig.sample_rate == rate and cfg.filter_bw is None:
+        return None
     n_out = int(round(len(sig) * rate / sig.sample_rate))
     spec = _resample_spectrum(np.fft.fft(sig.as_array(), axis=1), n_out)
     if cfg.filter_bw is not None:
         spec *= _gaussian_response(n_out, rate, cfg.filter_bw,
                                    cfg.filter_order)
-    if link is not None:
-        spec *= np.exp(-1j * dispersion_phase(
-            np.fft.fftfreq(n_out, d=1.0 / rate), link.dispersion_coeff,
-            edc_km, link.center_wavelength))
+    return spec
+
+
+def _edc_spectrum(spec: Optional[np.ndarray], sig: MimoSignal,
+                  link: LinkConfig, edc_km: float, rate: float) -> np.ndarray:
+    """Front-end spectrum `spec` of capture `sig` (sampled at `rate`; when
+    None, the front end passed `sig` through and its FFT is taken)
+    multiplied in place by the EDC response for `edc_km` of `link`'s fiber.
+    """
+    if spec is None:
+        spec = np.fft.fft(sig.as_array(), axis=1)
+    spec *= np.exp(-1j * dispersion_phase(
+        np.fft.fftfreq(spec.shape[1], d=1.0 / rate), link.dispersion_coeff,
+        edc_km, link.center_wavelength))
+    return spec
+
+
+def _time_signal(spec: Optional[np.ndarray], sig: MimoSignal,
+                 rate: float) -> MimoSignal:
+    """The front end's output for capture `sig`: the IFFT of its spectrum
+    `spec`, or `sig` itself when `spec` is None (passed through)."""
+    if spec is None:
+        return sig
     return MimoSignal.from_array(np.fft.ifft(spec, axis=1), rate)
+
+
+def _front_end(sig: MimoSignal, cfg: PipelineConfig,
+               link: Optional[LinkConfig] = None,
+               edc_km: float = 0.0) -> MimoSignal:
+    """Receiver front end of one capture: resample to ``cfg.target_rate``,
+    Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
+    given, EDC of `edc_km` of its fiber.
+
+    Equal to ``apply_edc(gaussian_filter(resample(.)))`` per tributary, but
+    done as :func:`_front_end_spectrum`, the EDC multiply and one inverse
+    FFT; :func:`run_pipeline` and the channel estimate call these parts
+    directly to keep the spectrum for the alignment.  A capture already at
+    the target rate with neither stage asked for is returned as is.
+    """
+    spec = _front_end_spectrum(sig, cfg)
+    if link is not None:
+        spec = _edc_spectrum(spec, sig, link, edc_km, cfg.target_rate)
+    return _time_signal(spec, sig, cfg.target_rate)
+
+
+def _align(f_in: MimoSignal, f_out: MimoSignal, cfg: PipelineConfig,
+           spectra: tuple) -> AlignmentResult:
+    """:func:`align_by_crosscorrelation` with the lag range and threshold
+    of `cfg`."""
+    max_lag = min(cfg.align_max_lag, len(f_in) // 2 - 1)
+    return align_by_crosscorrelation(f_in, f_out, max_lag,
+                                     cfg.align_threshold, spectra=spectra)
 
 
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
@@ -331,24 +406,41 @@ def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
 
 def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
                  link: LinkConfig, cfg: PipelineConfig,
-                 n_recirculations: int = 1) -> PipelineResult:
+                 n_recirculations: int = 1,
+                 characterize: bool = False) -> PipelineResult:
     """Full receive chain: resample, filter, EDC, align, FDE, phase recovery.
 
     EDC compensates ``n_recirculations * span_length`` of dispersion on the
     received capture only.  Returns the co-trimmed reference and the
     equalized field.
+
+    Each capture passes the front end once, and the alignment reuses its
+    spectra.  With `characterize`, the result's `channel` is also set: the
+    inverted-role estimate that :func:`wgnlink.estimation.estimate_channel`
+    gives for the same captures, taken from the same transmitted-capture
+    front end and the received spectrum before the EDC multiply.
     """
     if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
         raise ValueError("capture tributary counts differ")
 
-    f_in = _front_end(f_in_raw, cfg)
-    f_out = _front_end(f_out_raw, cfg, link,
-                       link.span_length * n_recirculations)
-    max_lag = min(cfg.align_max_lag, len(f_in) // 2 - 1)
-    alignment = align_by_crosscorrelation(f_in, f_out, max_lag,
-                                          cfg.align_threshold)
+    rate = cfg.target_rate
+    spec_in = _front_end_spectrum(f_in_raw, cfg)
+    f_in = _time_signal(spec_in, f_in_raw, rate)
+    spec_out = _front_end_spectrum(f_out_raw, cfg)
+    channel = None
+    if characterize:
+        from .estimation import _inverted_role_channel  # imports this module
+        channel = _inverted_role_channel(
+            f_in, _time_signal(spec_out, f_out_raw, rate), cfg,
+            (spec_in, spec_out))
+    spec_out = _edc_spectrum(spec_out, f_out_raw, link,
+                             link.span_length * n_recirculations, rate)
+    f_out = _time_signal(spec_out, f_out_raw, rate)
+    alignment = _align(f_in, f_out, cfg, (spec_in, spec_out))
+    del spec_in, spec_out
     f_in_t, f_out_t, start_in = trim_aligned(f_in, f_out, alignment.lag)
     f_eq, state = fde_lms_equalize(f_in_t, f_out_t, cfg)
     f_eq = phase_recovery(f_in_t, f_eq, cfg.phase_window)
     return PipelineResult(f_in=f_in_t, f_eq=f_eq, state=state,
-                          alignment=alignment, trim_start_in=start_in)
+                          alignment=alignment, trim_start_in=start_in,
+                          channel=channel)

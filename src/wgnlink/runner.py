@@ -13,6 +13,7 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .estimation import estimate_channel, impulse_response_from_channel, \
 from .metrics import (build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import PipelineConfig, run_pipeline
-from .signals import ComplexSignal, MimoSignal, generate_wgn_mimo, resample
+from .signals import (ComplexSignal, MimoSignal, _resample_spectrum,
+                      generate_wgn_mimo)
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +53,7 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
                              cfg.mean_power, seed)
     f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
     result = run_pipeline(f_in, f_out, link, cfg.pipeline,
-                          n_recirculations=n_rec)
+                          n_recirculations=n_rec, characterize=characterize)
     osr = cfg.pipeline.oversampling
     rings = build_ring_constellation(cfg.n_rings, cfg.mean_power)
     rows = []
@@ -76,10 +78,9 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
         })
     out = {"rows": rows}
     if characterize:
-        channel = estimate_channel(f_in, f_out, cfg.pipeline)
         band = cfg.pipeline.filter_bw
-        mdl = mdl_from_channel(channel, band_edge=band)
-        ir = impulse_response_from_channel(channel, band_edge=band)
+        mdl = mdl_from_channel(result.channel, band_edge=band)
+        ir = impulse_response_from_channel(result.channel, band_edge=band)
         out["mdl"] = (mdl.frequencies[mdl.valid], mdl.mdl_db[mdl.valid])
         out["impulse"] = (ir.delays, ir.taps, ir.dynamic_range_db)
     return out
@@ -87,17 +88,30 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
 
 def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
                         mean_power: float, seed: int, oversampling: int = 2,
-                        rolloff: float = 0.1):
+                        rolloff: float = 0.1,
+                        sample_rate: Optional[float] = None):
     """Nyquist (raised-cosine) shaped 16QAM, `oversampling` samples/symbol.
 
     Returns the waveform and the per-tributary symbol matrix.  The pulse is
     full raised cosine so the waveform at symbol instants equals the symbols
     exactly; matched filtering is subsumed by the data-aided equalizer.
+
+    The waveform is sampled at `sample_rate` (default ``baud *
+    oversampling``): the shaped spectrum is cut or zero-padded onto that
+    rate's grid before the one inverse FFT, which equals resampling the
+    waveform afterwards.  A rate whose Nyquist frequency is below the
+    occupied band ``(1 + rolloff) * baud / 2`` raises ValueError.
     """
+    rate = baud * oversampling
+    if sample_rate is None:
+        sample_rate = rate
+    if (1 + rolloff) * baud > sample_rate * (1 + 1e-12):  # rounding slack
+        raise ValueError(f"sample_rate {sample_rate:g} Hz cannot hold the "
+                         f"{(1 + rolloff) * baud:g} Hz wide 16QAM band")
     rng = np.random.default_rng(seed)
     pts = qam16_constellation(mean_power)
     n = n_symbols * oversampling
-    rate = baud * oversampling
+    n_out = int(round(n * sample_rate / rate))
     f = np.fft.fftfreq(n, d=1.0 / rate)
     beta = rolloff
     af = np.abs(f)
@@ -113,8 +127,9 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
         symbols[m] = sym
         stuffed = np.zeros(n, dtype=complex)
         stuffed[::oversampling] = sym
-        wave = np.fft.ifft(np.fft.fft(stuffed) * h)
-        tribs.append(ComplexSignal(wave, rate))
+        wave = np.fft.ifft(_resample_spectrum(np.fft.fft(stuffed) * h,
+                                              n_out))
+        tribs.append(ComplexSignal(wave, sample_rate))
     return MimoSignal(tribs), symbols
 
 
@@ -128,10 +143,10 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     n_hi = int(round(cfg.n_samples * ratio))
     n_hi -= n_hi % (osr * 3)
     n_sym = n_hi // osr
-    wave, symbols = generate_qam16_mimo(link.n_modes, n_sym,
+    f_in, symbols = generate_qam16_mimo(link.n_modes, n_sym,
                                         pipe.assumed_baud, cfg.mean_power,
-                                        seed, osr)
-    f_in = wave.map(lambda t: resample(t, cfg.capture_rate))
+                                        seed, osr,
+                                        sample_rate=cfg.capture_rate)
     f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
     result = run_pipeline(f_in, f_out, link, pipe, n_recirculations=n_rec)
     start = result.trim_start_in

@@ -132,6 +132,18 @@ class TestCliVerbs:
         assert cli.main(["simulate", "--config", cfg, "--out",
                          str(tmp_path / "o"), "--no-plots"]) == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("lms_step", 0.0), ("phase_window", 0), ("filter_order", 0),
+        ("filter_bw", 0.0), ("filter_bw", -15.0e9), ("target_rate", 0.0)])
+    def test_bad_pipeline_value_is_exit_1(self, tmp_path, key, value):
+        text = f"pipeline:\n  {key}: {value}\n" + MINIMAL
+        cfg = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=key):
+            validate_config(cfg)
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert cli.main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--no-plots"]) == 1
+
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 1
@@ -274,6 +286,13 @@ class TestOutputContracts:
                                    "mdl_1.csv", "mdl_2.csv",
                                    "mi_results.csv"]
         assert outs[0] == outs[1]
+
+    def test_characterized_point_keeps_its_rows(self, tmp_path):
+        cfg = validate_config(_write(tmp_path, COUPLED_SWEEP))
+        plain = runner._wgn_point(cfg, 2, 3, False)
+        char = runner._wgn_point(cfg, 2, 3, True)
+        assert char["rows"] == plain["rows"]
+        assert "mdl" in char and "mdl" not in plain
 
     def test_mi_clamp_is_logged(self, tmp_path, caplog):
         text = MINIMAL + "n_rings: 1\nlink:\n  span_snr_db: 30.0\n"

@@ -59,6 +59,58 @@ class TestAlignment:
         with pytest.raises(AlignmentError, match="may be unrelated"):
             align_by_crosscorrelation(a, b, max_lag=10_000)
 
+    # (modes, lag at the 40 GS/s capture rate); the front end resamples to
+    # 60 GS/s, so the aligned lag is 1.5 times larger
+    @pytest.mark.parametrize("m, lag", [(2, 1000), (2, -778), (6, 322),
+                                        (6, -46)])
+    def test_front_end_spectra_give_the_signals_alignment(self, m, lag):
+        sig = generate_wgn_mimo(m, 60_000, 40e9, 1.0, seed=40 + m)
+        noise = generate_wgn_mimo(m, 60_000, 40e9, 0.1, seed=50 + m)
+        out = MimoSignal.from_array(_delay(sig, lag).as_array()
+                                    + noise.as_array(), 40e9)
+        cfg = PipelineConfig()
+        spectra = tuple(pipeline._front_end_spectrum(s, cfg)
+                        for s in (sig, out))
+        f_in, f_out = (pipeline._time_signal(spec, s, cfg.target_rate)
+                       for spec, s in zip(spectra, (sig, out)))
+        ref = align_by_crosscorrelation(f_in, f_out, max_lag=5000)
+        got = align_by_crosscorrelation(f_in, f_out, max_lag=5000,
+                                        spectra=spectra)
+        assert got.lag == ref.lag == round(1.5 * lag)
+        assert got.peak_ratio == pytest.approx(ref.peak_ratio, rel=1e-9)
+        assert got.phase == pytest.approx(ref.phase, abs=1e-9)
+        # the peak's phase is that of the circular correlation at the lag
+        a, b = f_in.as_array(), np.roll(f_out.as_array(), -got.lag, axis=1)
+        assert got.phase == pytest.approx(
+            np.angle(np.sum(b * np.conj(a))), abs=1e-9)
+
+    def test_spectra_ignored_for_unequal_lengths(self):
+        sig = generate_wgn_mimo(2, 100_000, 40e9, 1.0, seed=60)
+        longer = MimoSignal.from_array(
+            np.concatenate([_delay(sig, 300).as_array(),
+                            sig.as_array()[:, :500]], axis=1), 40e9)
+        spectra = (np.fft.fft(sig.as_array(), axis=1),
+                   np.fft.fft(longer.as_array(), axis=1))
+        got = align_by_crosscorrelation(sig, longer, max_lag=5000,
+                                        spectra=spectra)
+        ref = align_by_crosscorrelation(sig, longer, max_lag=5000)
+        assert got == ref
+        assert got.lag == 300
+
+    def test_unrelated_captures_rejected_from_spectra(self):
+        a = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=61)
+        b = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=62)
+        spectra = tuple(np.fft.fft(s.as_array(), axis=1) for s in (a, b))
+        with pytest.raises(AlignmentError, match="may be unrelated"):
+            align_by_crosscorrelation(a, b, max_lag=10_000, spectra=spectra)
+
+    def test_mismatched_spectra_rejected(self):
+        sig = generate_wgn_mimo(2, 20_000, 40e9, 1.0, seed=63)
+        spec = np.fft.fft(sig.as_array()[:, :10_000], axis=1)
+        with pytest.raises(ValueError, match="spectra"):
+            align_by_crosscorrelation(sig, sig, max_lag=1000,
+                                      spectra=(spec, None))
+
     def test_trim_positive_lag(self):
         sig = generate_wgn_mimo(2, 50_000, 40e9, 1.0, seed=6)
         out = _delay(sig, 100)
@@ -296,6 +348,28 @@ class TestRunPipeline:
         out = _delay(run_link(sig, link, 1, seed=29), 5000)
         res = run_pipeline(sig, out, link, PipelineConfig())
         assert _nmse_db(res.f_eq.as_array(), res.f_in.as_array()) < -30
+
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(),
+        PipelineConfig(target_rate=40e9, filter_bw=None),  # pass-through
+    ], ids=["resampled", "pass-through"])
+    def test_characterize_equals_estimate_channel(self, cfg):
+        from wgnlink.estimation import estimate_channel
+        link = LinkConfig(span_snr_db=25.0, mdl_per_span=0.5,
+                          dgd_per_span=1e-11)
+        sig = generate_wgn_mimo(2, 120_000, 40e9, 1.0, seed=32)
+        out = run_link(sig, link, 2, seed=33)
+        res = run_pipeline(sig, out, link, cfg, n_recirculations=2,
+                           characterize=True)
+        plain = run_pipeline(sig, out, link, cfg, n_recirculations=2)
+        est = estimate_channel(sig, out, cfg)
+        # the characterization sees the received capture without EDC
+        assert np.array_equal(res.channel.matrices, est.matrices)
+        assert res.channel.bin_spacing == est.bin_spacing
+        assert plain.channel is None
+        assert res.alignment == plain.alignment
+        assert np.array_equal(res.f_eq.as_array(), plain.f_eq.as_array())
+        assert np.array_equal(res.f_in.as_array(), plain.f_in.as_array())
 
     def test_baud_rate_agnostic_per_second_mi(self):
         # per-sample MI is invariant to the assumed symbol grid, so

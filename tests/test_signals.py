@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 from scipy import stats
 
+from wgnlink.runner import generate_qam16_mimo
 from wgnlink.signals import (ComplexSignal, MimoSignal, gaussian_filter,
                              generate_wgn, generate_wgn_mimo, measure_power,
                              read_signal, resample, write_signal)
@@ -157,6 +158,29 @@ class TestResample:
         sig = generate_wgn(10, 1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             resample(sig, -1.0)
+
+
+class TestQam16Waveform:
+    # (symbols, sample rate): down to the capture rate, identity, up; the
+    # odd symbol count gives an odd output length
+    @pytest.mark.parametrize("n_sym, rate", [(3000, 40e9), (3001, 40e9),
+                                             (3000, 60e9), (3000, 90e9)])
+    def test_sample_rate_equals_resampled_waveform(self, n_sym, rate):
+        wave, sym = generate_qam16_mimo(2, n_sym, 30e9, 1.0, seed=5)
+        direct, sym_d = generate_qam16_mimo(2, n_sym, 30e9, 1.0, seed=5,
+                                            sample_rate=rate)
+        ref = wave.map(lambda t: resample(t, rate))
+        assert direct.sample_rate == rate
+        assert np.array_equal(sym, sym_d)
+        a, b = direct.as_array(), ref.as_array()
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+    def test_rate_below_band_rejected(self):
+        # a 30 GBd, 0.1-rolloff band is 33 GHz wide
+        generate_qam16_mimo(1, 100, 30e9, 1.0, seed=1, sample_rate=33e9)
+        with pytest.raises(ValueError, match="16QAM band"):
+            generate_qam16_mimo(1, 100, 30e9, 1.0, seed=1, sample_rate=32e9)
 
 
 class TestGaussianFilter:
