@@ -19,7 +19,7 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from .signals import ComplexSignal, MimoSignal
+from .signals import MimoSignal
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _COUPLING_CHUNK = 16384  # bins per cache-resident pass of the coupling
@@ -131,12 +131,21 @@ def apply_chromatic_dispersion(signal: MimoSignal, dispersion_coeff: float,
 def _apply_dispersion(signal: MimoSignal, dispersion_coeff: float,
                       length_km: float, wavelength_nm: float,
                       sign: float) -> MimoSignal:
-    n = len(signal)
-    f = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
-    rot = np.exp(sign * 1j * dispersion_phase(f, dispersion_coeff, length_km,
-                                              wavelength_nm))
-    data = np.fft.ifft(np.fft.fft(signal.as_array(), axis=1) * rot, axis=1)
-    return MimoSignal.from_array(data, signal.sample_rate)
+    rot = _dispersion_response(len(signal), signal.sample_rate,
+                               dispersion_coeff, length_km, wavelength_nm,
+                               sign)
+    data = np.fft.ifft(np.fft.fft(signal.data, axis=1) * rot, axis=1)
+    return MimoSignal(data, signal.sample_rate)
+
+
+def _dispersion_response(n: int, sample_rate: float, dispersion_coeff: float,
+                         length_km: float, wavelength_nm: float,
+                         sign: float) -> np.ndarray:
+    """``exp(sign * j * dispersion_phase)`` on the FFT grid of `n` samples at
+    `sample_rate`: the fiber response for ``sign=+1``, EDC for ``sign=-1``."""
+    f = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    return np.exp(sign * 1j * dispersion_phase(f, dispersion_coeff,
+                                               length_km, wavelength_nm))
 
 
 class MultiSectionModel:
@@ -223,9 +232,9 @@ def apply_channel(signal: MimoSignal, channel: MimoChannel) -> MimoSignal:
     n = len(signal)
     freqs = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
     mats, phase = _channel_on_grid(channel, freqs)
-    spec = np.fft.fft(signal.as_array(), axis=1)
+    spec = np.fft.fft(signal.data, axis=1)
     out = np.einsum("kij,jk->ik", mats, spec) * np.exp(1j * phase)[None, :]
-    return MimoSignal.from_array(np.fft.ifft(out, axis=1), signal.sample_rate)
+    return MimoSignal(np.fft.ifft(out, axis=1), signal.sample_rate)
 
 
 def _channel_on_grid(channel: MimoChannel, freqs: np.ndarray):
@@ -255,7 +264,7 @@ def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
     """
     if math.isinf(snr_db) and snr_db > 0:
         return signal
-    data = signal.as_array()
+    data = signal.data
     sig_power = float(np.mean(np.abs(data) ** 2))
     if sig_power <= 0:
         raise ValueError("signal power must be positive to set an SNR")
@@ -263,7 +272,7 @@ def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
     rng = np.random.default_rng(seed)
     noise = np.sqrt(noise_power / 2.0) * (
         rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
-    return MimoSignal.from_array(data + noise, signal.sample_rate)
+    return MimoSignal(data + noise, signal.sample_rate)
 
 
 def apply_phase_noise(signal: MimoSignal, linewidth: float,
@@ -279,8 +288,8 @@ def apply_phase_noise(signal: MimoSignal, linewidth: float,
     rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 * np.pi * linewidth / signal.sample_rate)
     phase = np.cumsum(std * rng.standard_normal(n))
-    data = signal.as_array() * np.exp(1j * phase)[None, :]
-    return MimoSignal.from_array(data, signal.sample_rate)
+    return MimoSignal(signal.data * np.exp(1j * phase)[None, :],
+                      signal.sample_rate)
 
 
 def apply_frequency_offset(signal: MimoSignal, offset: float) -> MimoSignal:
@@ -291,8 +300,7 @@ def apply_frequency_offset(signal: MimoSignal, offset: float) -> MimoSignal:
         return signal
     n = np.arange(len(signal))
     rot = np.exp(2j * np.pi * offset * n / signal.sample_rate)
-    return MimoSignal.from_array(signal.as_array() * rot[None, :],
-                                 signal.sample_rate)
+    return MimoSignal(signal.data * rot[None, :], signal.sample_rate)
 
 
 def span_noise_power_ratio(cfg: LinkConfig) -> float:
@@ -331,12 +339,12 @@ def run_link(signal: MimoSignal, cfg: LinkConfig, n_recirculations: int,
         model = MultiSectionModel(cfg.n_modes, cfg.mdl_per_span,
                                   cfg.dgd_per_span, model_seed,
                                   cfg.n_sections)
-    spec = np.fft.fft(signal.as_array(), axis=1)
+    spec = np.fft.fft(signal.data, axis=1)
     # the loop's buffers are freed before the IFFT allocates the output, so
     # it can reuse their memory instead of raising the peak RSS
     _recirculate(spec, signal.sample_rate, cfg, model,
                  np.random.default_rng(noise_seed), n_recirculations)
-    out = MimoSignal.from_array(np.fft.ifft(spec, axis=1), signal.sample_rate)
+    out = MimoSignal(np.fft.ifft(spec, axis=1), signal.sample_rate)
     out = apply_phase_noise(out, cfg.lo_linewidth, lo_seed)
     out = apply_frequency_offset(out, cfg.frequency_offset)
     return out
@@ -346,11 +354,11 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
                  model, noise_rng, n_recirculations: int) -> None:
     """The span loop of :func:`run_link`, in place on an (M, N) spectrum."""
     m, n = spec.shape
-    freqs = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    disp_rot = np.exp(1j * dispersion_phase(freqs, cfg.dispersion_coeff,
-                                            cfg.span_length,
-                                            cfg.center_wavelength))
-    delay_rot = model.delay_rotation(freqs) if model is not None else None
+    disp_rot = _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
+                                    cfg.span_length, cfg.center_wavelength,
+                                    +1.0)
+    delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate))
+                 if model is not None else None)
     noise_ratio = span_noise_power_ratio(cfg)
     for _ in range(n_recirculations):
         spec *= disp_rot
@@ -380,6 +388,9 @@ def write_channel(f: BinaryIO, channel: MimoChannel) -> None:
 def read_channel(f: BinaryIO) -> MimoChannel:
     header = json.loads(f.readline().decode())
     nb, m = header["n_bins"], header["n_modes"]
-    mats = np.frombuffer(f.read(nb * m * m * 16), dtype="<c16").reshape(nb, m, m)
+    mats = np.frombuffer(f.read(nb * m * m * 16), dtype="<c16")
     phase = np.frombuffer(f.read(nb * 8), dtype="<f8")
-    return MimoChannel(mats.copy(), header["bin_spacing"], phase.copy())
+    if mats.size != nb * m * m or phase.size != nb:
+        raise ValueError("truncated channel payload")
+    return MimoChannel(mats.reshape(nb, m, m).copy(), header["bin_spacing"],
+                       phase.copy())

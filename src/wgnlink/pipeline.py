@@ -23,10 +23,9 @@ from typing import BinaryIO, Optional
 import numpy as np
 
 from .channel import (LinkConfig, MimoChannel, _apply_dispersion,
-                      dispersion_phase)
+                      _dispersion_response)
 from .errors import AlignmentError
-from .signals import (ComplexSignal, MimoSignal, _gaussian_response,
-                      _resample_spectrum)
+from .signals import MimoSignal, _gaussian_response, _resample_spectrum
 
 # Overlap-save blocks whose spectra are held at once; bounds the equalizer's
 # working set independently of the capture length.
@@ -55,8 +54,8 @@ class EqualizerState:
     error_trace: list = field(default_factory=list)  # per-block NMSE, dB
 
     def __post_init__(self):
-        if self.block_size & (self.block_size - 1):
-            raise ValueError("block_size must be a power of two")
+        if self.block_size < 2 or self.block_size & (self.block_size - 1):
+            raise ValueError("block_size must be a power of two >= 2")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
 
@@ -150,7 +149,7 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     as the receiver front end computes them; either may be None.  They are
     used when both signals have the same length N, and then aligning costs a
     single IFFT.  A spectrum not given, or any spectrum when the lengths
-    differ, is computed tributary by tributary over the first
+    differ, is computed row by row over the first
     ``min(len(f_in), len(f_out))`` samples.
     """
     if f_in.sample_rate != f_out.sample_rate:
@@ -165,9 +164,10 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
             if spec is not None and spec.shape != (sig.n_tributaries, n):
                 raise ValueError("spectra do not match the signals")
     cross = np.zeros(n, dtype=complex)
-    for m, (a, b) in enumerate(zip(f_in.tributaries, f_out.tributaries)):
-        fa = np.fft.fft(a.samples[:n]) if spec_in is None else spec_in[m]
-        fb = np.fft.fft(b.samples[:n]) if spec_out is None else spec_out[m]
+    # row by row: transforming all rows at once would hold 2*M*N more samples
+    for m, (a, b) in enumerate(zip(f_in.data[:, :n], f_out.data[:, :n])):
+        fa = np.fft.fft(a) if spec_in is None else spec_in[m]
+        fb = np.fft.fft(b) if spec_out is None else spec_out[m]
         cross += fb * np.conj(fa)
     corr = np.fft.ifft(cross)
     lags = np.concatenate([np.arange(-max_lag, 0), np.arange(0, max_lag + 1)])
@@ -197,13 +197,11 @@ def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
     """
     start_in, start_out = max(-lag, 0), max(lag, 0)
     n = max(min(len(f_in) - start_in, len(f_out) - start_out), 0)
-
-    def cut(sig, start):  # views of the tributaries, not copies
-        return MimoSignal([ComplexSignal(t.samples[start:start + n],
-                                         sig.sample_rate)
-                           for t in sig.tributaries])
-
-    return cut(f_in, start_in), cut(f_out, start_out), start_in
+    # basic slices: views of the captures, not copies
+    return (MimoSignal(f_in.data[:, start_in:start_in + n], f_in.sample_rate),
+            MimoSignal(f_out.data[:, start_out:start_out + n],
+                       f_out.sample_rate),
+            start_in)
 
 
 def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
@@ -226,7 +224,7 @@ def _front_end_spectrum(sig: MimoSignal,
     if sig.sample_rate == rate and cfg.filter_bw is None:
         return None
     n_out = int(round(len(sig) * rate / sig.sample_rate))
-    spec = _resample_spectrum(np.fft.fft(sig.as_array(), axis=1), n_out)
+    spec = _resample_spectrum(np.fft.fft(sig.data, axis=1), n_out)
     if cfg.filter_bw is not None:
         spec *= _gaussian_response(n_out, rate, cfg.filter_bw,
                                    cfg.filter_order)
@@ -240,10 +238,9 @@ def _edc_spectrum(spec: Optional[np.ndarray], sig: MimoSignal,
     multiplied in place by the EDC response for `edc_km` of `link`'s fiber.
     """
     if spec is None:
-        spec = np.fft.fft(sig.as_array(), axis=1)
-    spec *= np.exp(-1j * dispersion_phase(
-        np.fft.fftfreq(spec.shape[1], d=1.0 / rate), link.dispersion_coeff,
-        edc_km, link.center_wavelength))
+        spec = np.fft.fft(sig.data, axis=1)
+    spec *= _dispersion_response(spec.shape[1], rate, link.dispersion_coeff,
+                                 edc_km, link.center_wavelength, -1.0)
     return spec
 
 
@@ -253,7 +250,7 @@ def _time_signal(spec: Optional[np.ndarray], sig: MimoSignal,
     `spec`, or `sig` itself when `spec` is None (passed through)."""
     if spec is None:
         return sig
-    return MimoSignal.from_array(np.fft.ifft(spec, axis=1), rate)
+    return MimoSignal(np.fft.ifft(spec, axis=1), rate)
 
 
 def _front_end(sig: MimoSignal, cfg: PipelineConfig,
@@ -277,9 +274,14 @@ def _front_end(sig: MimoSignal, cfg: PipelineConfig,
 
 def _align(f_in: MimoSignal, f_out: MimoSignal, cfg: PipelineConfig,
            spectra: tuple) -> AlignmentResult:
-    """:func:`align_by_crosscorrelation` with the lag range and threshold
-    of `cfg`."""
-    max_lag = min(cfg.align_max_lag, len(f_in) // 2 - 1)
+    """:func:`align_by_crosscorrelation` with the threshold of `cfg` and its
+    lag range cut to the shorter capture; a capture under two samples leaves
+    no lag and raises ValueError."""
+    n = min(len(f_in), len(f_out))
+    if n < 2:
+        raise ValueError(f"a capture of {n} samples is too short to align "
+                         "(need at least 2)")
+    max_lag = min(cfg.align_max_lag, n // 2 - 1)
     return align_by_crosscorrelation(f_in, f_out, max_lag,
                                      cfg.align_threshold, spectra=spectra)
 
@@ -320,9 +322,8 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
 
     # stacked [R_xx; R_dx] per bin, from the stacked [X; D] block spectra
     corr = np.zeros((block, 2 * m, m), dtype=complex)
-    both = f_out.tributaries + f_in.tributaries
     for first, stop in chunks:
-        spec = _block_spectra(both, first, stop, hop)
+        spec = _block_spectra((f_out.data, f_in.data), first, stop, hop)
         corr += spec @ np.conj(spec[:, :m].transpose(0, 2, 1))
     r_xx, r_dx = corr[:, :m], corr[:, m:]
     power = np.trace(r_xx, axis1=1, axis2=2).real.mean() / m
@@ -336,19 +337,19 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     if with_output:
         out = np.empty((m, n), dtype=complex)
         for first, stop in chunks:
-            spec_x = _block_spectra(f_out.tributaries, first, stop, hop)
+            spec_x = _block_spectra((f_out.data,), first, stop, hop)
             # overlap-save keeps the second half of each block
             y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
             seg = slice(first * hop, min(stop * hop, n))
             y = y.transpose(1, 2, 0).reshape(m, -1)[:, :seg.stop - seg.start]
             out[:, seg] = y
-            d = np.stack([t.samples[seg] for t in f_in.tributaries])
+            d = f_in.data[:, seg]
             starts = np.arange(0, y.shape[1], hop)
             err = np.add.reduceat(np.sum(np.abs(d - y) ** 2, axis=0), starts)
             ref = np.add.reduceat(np.sum(np.abs(d) ** 2, axis=0), starts)
             nmse = np.divide(err, ref, out=np.zeros_like(err), where=ref > 0)
             trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
-        f_eq = MimoSignal.from_array(out, f_in.sample_rate)
+        f_eq = MimoSignal(out, f_in.sample_rate)
 
     state = EqualizerState(taps=taps, block_size=block, overlap=hop,
                            step_size=cfg.lms_step,
@@ -356,19 +357,20 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     return f_eq, state
 
 
-def _block_spectra(tribs, first: int, stop: int, hop: int) -> np.ndarray:
-    """FFTs of overlap-save blocks ``first..stop-1`` of the equal-length
-    tributaries `tribs`, as a contiguous (2*hop, len(tribs), blocks) array.
+def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
+    """FFTs of overlap-save blocks ``first..stop-1`` of the rows of the
+    equal-length (M_i, N) arrays `parts`, stacked in order, as a contiguous
+    (2*hop, sum M_i, blocks) array.
 
     Block b covers samples ``(b-1)*hop .. (b+1)*hop``, zero outside the
-    signal; frames are cut from the tributaries without padding them first.
+    signal; frames are cut from the arrays without padding them first.
     """
-    n = len(tribs[0])
+    n = parts[0].shape[1]
     lo = (first - 1) * hop
-    buf = np.zeros((len(tribs), (stop - first + 1) * hop), dtype=complex)
+    buf = np.zeros((sum(len(p) for p in parts), (stop - first + 1) * hop),
+                   dtype=complex)
     a, b = max(lo, 0), min(stop * hop, n)
-    for row, t in zip(buf, tribs):
-        row[a - lo:b - lo] = t.samples[a:b]
+    np.concatenate([p[:, a:b] for p in parts], out=buf[:, a - lo:b - lo])
     frames = np.lib.stride_tricks.sliding_window_view(
         buf, 2 * hop, axis=1)[:, ::hop]
     return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
@@ -386,11 +388,10 @@ def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
         raise ValueError("window must be >= 1")
     if len(f_in) != len(f_eq):
         raise ValueError("signals must be equal length")
-    cross = np.sum(f_eq.as_array() * np.conj(f_in.as_array()), axis=0)
-    summed = _centered_moving_sum(cross, window)
-    phi = np.angle(summed)
-    data = f_eq.as_array() * np.exp(-1j * phi)[None, :]
-    return MimoSignal.from_array(data, f_eq.sample_rate)
+    cross = np.sum(f_eq.data * np.conj(f_in.data), axis=0)
+    phi = np.angle(_centered_moving_sum(cross, window))
+    return MimoSignal(f_eq.data * np.exp(-1j * phi)[None, :],
+                      f_eq.sample_rate)
 
 
 def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:

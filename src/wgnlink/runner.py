@@ -40,11 +40,6 @@ def _point_seed(seed: int, value) -> int:
     return abs(hash((int(seed) * 1_000_003, float(value)))) % (2 ** 63)
 
 
-def _decimate(sig: ComplexSignal, factor: int, limit: int) -> ComplexSignal:
-    samples = sig.samples[::factor][:limit]
-    return ComplexSignal(samples, sig.sample_rate / factor)
-
-
 def _wgn_point(cfg: ExperimentConfig, value, seed: int,
                characterize: bool) -> dict:
     """One sweep point x seed: full WGN capture, link, pipeline, metrics."""
@@ -54,13 +49,13 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
     f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
     result = run_pipeline(f_in, f_out, link, cfg.pipeline,
                           n_recirculations=n_rec, characterize=characterize)
-    osr = cfg.pipeline.oversampling
+    osr, limit = cfg.pipeline.oversampling, cfg.mi_max_symbols
+    rate = result.f_in.sample_rate / osr
     rings = build_ring_constellation(cfg.n_rings, cfg.mean_power)
     rows = []
-    for m, (ref, eq) in enumerate(zip(result.f_in.tributaries,
-                                      result.f_eq.tributaries)):
-        ref_d = _decimate(ref, osr, cfg.mi_max_symbols)
-        eq_d = _decimate(eq, osr, cfg.mi_max_symbols)
+    for m in range(result.f_in.n_tributaries):
+        ref_d = ComplexSignal(result.f_in.data[m, ::osr][:limit], rate)
+        eq_d = ComplexSignal(result.f_eq.data[m, ::osr][:limit], rate)
         mi = estimate_mi(ref_d, eq_d, rings)
         if mi >= np.log2(rings.n_points):
             log.warning("sweep value %s seed %s tributary %d: MI at the "
@@ -120,17 +115,15 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
     ramp = (af > (1 - beta) * baud / 2) & (af <= (1 + beta) * baud / 2)
     h[ramp] = 0.5 * (1 + np.cos(np.pi / (beta * baud)
                                 * (af[ramp] - (1 - beta) * baud / 2)))
-    tribs = []
     symbols = np.empty((n_modes, n_symbols), dtype=complex)
+    wave = np.empty((n_modes, n_out), dtype=complex)
     for m in range(n_modes):
-        sym = pts[rng.integers(0, 16, n_symbols)]
-        symbols[m] = sym
+        symbols[m] = pts[rng.integers(0, 16, n_symbols)]
         stuffed = np.zeros(n, dtype=complex)
-        stuffed[::oversampling] = sym
-        wave = np.fft.ifft(_resample_spectrum(np.fft.fft(stuffed) * h,
-                                              n_out))
-        tribs.append(ComplexSignal(wave, sample_rate))
-    return MimoSignal(tribs), symbols
+        stuffed[::oversampling] = symbols[m]
+        wave[m] = np.fft.ifft(_resample_spectrum(np.fft.fft(stuffed) * h,
+                                                 n_out))
+    return MimoSignal(wave, sample_rate), symbols
 
 
 def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
@@ -158,8 +151,7 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     pts = qam16_constellation(cfg.mean_power)
     rows = []
     for m in range(link.n_modes):
-        y = ComplexSignal(result.f_eq.tributaries[m].samples[locs],
-                          pipe.assumed_baud)
+        y = ComplexSignal(result.f_eq.data[m, locs], pipe.assumed_baud)
         x = symbols[m][ks]
         rows.append({
             "signal": "qam16", "sweep_axis": cfg.sweep_axis,

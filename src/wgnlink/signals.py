@@ -1,8 +1,9 @@
 """Complex baseband signal containers, WGN generation, resampling and filtering.
 
 Everything downstream works on :class:`ComplexSignal` (one tributary) or
-:class:`MimoSignal` (M co-timed tributaries).  All operations are pure:
-they return new objects and never mutate their inputs.
+:class:`MimoSignal` (M co-timed tributaries held as one complex (M, N)
+array, so every stage transforms all modes at once).  All operations are
+pure: they return new objects and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -42,44 +43,38 @@ class ComplexSignal:
 
 @dataclass(frozen=True)
 class MimoSignal:
-    """Ordered set of co-timed tributaries sharing one sample rate."""
+    """M co-timed tributaries sharing one sample rate, as one complex128
+    (M, N) array: row m is tributary m."""
 
-    tributaries: Sequence[ComplexSignal]
+    data: np.ndarray
+    sample_rate: float
 
     def __post_init__(self):
-        tribs = tuple(self.tributaries)
-        object.__setattr__(self, "tributaries", tribs)
-        if len(tribs) < 1:
-            raise ValueError("need at least one tributary")
-        n = len(tribs[0])
-        rate = tribs[0].sample_rate
-        for t in tribs[1:]:
-            if len(t) != n or t.sample_rate != rate:
-                raise ValueError("tributaries must share length and sample_rate")
+        data = np.asarray(self.data, dtype=np.complex128)
+        object.__setattr__(self, "data", data)
+        if data.ndim != 2 or data.shape[0] < 1:
+            raise ValueError("data must be an (M, N) array with M >= 1")
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        if not np.isfinite(data).all():
+            raise ValueError("samples contain NaN or Inf")
 
     @property
     def n_tributaries(self) -> int:
-        return len(self.tributaries)
-
-    @property
-    def sample_rate(self) -> float:
-        return self.tributaries[0].sample_rate
+        return self.data.shape[0]
 
     def __len__(self) -> int:
-        return len(self.tributaries[0])
+        return self.data.shape[1]
+
+    @property
+    def tributaries(self) -> tuple[ComplexSignal, ...]:
+        """One :class:`ComplexSignal` per row, each a view of `data`."""
+        return tuple(ComplexSignal(row, self.sample_rate)
+                     for row in self.data)
 
     def as_array(self) -> np.ndarray:
-        """Stack tributaries into an (M, N) array."""
-        return np.stack([t.samples for t in self.tributaries])
-
-    @classmethod
-    def from_array(cls, data: np.ndarray, sample_rate: float) -> "MimoSignal":
-        data = np.atleast_2d(data)
-        return cls([ComplexSignal(row, sample_rate) for row in data])
-
-    def map(self, fn) -> "MimoSignal":
-        """Apply a per-tributary function, keeping rates consistent."""
-        return MimoSignal([fn(t) for t in self.tributaries])
+        """The (M, N) sample array itself, not a copy."""
+        return self.data
 
 
 def generate_wgn(n_samples: int, sample_rate: float, mean_power: float,
@@ -105,14 +100,10 @@ def generate_wgn_mimo(n_tributaries: int, n_samples: int, sample_rate: float,
     if n_samples < 1 or mean_power <= 0:
         raise ValueError("n_samples must be >= 1 and mean_power positive")
     seq = np.random.SeedSequence(seed).spawn(n_tributaries)
-    tribs = []
-    for sub in seq:
-        rng = np.random.default_rng(sub)
-        scale = np.sqrt(mean_power / 2.0)
-        s = scale * (rng.standard_normal(n_samples)
-                     + 1j * rng.standard_normal(n_samples))
-        tribs.append(ComplexSignal(s, sample_rate))
-    return MimoSignal(tribs)
+    data = np.empty((n_tributaries, n_samples), dtype=np.complex128)
+    for row, sub in zip(data, seq):
+        row[:] = generate_wgn(n_samples, sample_rate, mean_power, sub).samples
+    return MimoSignal(data, sample_rate)
 
 
 def resample(signal: ComplexSignal, new_rate: float) -> ComplexSignal:
@@ -201,17 +192,14 @@ def measure_power(signal: ComplexSignal) -> float:
 
 def write_signal(f: BinaryIO, signal: MimoSignal) -> None:
     """Write the flat binary capture format (see module docs / README)."""
-    data = signal.as_array()
-    m, ns = data.shape
+    m, ns = signal.data.shape
     f.write(_HEADER.pack(_MAGIC, _VERSION, m, ns, signal.sample_rate))
-    inter = np.empty((m, ns, 2), dtype="<f8")
-    inter[:, :, 0] = data.real
-    inter[:, :, 1] = data.imag
-    f.write(inter.tobytes())
+    # interleaved little-endian float64 (re, im) pairs are the <c16 layout
+    f.write(signal.data.astype("<c16", copy=False).tobytes())
 
 
 def read_signal(f: BinaryIO) -> MimoSignal:
-    """Read the flat binary capture format written by :func:`write_signal`."""
+    """Read the format of :func:`write_signal`; samples are a read-only view."""
     raw = f.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise ValueError("truncated signal file header")
@@ -220,8 +208,8 @@ def read_signal(f: BinaryIO) -> MimoSignal:
         raise ValueError("not a wgnlink capture file")
     if version != _VERSION:
         raise ValueError(f"unsupported capture version {version}")
-    payload = np.frombuffer(f.read(m * ns * 2 * 8), dtype="<f8")
-    if payload.size != m * ns * 2:
+    payload = f.read(m * ns * 16)
+    if len(payload) != m * ns * 16:
         raise ValueError("truncated signal payload")
-    inter = payload.reshape(m, ns, 2)
-    return MimoSignal.from_array(inter[:, :, 0] + 1j * inter[:, :, 1], rate)
+    return MimoSignal(np.frombuffer(payload, dtype="<c16").reshape(m, ns),
+                      rate)

@@ -15,7 +15,7 @@ from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
                              span_noise_power_ratio, synthesize_mimo_channel,
                              write_channel)
 from wgnlink.pipeline import apply_edc
-from wgnlink.signals import ComplexSignal, MimoSignal, generate_wgn_mimo
+from wgnlink.signals import MimoSignal, generate_wgn_mimo
 
 
 def _nmse_db(est, ref):
@@ -159,16 +159,14 @@ class TestPhaseNoise:
         assert np.array_equal(out.as_array(), sig.as_array())
 
     def test_increment_variance(self):
-        sig = MimoSignal([ComplexSignal(np.ones(1_000_000, dtype=complex),
-                                        40e9)])
+        sig = MimoSignal(np.ones((1, 1_000_000), dtype=complex), 40e9)
         out = apply_phase_noise(sig, 10e3, seed=3)
         phi = np.unwrap(np.angle(out.tributaries[0].samples))
         var = np.var(np.diff(phi))
         assert var == pytest.approx(2 * np.pi * 10e3 / 40e9, rel=0.05)
 
     def test_common_across_tributaries(self):
-        sig = MimoSignal([ComplexSignal(np.ones(1000, dtype=complex), 40e9)
-                          for _ in range(3)])
+        sig = MimoSignal(np.ones((3, 1000), dtype=complex), 40e9)
         out = apply_phase_noise(sig, 1e6, seed=4)
         arr = out.as_array()
         assert np.allclose(arr[0], arr[1]) and np.allclose(arr[0], arr[2])
@@ -176,8 +174,7 @@ class TestPhaseNoise:
     def test_long_term_drift_small_at_1hz(self):
         # linewidth 1 Hz at 40 GS/s: drift std over 8M samples is
         # sqrt(2*pi*1*0.2e-3) ~ 0.035 rad << 1
-        sig = MimoSignal([ComplexSignal(np.ones(8_000_000, dtype=complex),
-                                        40e9)])
+        sig = MimoSignal(np.ones((1, 8_000_000), dtype=complex), 40e9)
         drifts = []
         for seed in range(5):
             out = apply_phase_noise(sig, 1.0, seed=seed)
@@ -197,7 +194,7 @@ class TestFrequencyOffset:
     def test_tone_shifts(self):
         n = 4096
         t = np.arange(n) / 40e9
-        sig = MimoSignal([ComplexSignal(np.exp(2j * np.pi * 2e9 * t), 40e9)])
+        sig = MimoSignal(np.exp(2j * np.pi * 2e9 * t)[None, :], 40e9)
         out = apply_frequency_offset(sig, 1e9)
         spec = np.abs(np.fft.fft(out.tributaries[0].samples))
         f = np.fft.fftfreq(n, d=1 / 40e9)
@@ -323,6 +320,15 @@ class TestChannelSerialization:
         assert back.bin_spacing == ch.bin_spacing
         assert np.array_equal(back.matrices, ch.matrices)
         assert np.array_equal(back.common_phase, ch.common_phase)
+
+    # cut inside the common phase, and inside the matrices
+    @pytest.mark.parametrize("cut", [8, 64 * 2 * 2 * 16])
+    def test_truncated_payload_named(self, cut):
+        ch = synthesize_mimo_channel(2, 3.0, 1e-10, 64, 1e8, seed=21)
+        buf = io.BytesIO()
+        write_channel(buf, ch)
+        with pytest.raises(ValueError, match="truncated channel payload"):
+            read_channel(io.BytesIO(buf.getvalue()[:-cut]))
 
 
 class TestLinkConfig:

@@ -213,6 +213,17 @@ class TestCliVerbs:
                        str(fo), "--out", str(tmp_path / "char")])
         assert rc == 2
 
+    def test_characterize_one_sample_capture_exit_2(self, tmp_path, caplog):
+        # at the 60 GS/s processing rate the front end keeps one sample
+        fi = tmp_path / "one.bin"
+        with open(fi, "wb") as f:
+            write_signal(f, generate_wgn_mimo(2, 1, 60e9, 1.0, seed=7))
+        with caplog.at_level(logging.ERROR, logger="wgnlink.cli"):
+            rc = cli.main(["characterize", "--input", str(fi), "--output",
+                           str(fi), "--out", str(tmp_path / "char")])
+        assert rc == 2
+        assert "a capture of 1 samples is too short to align" in caplog.text
+
     def test_runtime_failure_exit_2(self, tmp_path):
         # impossible span SNR makes the pipeline alignment fail
         text = MINIMAL + "link:\n  span_snr_db: -60.0\n"

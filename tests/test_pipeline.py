@@ -27,8 +27,7 @@ def _nmse_db(est, ref):
 
 
 def _delay(sig: MimoSignal, lag: int) -> MimoSignal:
-    return MimoSignal.from_array(np.roll(sig.as_array(), lag, axis=1),
-                                 sig.sample_rate)
+    return MimoSignal(np.roll(sig.as_array(), lag, axis=1), sig.sample_rate)
 
 
 class TestAlignment:
@@ -41,9 +40,8 @@ class TestAlignment:
 
     def test_known_delay_and_rotation(self):
         sig = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=2)
-        out = _delay(sig, 1000).map(
-            lambda t: ComplexSignal(t.samples * np.exp(1j * np.pi / 4),
-                                    t.sample_rate))
+        out = MimoSignal(_delay(sig, 1000).data * np.exp(1j * np.pi / 4),
+                         sig.sample_rate)
         res = align_by_crosscorrelation(sig, out, max_lag=5000)
         assert res.lag == 1000
         assert res.phase == pytest.approx(np.pi / 4, abs=1e-6)
@@ -66,8 +64,7 @@ class TestAlignment:
     def test_front_end_spectra_give_the_signals_alignment(self, m, lag):
         sig = generate_wgn_mimo(m, 60_000, 40e9, 1.0, seed=40 + m)
         noise = generate_wgn_mimo(m, 60_000, 40e9, 0.1, seed=50 + m)
-        out = MimoSignal.from_array(_delay(sig, lag).as_array()
-                                    + noise.as_array(), 40e9)
+        out = MimoSignal(_delay(sig, lag).as_array() + noise.as_array(), 40e9)
         cfg = PipelineConfig()
         spectra = tuple(pipeline._front_end_spectrum(s, cfg)
                         for s in (sig, out))
@@ -86,7 +83,7 @@ class TestAlignment:
 
     def test_spectra_ignored_for_unequal_lengths(self):
         sig = generate_wgn_mimo(2, 100_000, 40e9, 1.0, seed=60)
-        longer = MimoSignal.from_array(
+        longer = MimoSignal(
             np.concatenate([_delay(sig, 300).as_array(),
                             sig.as_array()[:, :500]], axis=1), 40e9)
         spectra = (np.fft.fft(sig.as_array(), axis=1),
@@ -126,6 +123,30 @@ class TestAlignment:
         assert start == 100
         assert np.allclose(a.as_array(), b.as_array()[:, :len(a)])
 
+    @pytest.mark.parametrize("lag", [100, -100, 0])
+    def test_trim_returns_views(self, lag):
+        sig = generate_wgn_mimo(2, 5_000, 40e9, 1.0, seed=8)
+        out = _delay(sig, lag)
+        a, b, _ = trim_aligned(sig, out, lag)
+        assert np.shares_memory(a.data, sig.data)
+        assert np.shares_memory(b.data, out.data)
+
+    @pytest.mark.parametrize("n_in, n_out", [(0, 0), (1, 1), (1000, 1)])
+    def test_capture_too_short_to_align_named(self, n_in, n_out):
+        a = MimoSignal(np.ones((2, n_in), dtype=complex), 60e9)
+        b = MimoSignal(np.ones((2, n_out), dtype=complex), 60e9)
+        n = min(n_in, n_out)
+        with pytest.raises(ValueError, match=f"capture of {n} samples"):
+            pipeline._align(a, b, PipelineConfig(), (None, None))
+
+    def test_lag_range_fits_the_shorter_capture(self):
+        # the received capture is 4,000 samples of a 12,000-sample reference,
+        # shorter than twice the default align_max_lag
+        sig = generate_wgn_mimo(2, 12_000, 60e9, 1.0, seed=9)
+        out = MimoSignal(sig.data[:, 300:4300], sig.sample_rate)
+        res = pipeline._align(sig, out, PipelineConfig(), (None, None))
+        assert res.lag == -300
+
 
 class TestEdc:
     def test_zero_length_identity(self):
@@ -149,10 +170,12 @@ class TestFrontEnd:
     LINK = LinkConfig(dispersion_coeff=17.0, center_wavelength=1550.0)
 
     def _reference(self, sig, cfg, edc_km):
-        out = sig.map(lambda t: resample(t, cfg.target_rate))
+        tribs = [resample(t, cfg.target_rate) for t in sig.tributaries]
         if cfg.filter_bw is not None:
-            out = out.map(lambda t: gaussian_filter(t, cfg.filter_bw,
-                                                    cfg.filter_order))
+            tribs = [gaussian_filter(t, cfg.filter_bw, cfg.filter_order)
+                     for t in tribs]
+        out = MimoSignal(np.array([t.samples for t in tribs]),
+                         cfg.target_rate)
         if edc_km is not None:
             out = apply_edc(out, self.LINK.dispersion_coeff, edc_km,
                             self.LINK.center_wavelength)
@@ -202,7 +225,7 @@ class TestFdeLms:
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]], dtype=complex)
         sig = generate_wgn_mimo(2, 200_000, 60e9, 1.0, seed=11)
-        out = MimoSignal.from_array(rot @ sig.as_array(), 60e9)
+        out = MimoSignal(rot @ sig.as_array(), 60e9)
         cfg = PipelineConfig(lms_step=0.5, lms_passes=3)
         _, state = fde_lms_equalize(sig, out, cfg)
         inv = rot.T  # inverse of a real rotation
@@ -289,12 +312,18 @@ class TestFdeLms:
             with pytest.raises(ValueError, match="block_size"):
                 PipelineConfig(block_size=bad)
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_state_block_size_below_two_rejected(self, bad):
+        # 0 & -1 == 0 passes a bare power-of-two bit test
+        with pytest.raises(ValueError, match="block_size"):
+            EqualizerState(np.zeros((bad, 2, 2), dtype=complex), bad, 0, 0.05)
+
 
 class TestPhaseRecovery:
     def test_constant_offset_removed(self):
         sig = generate_wgn_mimo(2, 50_000, 60e9, 1.0, seed=21)
-        rotated = sig.map(lambda t: ComplexSignal(
-            t.samples * np.exp(1j * np.pi / 3), t.sample_rate))
+        rotated = MimoSignal(sig.data * np.exp(1j * np.pi / 3),
+                             sig.sample_rate)
         out = phase_recovery(sig, rotated, window=200)
         resid = np.angle(np.sum(out.as_array() * np.conj(sig.as_array())))
         assert abs(resid) < 1e-6
@@ -311,7 +340,7 @@ class TestPhaseRecovery:
         # residual phase variance stays within 1.5x of the oracle: the
         # windowed circular mean of the same Wiener trajectory
         n, window, lw, fs = 500_000, 200, 10e3, 60e9
-        sig = MimoSignal([ComplexSignal(np.ones(n, dtype=complex), fs)])
+        sig = MimoSignal(np.ones((1, n), dtype=complex), fs)
         noisy = apply_phase_noise(sig, lw, seed=24)
         phi = np.unwrap(np.angle(noisy.tributaries[0].samples))
         kernel = np.ones(window) / window
