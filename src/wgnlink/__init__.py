@@ -2,15 +2,15 @@
 
 A coherent link is probed with white Gaussian noise instead of modulated
 data: the captured transmit/receive field pair yields a mutual-information
-capacity estimate and, with the equalizer roles inverted, a full linear
-characterization of the channel (MDL spectra, impulse responses).
+capacity estimate and, from the same equalizer covariance solved with the
+roles inverted, a full linear characterization of the channel (MDL
+spectra, impulse responses).
 """
 
 from .channel import (LinkConfig, MimoChannel, MultiSectionModel, add_awgn,
                       apply_channel, apply_chromatic_dispersion,
-                      apply_frequency_offset, apply_phase_noise, read_channel,
-                      run_link, span_noise_power_ratio,
-                      synthesize_mimo_channel, write_channel)
+                      apply_frequency_offset, apply_phase_noise, run_link,
+                      span_noise_power_ratio, synthesize_mimo_channel)
 from .config import ExperimentConfig, validate_config
 from .errors import AlignmentError, ConfigError, WgnLinkError
 from .estimation import (ImpulseResponse, MdlSpectrum, compare_channels,
@@ -20,8 +20,8 @@ from .metrics import (RingConstellation, build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import (AlignmentResult, EqualizerState, PipelineConfig,
                        PipelineResult, align_by_crosscorrelation, apply_edc,
-                       fde_lms_equalize, phase_recovery, read_equalizer_state,
-                       run_pipeline, trim_aligned, write_equalizer_state)
+                       fde_lms_equalize, phase_recovery, run_pipeline,
+                       trim_aligned)
 from .runner import (characterize_captures, generate_qam16_mimo,
                      run_experiment, run_reference_16qam, write_plots)
 from .signals import (ComplexSignal, MimoSignal, gaussian_filter,

@@ -12,10 +12,9 @@ solver is out of scope by design.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import BinaryIO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ _COUPLING_CHUNK = 16384  # bins per cache-resident pass of the coupling
 
 @dataclass(frozen=True)
 class MimoChannel:
-    """Per-frequency-bin MxM transfer matrices plus a scalar dispersion phase.
+    """Per-frequency-bin MxM transfer matrices.
 
     Frequencies follow FFT ordering: bin k sits at ``fftfreq(n_bins) * n_bins
     * bin_spacing``.  Both synthesized and estimated channels use this type.
@@ -35,7 +34,6 @@ class MimoChannel:
 
     matrices: np.ndarray       # (n_bins, M, M) complex
     bin_spacing: float         # Hz
-    common_phase: np.ndarray | None = None  # (n_bins,) radians
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=np.complex128)
@@ -46,13 +44,6 @@ class MimoChannel:
             raise ValueError("channel matrices must be finite")
         if self.bin_spacing <= 0:
             raise ValueError("bin_spacing must be positive")
-        phase = self.common_phase
-        if phase is None:
-            phase = np.zeros(m.shape[0])
-        phase = np.asarray(phase, dtype=float)
-        if phase.shape != (m.shape[0],):
-            raise ValueError("common_phase must have one entry per bin")
-        object.__setattr__(self, "common_phase", phase)
 
     @property
     def n_bins(self) -> int:
@@ -66,10 +57,6 @@ class MimoChannel:
     def frequencies(self) -> np.ndarray:
         """Baseband frequency of each bin, FFT ordering."""
         return np.fft.fftfreq(self.n_bins, d=1.0 / (self.n_bins * self.bin_spacing))
-
-    def full_matrices(self) -> np.ndarray:
-        """Matrices with the common dispersion phase folded in."""
-        return self.matrices * np.exp(1j * self.common_phase)[:, None, None]
 
     def is_unitary(self, tol: float = 1e-9) -> bool:
         sv = np.linalg.svd(self.matrices, compute_uv=False)
@@ -222,7 +209,7 @@ def synthesize_mimo_channel(n_modes: int, mdl_db: float, dgd: float,
 
 
 def apply_channel(signal: MimoSignal, channel: MimoChannel) -> MimoSignal:
-    """Per-bin matrix-vector product plus common dispersion phase.
+    """Per-bin matrix-vector product.
 
     The channel response is interpolated onto the signal's FFT grid when the
     grids differ.
@@ -231,17 +218,17 @@ def apply_channel(signal: MimoSignal, channel: MimoChannel) -> MimoSignal:
         raise ValueError("signal and channel mode counts differ")
     n = len(signal)
     freqs = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
-    mats, phase = _channel_on_grid(channel, freqs)
+    mats = _channel_on_grid(channel, freqs)
     spec = np.fft.fft(signal.data, axis=1)
-    out = np.einsum("kij,jk->ik", mats, spec) * np.exp(1j * phase)[None, :]
+    out = np.einsum("kij,jk->ik", mats, spec)
     return MimoSignal(np.fft.ifft(out, axis=1), signal.sample_rate)
 
 
 def _channel_on_grid(channel: MimoChannel, freqs: np.ndarray):
-    """Channel matrices and common phase evaluated at arbitrary frequencies."""
+    """Channel matrices evaluated at arbitrary frequencies."""
     cf = channel.frequencies
     if len(cf) == len(freqs) and np.allclose(cf, freqs):
-        return channel.matrices, channel.common_phase
+        return channel.matrices
     order = np.argsort(cf)
     cf_s = cf[order]
     m = channel.n_modes
@@ -251,8 +238,7 @@ def _channel_on_grid(channel: MimoChannel, freqs: np.ndarray):
             col = channel.matrices[order, i, j]
             mats[:, i, j] = (np.interp(freqs, cf_s, col.real)
                              + 1j * np.interp(freqs, cf_s, col.imag))
-    phase = np.interp(freqs, cf_s, channel.common_phase[order])
-    return mats, phase
+    return mats
 
 
 def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
@@ -371,26 +357,3 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
             noise = noise_rng.standard_normal((m, 2 * n)).view(np.complex128)
             noise *= np.sqrt(n * power * noise_ratio / 2.0)
             spec += noise
-
-
-def write_channel(f: BinaryIO, channel: MimoChannel) -> None:
-    """JSON descriptor line followed by raw little-endian complex payload."""
-    header = {
-        "n_bins": channel.n_bins,
-        "n_modes": channel.n_modes,
-        "bin_spacing": channel.bin_spacing,
-    }
-    f.write((json.dumps(header) + "\n").encode())
-    f.write(channel.matrices.astype("<c16").tobytes())
-    f.write(channel.common_phase.astype("<f8").tobytes())
-
-
-def read_channel(f: BinaryIO) -> MimoChannel:
-    header = json.loads(f.readline().decode())
-    nb, m = header["n_bins"], header["n_modes"]
-    mats = np.frombuffer(f.read(nb * m * m * 16), dtype="<c16")
-    phase = np.frombuffer(f.read(nb * 8), dtype="<f8")
-    if mats.size != nb * m * m or phase.size != nb:
-        raise ValueError("truncated channel payload")
-    return MimoChannel(mats.reshape(nb, m, m).copy(), header["bin_spacing"],
-                       phase.copy())

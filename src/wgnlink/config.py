@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import yaml
@@ -44,6 +46,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
         if len(self.sweep_values) == 0:
             raise ConfigError("sweep value list is empty")
+        key = f"sweep.{self.sweep_axis}"
+        for v in self.sweep_values:
+            if isinstance(v, bool) or not isinstance(v, Real) \
+                    or not math.isfinite(v):
+                raise ConfigError(f"{key} values must be finite numbers, "
+                                  f"got {v!r}")
+            if self.sweep_axis == "recirculations" and not _is_count(v):
+                raise ConfigError(f"{key} values must be integers >= 1, "
+                                  f"got {v!r}")
+        if not _is_count(self.base_recirculations):
+            raise ConfigError("base_recirculations must be an integer >= 1, "
+                              f"got {self.base_recirculations!r}")
         if len(self.seeds) == 0:
             raise ConfigError("need at least one seed")
         if self.n_samples < 1:
@@ -58,6 +72,10 @@ class ExperimentConfig:
                     self.base_recirculations)
         return (dataclasses.replace(self.link, span_snr_db=float(value)),
                 self.base_recirculations)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
 
 
 def _build(cls, section: dict, name: str):

@@ -1,10 +1,11 @@
 """Inverted-role channel estimation, MDL spectra, and impulse responses.
 
-Running the data-aided FDE with the transmitted and received fields swapped
-makes the equalizer weights a frequency-domain estimate of the channel
-itself.  Per-bin singular value decomposition then yields the
-mode-dependent loss spectrum, and an inverse Fourier transform of the taps
-yields the channel impulse response.
+The data-aided FDE solved with the transmitted and received fields in
+swapped roles gives a frequency-domain estimate of the channel itself; the
+equalizer takes it from the second solve of the covariance its forward taps
+come from.  Per-bin singular value decomposition then yields the
+mode-dependent loss spectrum, and an inverse Fourier transform of the
+estimate yields the channel impulse response.
 """
 
 from __future__ import annotations
@@ -60,35 +61,27 @@ class ImpulseResponse:
 
 def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig) -> MimoChannel:
-    """Estimate the full channel by running the FDE with inverted roles.
+    """Estimate the full channel from the inverted-role equalizer solve.
 
     Each capture passes the forward pipeline's front end once, and the pair
     is aligned by cross-correlation from those spectra, but no dispersion
     compensation is applied: the estimate must contain the complete channel
-    response.  The received field serves as the equalizer reference and the
-    transmitted field as the processed input, so the per-bin least-squares
-    taps approximate H(f).  The equalized field itself is not needed and is
-    not computed.  ``run_pipeline(..., characterize=True)`` gives the same
-    estimate from the forward pipeline's own front-end pass.
+    response.  The taps-only equalizer call, with the transmitted field as
+    the reference as in the forward path, returns the per-bin least-squares
+    channel ``H = R_xd R_dd^-1`` beside its forward taps; the equalized
+    field is not computed.  :func:`wgnlink.pipeline.run_pipeline` returns
+    the same estimate, with the EDC undone, from its own equalizer call.
     """
+    rate = cfg.target_rate
     spec_in = _front_end_spectrum(f_in, cfg)
     spec_out = _front_end_spectrum(f_out, cfg)
-    rate = cfg.target_rate
-    return _inverted_role_channel(_time_signal(spec_in, f_in, rate),
-                                  _time_signal(spec_out, f_out, rate), cfg,
-                                  (spec_in, spec_out))
-
-
-def _inverted_role_channel(f_in: MimoSignal, f_out: MimoSignal,
-                           cfg: PipelineConfig, spectra: tuple
-                           ) -> MimoChannel:
-    """Channel estimate from front-end outputs without EDC: align them
-    (from their `spectra`), trim, and solve the taps-only equalizer with
-    the received field as the reference and the transmitted as the input."""
-    alignment = _align(f_in, f_out, cfg, spectra)
+    f_in = _time_signal(spec_in, f_in, rate)
+    f_out = _time_signal(spec_out, f_out, rate)
+    alignment = _align(f_in, f_out, cfg, (spec_in, spec_out))
+    del spec_in, spec_out
     f_in_t, f_out_t, _ = trim_aligned(f_in, f_out, alignment.lag)
-    _, state = fde_lms_equalize(f_out_t, f_in_t, cfg, with_output=False)
-    return MimoChannel(state.taps, cfg.target_rate / state.block_size)
+    _, state = fde_lms_equalize(f_in_t, f_out_t, cfg, with_output=False)
+    return MimoChannel(state.channel, rate / state.block_size)
 
 
 def mdl_from_channel(channel: MimoChannel,
@@ -147,7 +140,7 @@ def impulse_response_from_channel(channel: MimoChannel,
     if transition is None:
         transition = 0.1 * band_edge
     w = _spectral_window(freqs, window, band_edge, transition)
-    mats = channel.full_matrices() * w[:, None, None]
+    mats = channel.matrices * w[:, None, None]
     taps = np.fft.fftshift(np.fft.ifft(mats, axis=0), axes=0)
     power = np.sum(np.abs(taps) ** 2, axis=(1, 2))
     peak_idx = int(np.argmax(power))
@@ -177,9 +170,8 @@ def compare_channels(estimate: MimoChannel, truth: MimoChannel,
     if estimate.n_modes != truth.n_modes:
         raise ValueError("channel dimensions differ")
     freqs = estimate.frequencies
-    t_mats, t_phase = _channel_on_grid(truth, freqs)
-    t_full = t_mats * np.exp(1j * t_phase)[:, None, None]
-    e_full = estimate.full_matrices()
+    t_full = _channel_on_grid(truth, freqs)
+    e_full = estimate.matrices
     # remove the unobservable bulk delay: pick the integer tap shift that
     # maximizes the cross-correlation between estimate and truth
     cross = np.sum(np.conj(t_full) * e_full, axis=(1, 2))

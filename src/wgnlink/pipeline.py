@@ -8,17 +8,18 @@ the least-squares limit of the paper's LMS equalizer, with no training phase
 and no step size.
 
 Each capture passes the front end once: one FFT, a spectral resample and
-the Gaussian filter.  That spectrum feeds both the cross-correlation
-alignment (one inverse FFT of the summed cross-spectrum) and, on a
-characterized capture pair, the inverted-role channel estimate, which sees
-the received spectrum before the EDC multiply.
+the Gaussian filter.  That spectrum feeds the cross-correlation alignment
+(one inverse FFT of the summed cross-spectrum).  One accumulation of the
+per-bin covariance of the stacked block spectra then gives both the forward
+taps and the channel estimate, from two solves of the same matrix; EDC is
+a unit-modulus scalar per frequency, so it commutes with the channel and is
+undone exactly on the estimate.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import BinaryIO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,44 +46,17 @@ class AlignmentResult:
 
 @dataclass
 class EqualizerState:
-    """Converged frequency-domain tap matrices and adaptation metadata."""
+    """Per-bin solutions of one equalizer covariance: the forward taps and
+    the channel estimate."""
 
     taps: np.ndarray          # (block_size, M, M) complex, FFT ordering
     block_size: int
-    overlap: int
-    step_size: float
+    channel: np.ndarray       # (block_size, M, M) complex, FFT ordering
     error_trace: list = field(default_factory=list)  # per-block NMSE, dB
 
     def __post_init__(self):
         if self.block_size < 2 or self.block_size & (self.block_size - 1):
             raise ValueError("block_size must be a power of two >= 2")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-
-
-def write_equalizer_state(f: BinaryIO, state: EqualizerState) -> None:
-    """JSON descriptor line followed by the raw little-endian tap payload."""
-    header = {
-        "block_size": state.block_size,
-        "overlap": state.overlap,
-        "step_size": state.step_size,
-        "n_modes": state.taps.shape[1],
-        "error_trace": list(state.error_trace),
-    }
-    f.write((json.dumps(header) + "\n").encode())
-    f.write(state.taps.astype("<c16").tobytes())
-
-
-def read_equalizer_state(f: BinaryIO) -> EqualizerState:
-    header = json.loads(f.readline().decode())
-    nb, m = header["block_size"], header["n_modes"]
-    taps = np.frombuffer(f.read(nb * m * m * 16), dtype="<c16")
-    if taps.size != nb * m * m:
-        raise ValueError("truncated equalizer tap payload")
-    return EqualizerState(taps=taps.reshape(nb, m, m).copy(),
-                          block_size=nb, overlap=header["overlap"],
-                          step_size=header["step_size"],
-                          error_trace=list(header["error_trace"]))
 
 
 @dataclass(frozen=True)
@@ -94,7 +68,7 @@ class PipelineConfig:
     phase_window: int = 200
     # accepted for configs written for the paper's LMS equalizer; the
     # closed-form equalizer has no step size or passes, so neither has an
-    # effect (lms_step is recorded as EqualizerState.step_size)
+    # effect
     lms_step: float = 0.05
     lms_passes: int = 3
     block_size: int = 4096
@@ -125,12 +99,14 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The receive chain's outputs for one capture pair."""
+
     f_in: MimoSignal      # trimmed reference, target rate
     f_eq: MimoSignal      # equalized + phase-recovered field
     state: EqualizerState
     alignment: AlignmentResult
     trim_start_in: int    # offset of f_in[0] in the resampled input timeline
-    channel: Optional[MimoChannel] = None  # set when asked to characterize
+    channel: MimoChannel  # full channel estimate, EDC undone, block grid
 
 
 def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
@@ -150,10 +126,13 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     used when both signals have the same length N, and then aligning costs a
     single IFFT.  A spectrum not given, or any spectrum when the lengths
     differ, is computed row by row over the first
-    ``min(len(f_in), len(f_out))`` samples.
+    ``min(len(f_in), len(f_out))`` samples.  A `max_lag` under 1 leaves no
+    off-peak lag to measure the ratio against and raises ValueError.
     """
     if f_in.sample_rate != f_out.sample_rate:
         raise ValueError("signals must share a sample rate")
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
     n = min(len(f_in), len(f_out))
     if n < 2 * max_lag:
         raise ValueError("signals shorter than 2 * max_lag")
@@ -176,7 +155,7 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     best = order[0]
     peak = mags[best]
     rest = np.delete(mags, best)
-    rms = np.sqrt(np.mean(rest ** 2)) if rest.size else 0.0
+    rms = np.sqrt(np.mean(rest ** 2))
     ratio = peak / rms if rms > 0 else np.inf
     if ratio < threshold:
         raise AlignmentError(
@@ -275,12 +254,12 @@ def _front_end(sig: MimoSignal, cfg: PipelineConfig,
 def _align(f_in: MimoSignal, f_out: MimoSignal, cfg: PipelineConfig,
            spectra: tuple) -> AlignmentResult:
     """:func:`align_by_crosscorrelation` with the threshold of `cfg` and its
-    lag range cut to the shorter capture; a capture under two samples leaves
-    no lag and raises ValueError."""
+    lag range cut to the shorter capture; a capture under four samples
+    leaves no off-peak lag and raises ValueError."""
     n = min(len(f_in), len(f_out))
-    if n < 2:
+    if n < 4:
         raise ValueError(f"a capture of {n} samples is too short to align "
-                         "(need at least 2)")
+                         "(need at least 4)")
     max_lag = min(cfg.align_max_lag, n // 2 - 1)
     return align_by_crosscorrelation(f_in, f_out, max_lag,
                                      cfg.align_threshold, spectra=spectra)
@@ -301,6 +280,11 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     step halved on every pass, converges toward; ``cfg.lms_step`` and
     ``cfg.lms_passes`` have no effect on it.
 
+    The same accumulation gives the whole covariance of the stacked
+    ``[X; D]`` spectra, and its second solve ``H[k] = R_xd[k] R_dd[k]^-1``
+    (the equalizer with the roles inverted) is the estimate of the channel
+    that maps the reference onto the input; it is the state's `channel`.
+
     The equalized field comes from a frozen-tap overlap-save pass, and
     ``error_trace`` holds its NMSE per block.  With ``with_output=False``
     that pass is skipped: the first element of the result is None and the
@@ -320,17 +304,13 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     chunks = [(b, min(b + _CHUNK_BLOCKS, n_blocks))
               for b in range(0, n_blocks, _CHUNK_BLOCKS)]
 
-    # stacked [R_xx; R_dx] per bin, from the stacked [X; D] block spectra
-    corr = np.zeros((block, 2 * m, m), dtype=complex)
+    # [[R_xx, R_xd], [R_dx, R_dd]] per bin, from the stacked [X; D] spectra
+    corr = np.zeros((block, 2 * m, 2 * m), dtype=complex)
     for first, stop in chunks:
         spec = _block_spectra((f_out.data, f_in.data), first, stop, hop)
-        corr += spec @ np.conj(spec[:, :m].transpose(0, 2, 1))
-    r_xx, r_dx = corr[:, :m], corr[:, m:]
-    power = np.trace(r_xx, axis1=1, axis2=2).real.mean() / m
-    r_xx += (_DIAG_LOAD * power) * np.eye(m)
-    # W R_xx = R_dx with R_xx Hermitian  <=>  R_xx W^H = R_dx^H
-    taps = np.conj(np.linalg.solve(r_xx, np.conj(r_dx.transpose(0, 2, 1)))
-                   .transpose(0, 2, 1))
+        corr += spec @ np.conj(spec.transpose(0, 2, 1))
+    taps = _wiener(corr[:, :m, :m], corr[:, m:, :m])
+    channel = _wiener(corr[:, m:, m:], corr[:, :m, m:])
 
     trace: list[float] = []
     f_eq = None
@@ -351,10 +331,21 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
             trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
         f_eq = MimoSignal(out, f_in.sample_rate)
 
-    state = EqualizerState(taps=taps, block_size=block, overlap=hop,
-                           step_size=cfg.lms_step,
+    state = EqualizerState(taps=taps, block_size=block, channel=channel,
                            error_trace=[float(v) for v in trace])
     return f_eq, state
+
+
+def _wiener(r_in: np.ndarray, r_cross: np.ndarray) -> np.ndarray:
+    """Per-bin ``r_cross r_in^-1`` for the (bins, M, M) blocks of one
+    covariance, with `r_in` loaded by ``_DIAG_LOAD`` times its mean per-bin,
+    per-mode power."""
+    m = r_in.shape[1]
+    power = np.trace(r_in, axis1=1, axis2=2).real.mean() / m
+    r_in = r_in + (_DIAG_LOAD * power) * np.eye(m)
+    # W R = C with R Hermitian  <=>  R W^H = C^H
+    return np.conj(np.linalg.solve(r_in, np.conj(r_cross.transpose(0, 2, 1)))
+                   .transpose(0, 2, 1))
 
 
 def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
@@ -407,41 +398,40 @@ def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
 
 def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
                  link: LinkConfig, cfg: PipelineConfig,
-                 n_recirculations: int = 1,
-                 characterize: bool = False) -> PipelineResult:
+                 n_recirculations: int = 1) -> PipelineResult:
     """Full receive chain: resample, filter, EDC, align, FDE, phase recovery.
 
-    EDC compensates ``n_recirculations * span_length`` of dispersion on the
-    received capture only.  Returns the co-trimmed reference and the
-    equalized field.
+    EDC compensates ``edc_km = n_recirculations * span_length`` of
+    dispersion on the received capture only.  Returns the co-trimmed
+    reference, the equalized field and the channel estimate.
 
     Each capture passes the front end once, and the alignment reuses its
-    spectra.  With `characterize`, the result's `channel` is also set: the
-    inverted-role estimate that :func:`wgnlink.estimation.estimate_channel`
-    gives for the same captures, taken from the same transmitted-capture
-    front end and the received spectrum before the EDC multiply.
+    spectra.  The one equalizer call gives the forward taps and, from the
+    same covariance, the channel seen from the transmitted to the
+    EDC-compensated received capture; the result's `channel` is that
+    estimate times the fiber response of `edc_km` on its block grid, the
+    exact inverse of the EDC multiply there.
     """
     if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
         raise ValueError("capture tributary counts differ")
 
     rate = cfg.target_rate
+    edc_km = link.span_length * n_recirculations
     spec_in = _front_end_spectrum(f_in_raw, cfg)
     f_in = _time_signal(spec_in, f_in_raw, rate)
-    spec_out = _front_end_spectrum(f_out_raw, cfg)
-    channel = None
-    if characterize:
-        from .estimation import _inverted_role_channel  # imports this module
-        channel = _inverted_role_channel(
-            f_in, _time_signal(spec_out, f_out_raw, rate), cfg,
-            (spec_in, spec_out))
-    spec_out = _edc_spectrum(spec_out, f_out_raw, link,
-                             link.span_length * n_recirculations, rate)
+    spec_out = _edc_spectrum(_front_end_spectrum(f_out_raw, cfg), f_out_raw,
+                             link, edc_km, rate)
     f_out = _time_signal(spec_out, f_out_raw, rate)
     alignment = _align(f_in, f_out, cfg, (spec_in, spec_out))
     del spec_in, spec_out
     f_in_t, f_out_t, start_in = trim_aligned(f_in, f_out, alignment.lag)
     f_eq, state = fde_lms_equalize(f_in_t, f_out_t, cfg)
     f_eq = phase_recovery(f_in_t, f_eq, cfg.phase_window)
+    block = state.block_size
+    fiber = _dispersion_response(block, rate, link.dispersion_coeff, edc_km,
+                                 link.center_wavelength, +1.0)
     return PipelineResult(f_in=f_in_t, f_eq=f_eq, state=state,
                           alignment=alignment, trim_start_in=start_in,
-                          channel=channel)
+                          channel=MimoChannel(state.channel
+                                              * fiber[:, None, None],
+                                              rate / block))

@@ -48,7 +48,7 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
                              cfg.mean_power, seed)
     f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
     result = run_pipeline(f_in, f_out, link, cfg.pipeline,
-                          n_recirculations=n_rec, characterize=characterize)
+                          n_recirculations=n_rec)
     osr, limit = cfg.pipeline.oversampling, cfg.mi_max_symbols
     rate = result.f_in.sample_rate / osr
     rings = build_ring_constellation(cfg.n_rings, cfg.mean_power)

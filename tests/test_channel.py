@@ -1,6 +1,5 @@
 """Tests for the linear MIMO channel model and recirculating-loop simulation."""
 
-import io
 import math
 
 import numpy as np
@@ -11,9 +10,8 @@ from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
                              apply_channel,
                              apply_chromatic_dispersion,
                              apply_frequency_offset, apply_phase_noise,
-                             dispersion_phase, read_channel, run_link,
-                             span_noise_power_ratio, synthesize_mimo_channel,
-                             write_channel)
+                             dispersion_phase, run_link,
+                             span_noise_power_ratio, synthesize_mimo_channel)
 from wgnlink.pipeline import apply_edc
 from wgnlink.signals import MimoSignal, generate_wgn_mimo
 
@@ -308,27 +306,6 @@ class TestSpanNoise:
         assert grid[int(np.argmin(ratios))] == pytest.approx(p_star_dbm,
                                                              abs=0.1)
         assert abs(p_star_dbm) < 1.0  # default calibration peaks near 0 dBm
-
-
-class TestChannelSerialization:
-    def test_round_trip(self):
-        ch = synthesize_mimo_channel(2, 3.0, 1e-10, 64, 1e8, seed=21)
-        buf = io.BytesIO()
-        write_channel(buf, ch)
-        buf.seek(0)
-        back = read_channel(buf)
-        assert back.bin_spacing == ch.bin_spacing
-        assert np.array_equal(back.matrices, ch.matrices)
-        assert np.array_equal(back.common_phase, ch.common_phase)
-
-    # cut inside the common phase, and inside the matrices
-    @pytest.mark.parametrize("cut", [8, 64 * 2 * 2 * 16])
-    def test_truncated_payload_named(self, cut):
-        ch = synthesize_mimo_channel(2, 3.0, 1e-10, 64, 1e8, seed=21)
-        buf = io.BytesIO()
-        write_channel(buf, ch)
-        with pytest.raises(ValueError, match="truncated channel payload"):
-            read_channel(io.BytesIO(buf.getvalue()[:-cut]))
 
 
 class TestLinkConfig:

@@ -144,6 +144,35 @@ class TestCliVerbs:
         assert cli.main(["simulate", "--config", cfg, "--out",
                          str(tmp_path / "o"), "--no-plots"]) == 1
 
+    @pytest.mark.parametrize("sweep, key", [
+        ("recirculations: [1.5]", "sweep.recirculations"),
+        ("recirculations: [0]", "sweep.recirculations"),
+        ("recirculations: [a]", "sweep.recirculations"),
+        ("recirculations: [true]", "sweep.recirculations"),
+        ("launch_power_dbm: [0, .nan]", "sweep.launch_power_dbm"),
+        ("snr_db: [.inf]", "sweep.snr_db"),
+        ("launch_power_dbm: [false]", "sweep.launch_power_dbm"),
+        ("snr_db: ['20']", "sweep.snr_db"),
+    ], ids=["fractional", "zero", "text", "bool", "nan", "inf",
+            "bool-power", "quoted-number"])
+    def test_bad_sweep_value_is_exit_1(self, tmp_path, sweep, key):
+        text = f"sweep:\n  {sweep}\nseeds: [3]\n"
+        cfg = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=key):
+            validate_config(cfg)
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert cli.main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--no-plots"]) == 1
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "true", "five"])
+    def test_bad_base_recirculations_is_exit_1(self, tmp_path, value):
+        text = ("sweep:\n  launch_power_dbm: [0]\nseeds: [3]\n"
+                f"base_recirculations: {value}\n")
+        cfg = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match="base_recirculations"):
+            validate_config(cfg)
+        assert cli.main(["validate", "--config", cfg]) == 1
+
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 1

@@ -47,7 +47,7 @@ class TestEstimateChannel:
         est = estimate_channel(sig, out, PipelineConfig(filter_bw=None))
         (f_eq, taps_only), full = calls[0]
         assert f_eq is None and taps_only.error_trace == []
-        assert np.array_equal(est.matrices, full.taps)
+        assert np.array_equal(est.matrices, full.channel)
 
     def test_known_channel_at_30db(self):
         sig = generate_wgn_mimo(2, 500_000, RATE, 1.0, seed=2)
@@ -168,7 +168,7 @@ class TestImpulseResponse:
         ir = impulse_response_from_channel(ch, window="none")
         time_energy = float(np.sum(np.abs(ir.taps) ** 2))
         freq_energy = float(np.mean(
-            np.sum(np.abs(ch.full_matrices()) ** 2, axis=(1, 2))))
+            np.sum(np.abs(ch.matrices) ** 2, axis=(1, 2))))
         assert time_energy == pytest.approx(freq_energy, rel=1e-6)
 
     def test_raised_cosine_window_reduces_leakage(self):
@@ -201,8 +201,7 @@ class TestCompareChannels:
 
     def test_global_phase_invariant(self):
         ch = synthesize_mimo_channel(2, 1.0, 1e-10, 128, SPACING, seed=14)
-        rotated = MimoChannel(ch.matrices * np.exp(0.7j), ch.bin_spacing,
-                              ch.common_phase)
+        rotated = MimoChannel(ch.matrices * np.exp(0.7j), ch.bin_spacing)
         _, summary = compare_channels(rotated, ch)
         assert summary == -120.0
 
