@@ -102,10 +102,12 @@ def main(argv=None) -> int:
             print(f"config OK: sweep {cfg.sweep_axis} over "
                   f"{list(cfg.sweep_values)}, seeds {list(cfg.seeds)}")
             return 0
-        if args.verb == "simulate":
-            return runner.run_experiment(_load(args), jobs=args.jobs)
-        if args.verb == "reference-16qam":
-            return runner.run_reference_16qam(_load(args), jobs=args.jobs)
+        if args.verb in ("simulate", "reference-16qam"):
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+            run = (runner.run_experiment if args.verb == "simulate"
+                   else runner.run_reference_16qam)
+            return run(_load(args), jobs=args.jobs)
         if args.verb == "characterize":
             pipe = PipelineConfig()
             if args.config is not None:

@@ -48,20 +48,29 @@ class ExperimentConfig:
             raise ConfigError("sweep value list is empty")
         key = f"sweep.{self.sweep_axis}"
         for v in self.sweep_values:
-            if isinstance(v, bool) or not isinstance(v, Real) \
-                    or not math.isfinite(v):
+            if not _is_number(v):
                 raise ConfigError(f"{key} values must be finite numbers, "
                                   f"got {v!r}")
             if self.sweep_axis == "recirculations" and not _is_count(v):
                 raise ConfigError(f"{key} values must be integers >= 1, "
                                   f"got {v!r}")
-        if not _is_count(self.base_recirculations):
-            raise ConfigError("base_recirculations must be an integer >= 1, "
-                              f"got {self.base_recirculations!r}")
+        _reject_duplicates(key, self.sweep_values)
+        for name in ("base_recirculations", "n_rings", "mi_max_symbols",
+                     "n_samples"):
+            v = getattr(self, name)
+            if not _is_count(v):
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("mean_power", "capture_rate"):
+            v = getattr(self, name)
+            if not (_is_number(v) and v > 0):
+                raise ConfigError(f"{name} must be a positive number, "
+                                  f"got {v!r}")
         if len(self.seeds) == 0:
             raise ConfigError("need at least one seed")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
+        for s in self.seeds:
+            if not _is_count(s, 0):
+                raise ConfigError(f"seeds must be integers >= 0, got {s!r}")
+        _reject_duplicates("seeds", self.seeds)
 
     def link_for(self, value) -> tuple[LinkConfig, int]:
         """Link config and recirculation count for one sweep point."""
@@ -74,8 +83,17 @@ class ExperimentConfig:
                 self.base_recirculations)
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+def _is_count(v, least: int = 1) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= least
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _reject_duplicates(key: str, values: tuple) -> None:
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key} lists a value twice: {list(values)}")
 
 
 def _build(cls, section: dict, name: str):
@@ -139,6 +157,6 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     try:
         return ExperimentConfig(link=link, pipeline=pipe, sweep_axis=axis,
                                 sweep_values=tuple(values),
-                                seeds=tuple(int(s) for s in seeds), **extra)
+                                seeds=tuple(seeds), **extra)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,11 +1,11 @@
 """Inverted-role channel estimation, MDL spectra, and impulse responses.
 
-The data-aided FDE solved with the transmitted and received fields in
-swapped roles gives a frequency-domain estimate of the channel itself; the
-equalizer takes it from the second solve of the covariance its forward taps
-come from.  Per-bin singular value decomposition then yields the
-mode-dependent loss spectrum, and an inverse Fourier transform of the
-estimate yields the channel impulse response.
+After the receiver's own front end and alignment (without EDC), the FDE
+solved with the transmitted and received fields in swapped roles gives a
+frequency-domain estimate of the channel itself, from the second solve of
+the covariance its forward taps come from.  Per-bin singular value
+decomposition then yields the mode-dependent loss spectrum, and an inverse
+Fourier transform of the estimate yields the channel impulse response.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel, _channel_on_grid
-from .pipeline import (PipelineConfig, _align, _front_end_spectrum,
-                       _time_signal, fde_lms_equalize, trim_aligned)
+from .pipeline import PipelineConfig, _aligned_pair, fde_lms_equalize
 from .signals import MimoSignal
 
 _NMSE_CAP_DB = -120.0
@@ -38,11 +37,6 @@ class MdlSpectrum:
     def mean_mdl_db(self) -> float:
         return float(np.mean(self.mdl_db[self.valid]))
 
-    def to_csv_rows(self):
-        for f, m, v in zip(self.frequencies, self.mdl_db, self.valid):
-            if v:
-                yield f, m
-
 
 @dataclass(frozen=True)
 class ImpulseResponse:
@@ -63,25 +57,16 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig) -> MimoChannel:
     """Estimate the full channel from the inverted-role equalizer solve.
 
-    Each capture passes the forward pipeline's front end once, and the pair
-    is aligned by cross-correlation from those spectra, but no dispersion
-    compensation is applied: the estimate must contain the complete channel
-    response.  The taps-only equalizer call, with the transmitted field as
-    the reference as in the forward path, returns the per-bin least-squares
-    channel ``H = R_xd R_dd^-1`` beside its forward taps; the equalized
-    field is not computed.  :func:`wgnlink.pipeline.run_pipeline` returns
-    the same estimate, with the EDC undone, from its own equalizer call.
+    The pair takes :func:`wgnlink.pipeline.run_pipeline`'s front end,
+    alignment and trim without EDC, so the estimate holds the complete
+    channel.  One taps-only equalizer call, with the transmitted field as
+    the reference, returns the per-bin least-squares channel
+    ``H = R_xd R_dd^-1``; ``run_pipeline`` returns the same estimate, with
+    the EDC undone, from its own equalizer call.
     """
-    rate = cfg.target_rate
-    spec_in = _front_end_spectrum(f_in, cfg)
-    spec_out = _front_end_spectrum(f_out, cfg)
-    f_in = _time_signal(spec_in, f_in, rate)
-    f_out = _time_signal(spec_out, f_out, rate)
-    alignment = _align(f_in, f_out, cfg, (spec_in, spec_out))
-    del spec_in, spec_out
-    f_in_t, f_out_t, _ = trim_aligned(f_in, f_out, alignment.lag)
-    _, state = fde_lms_equalize(f_in_t, f_out_t, cfg, with_output=False)
-    return MimoChannel(state.channel, rate / state.block_size)
+    f_in, f_out, _, _ = _aligned_pair(f_in, f_out, cfg)
+    _, state = fde_lms_equalize(f_in, f_out, cfg, with_output=False)
+    return MimoChannel(state.channel, cfg.target_rate / state.block_size)
 
 
 def mdl_from_channel(channel: MimoChannel,

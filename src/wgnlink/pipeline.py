@@ -7,13 +7,13 @@ form, per frequency bin, from cross-spectra averaged over the whole capture:
 the least-squares limit of the paper's LMS equalizer, with no training phase
 and no step size.
 
-Each capture passes the front end once: one FFT, a spectral resample and
-the Gaussian filter.  That spectrum feeds the cross-correlation alignment
-(one inverse FFT of the summed cross-spectrum).  One accumulation of the
-per-bin covariance of the stacked block spectra then gives both the forward
-taps and the channel estimate, from two solves of the same matrix; EDC is
-a unit-modulus scalar per frequency, so it commutes with the channel and is
-undone exactly on the estimate.
+The forward chain and the channel estimate share one front end and
+alignment: per capture one FFT, a spectral resample, the Gaussian filter and
+EDC multiplies, one inverse FFT; the spectra give the alignment in one more.
+One accumulation of the per-bin covariance of the stacked block spectra
+then gives both the forward taps and the channel estimate, from two solves
+of the same matrix; EDC is a unit-modulus scalar per frequency, so it
+commutes with the channel and is undone exactly on the estimate.
 """
 
 from __future__ import annotations
@@ -191,78 +191,53 @@ def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
                              wavelength_nm, sign=-1.0)
 
 
-def _front_end_spectrum(sig: MimoSignal,
-                        cfg: PipelineConfig) -> Optional[np.ndarray]:
-    """Spectrum of `sig` resampled to ``cfg.target_rate`` and Gaussian
-    filtered (unless ``cfg.filter_bw`` is None), as an (M, n) array: one FFT
-    of the whole capture, a spectral resample and one multiply by the filter
-    response.  None when the capture is already at the target rate and
-    unfiltered: the front end then passes it through.
+def _front_end(sig: MimoSignal, cfg: PipelineConfig,
+               link: Optional[LinkConfig] = None, edc_km: float = 0.0
+               ) -> tuple[MimoSignal, Optional[np.ndarray]]:
+    """Receiver front end of one capture: resample to ``cfg.target_rate``,
+    Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
+    given, EDC of `edc_km` of its fiber.
+
+    Equal to ``apply_edc(gaussian_filter(resample(.)))`` per tributary.
+    Returns the output and its (M, n) spectrum; a capture already at the
+    target rate with no stage asked for passes through as ``(sig, None)``.
     """
     rate = cfg.target_rate
-    if sig.sample_rate == rate and cfg.filter_bw is None:
-        return None
+    if sig.sample_rate == rate and cfg.filter_bw is None and link is None:
+        return sig, None
     n_out = int(round(len(sig) * rate / sig.sample_rate))
     spec = _resample_spectrum(np.fft.fft(sig.data, axis=1), n_out)
     if cfg.filter_bw is not None:
         spec *= _gaussian_response(n_out, rate, cfg.filter_bw,
                                    cfg.filter_order)
-    return spec
-
-
-def _edc_spectrum(spec: Optional[np.ndarray], sig: MimoSignal,
-                  link: LinkConfig, edc_km: float, rate: float) -> np.ndarray:
-    """Front-end spectrum `spec` of capture `sig` (sampled at `rate`; when
-    None, the front end passed `sig` through and its FFT is taken)
-    multiplied in place by the EDC response for `edc_km` of `link`'s fiber.
-    """
-    if spec is None:
-        spec = np.fft.fft(sig.data, axis=1)
-    spec *= _dispersion_response(spec.shape[1], rate, link.dispersion_coeff,
-                                 edc_km, link.center_wavelength, -1.0)
-    return spec
-
-
-def _time_signal(spec: Optional[np.ndarray], sig: MimoSignal,
-                 rate: float) -> MimoSignal:
-    """The front end's output for capture `sig`: the IFFT of its spectrum
-    `spec`, or `sig` itself when `spec` is None (passed through)."""
-    if spec is None:
-        return sig
-    return MimoSignal(np.fft.ifft(spec, axis=1), rate)
-
-
-def _front_end(sig: MimoSignal, cfg: PipelineConfig,
-               link: Optional[LinkConfig] = None,
-               edc_km: float = 0.0) -> MimoSignal:
-    """Receiver front end of one capture: resample to ``cfg.target_rate``,
-    Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
-    given, EDC of `edc_km` of its fiber.
-
-    Equal to ``apply_edc(gaussian_filter(resample(.)))`` per tributary, but
-    done as :func:`_front_end_spectrum`, the EDC multiply and one inverse
-    FFT; :func:`run_pipeline` and the channel estimate call these parts
-    directly to keep the spectrum for the alignment.  A capture already at
-    the target rate with neither stage asked for is returned as is.
-    """
-    spec = _front_end_spectrum(sig, cfg)
     if link is not None:
-        spec = _edc_spectrum(spec, sig, link, edc_km, cfg.target_rate)
-    return _time_signal(spec, sig, cfg.target_rate)
+        spec *= _dispersion_response(n_out, rate, link.dispersion_coeff,
+                                     edc_km, link.center_wavelength, -1.0)
+    return MimoSignal(np.fft.ifft(spec, axis=1), rate), spec
 
 
-def _align(f_in: MimoSignal, f_out: MimoSignal, cfg: PipelineConfig,
-           spectra: tuple) -> AlignmentResult:
-    """:func:`align_by_crosscorrelation` with the threshold of `cfg` and its
-    lag range cut to the shorter capture; a capture under four samples
-    leaves no off-peak lag and raises ValueError."""
+def _aligned_pair(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
+                  cfg: PipelineConfig, link: Optional[LinkConfig] = None,
+                  edc_km: float = 0.0
+                  ) -> tuple[MimoSignal, MimoSignal, int, AlignmentResult]:
+    """Both captures through :func:`_front_end` (EDC on `f_out_raw` only),
+    aligned from their spectra over a lag range cut to the shorter one, and
+    trimmed: returns ``(f_in, f_out, trim offset, alignment)``.  A capture
+    under four samples leaves no off-peak lag and raises ValueError."""
+    if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
+        raise ValueError("capture tributary counts differ")
+    f_in, spec_in = _front_end(f_in_raw, cfg)
+    f_out, spec_out = _front_end(f_out_raw, cfg, link, edc_km)
     n = min(len(f_in), len(f_out))
     if n < 4:
         raise ValueError(f"a capture of {n} samples is too short to align "
                          "(need at least 4)")
     max_lag = min(cfg.align_max_lag, n // 2 - 1)
-    return align_by_crosscorrelation(f_in, f_out, max_lag,
-                                     cfg.align_threshold, spectra=spectra)
+    alignment = align_by_crosscorrelation(f_in, f_out, max_lag,
+                                          cfg.align_threshold,
+                                          spectra=(spec_in, spec_out))
+    # the spectra are freed on return, before any equalizer runs
+    return (*trim_aligned(f_in, f_out, alignment.lag), alignment)
 
 
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
@@ -386,14 +361,10 @@ def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
 
 
 def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
-    n = len(x)
-    csum = np.concatenate([[0.0 + 0.0j], np.cumsum(x)])
     half_lo = (window - 1) // 2
-    half_hi = window - 1 - half_lo
-    idx = np.arange(n)
-    lo = np.clip(idx - half_lo, 0, n)
-    hi = np.clip(idx + half_hi + 1, 0, n)
-    return csum[hi] - csum[lo]
+    # window sum at n: csum of the zero-padded x at n + window minus at n
+    csum = np.cumsum(np.pad(x, (half_lo + 1, window - 1 - half_lo)))
+    return csum[window:] - csum[:-window]
 
 
 def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
@@ -405,32 +376,23 @@ def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
     dispersion on the received capture only.  Returns the co-trimmed
     reference, the equalized field and the channel estimate.
 
-    Each capture passes the front end once, and the alignment reuses its
-    spectra.  The one equalizer call gives the forward taps and, from the
-    same covariance, the channel seen from the transmitted to the
-    EDC-compensated received capture; the result's `channel` is that
-    estimate times the fiber response of `edc_km` on its block grid, the
-    exact inverse of the EDC multiply there.
+    The front end, alignment and trim are :func:`_aligned_pair`'s.  The
+    one equalizer call gives the forward taps and, from the same
+    covariance, the channel seen from the transmitted to the EDC-compensated
+    received capture; the result's `channel` is that estimate times the
+    fiber response of `edc_km` on its block grid, the exact inverse of the
+    EDC multiply there.
     """
-    if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
-        raise ValueError("capture tributary counts differ")
-
     rate = cfg.target_rate
     edc_km = link.span_length * n_recirculations
-    spec_in = _front_end_spectrum(f_in_raw, cfg)
-    f_in = _time_signal(spec_in, f_in_raw, rate)
-    spec_out = _edc_spectrum(_front_end_spectrum(f_out_raw, cfg), f_out_raw,
-                             link, edc_km, rate)
-    f_out = _time_signal(spec_out, f_out_raw, rate)
-    alignment = _align(f_in, f_out, cfg, (spec_in, spec_out))
-    del spec_in, spec_out
-    f_in_t, f_out_t, start_in = trim_aligned(f_in, f_out, alignment.lag)
-    f_eq, state = fde_lms_equalize(f_in_t, f_out_t, cfg)
-    f_eq = phase_recovery(f_in_t, f_eq, cfg.phase_window)
+    f_in, f_out, start_in, alignment = _aligned_pair(f_in_raw, f_out_raw,
+                                                     cfg, link, edc_km)
+    f_eq, state = fde_lms_equalize(f_in, f_out, cfg)
+    f_eq = phase_recovery(f_in, f_eq, cfg.phase_window)
     block = state.block_size
     fiber = _dispersion_response(block, rate, link.dispersion_coeff, edc_km,
                                  link.center_wavelength, +1.0)
-    return PipelineResult(f_in=f_in_t, f_eq=f_eq, state=state,
+    return PipelineResult(f_in=f_in, f_eq=f_eq, state=state,
                           alignment=alignment, trim_start_in=start_in,
                           channel=MimoChannel(state.channel
                                               * fiber[:, None, None],

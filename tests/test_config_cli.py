@@ -173,6 +173,45 @@ class TestCliVerbs:
             validate_config(cfg)
         assert cli.main(["validate", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("line, key", [
+        ("mean_power: -1", "mean_power"),
+        ("mean_power: 0", "mean_power"),
+        ("capture_rate: 0", "capture_rate"),
+        ("n_rings: 0", "n_rings"),
+        ("mi_max_symbols: 0", "mi_max_symbols"),
+        ("n_samples: 4000.5", "n_samples"),
+        ("seeds: [1.5]", "seeds"),
+        ("seeds: [true]", "seeds"),
+        ("seeds: ['3']", "seeds"),
+        ("seeds: [-1]", "seeds"),
+        ("seeds: [1, 1]", "seeds"),
+        ("sweep: {launch_power_dbm: [0, 0.0]}", "sweep.launch_power_dbm"),
+        ("sweep: {recirculations: [2, 1, 2]}", "sweep.recirculations"),
+    ], ids=["negative-power", "zero-power", "zero-rate", "zero-rings",
+            "zero-mi-symbols", "fractional-samples", "fractional-seed",
+            "bool-seed", "text-seed", "negative-seed", "repeated-seed",
+            "repeated-power", "repeated-loops"])
+    def test_bad_top_level_value_is_exit_1(self, tmp_path, line, key):
+        lines = {"sweep": "sweep: {recirculations: [1]}",
+                 "seeds": "seeds: [3]", "n_samples": "n_samples: 4000"}
+        lines[line.split(":")[0]] = line
+        cfg = _write(tmp_path, "\n".join(lines.values()) + "\n")
+        with pytest.raises(ConfigError, match=key):
+            validate_config(cfg)
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert cli.main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--no-plots"]) == 1
+
+    @pytest.mark.parametrize("verb", ["simulate", "reference-16qam"])
+    @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--jobs", "-4"],
+                                      ["--seeds", "1,1"]],
+                             ids=["jobs-0", "jobs-negative", "seeds-repeated"])
+    def test_bad_run_flag_is_exit_1(self, tmp_path, verb, flag):
+        out = tmp_path / "o"
+        assert cli.main([verb, "--config", _write(tmp_path, MINIMAL),
+                         "--out", str(out), "--no-plots", *flag]) == 1
+        assert not out.exists()
+
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 1

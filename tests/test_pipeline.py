@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wgnlink import pipeline
+from wgnlink import estimation, pipeline
 from wgnlink.channel import (LinkConfig, MimoChannel, MultiSectionModel,
                              _dispersion_response, apply_channel,
                              apply_chromatic_dispersion, apply_phase_noise,
@@ -27,6 +27,22 @@ def _nmse_db(est, ref):
 
 def _delay(sig: MimoSignal, lag: int) -> MimoSignal:
     return MimoSignal(np.roll(sig.as_array(), lag, axis=1), sig.sample_rate)
+
+
+def _count_calls(monkeypatch, calls: list, module, *names) -> list:
+    """Wrap `names` in `module` so that each call appends its name to
+    `calls`, which is returned."""
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
+    return calls
 
 
 class TestAlignment:
@@ -65,10 +81,9 @@ class TestAlignment:
         noise = generate_wgn_mimo(m, 60_000, 40e9, 0.1, seed=50 + m)
         out = MimoSignal(_delay(sig, lag).as_array() + noise.as_array(), 40e9)
         cfg = PipelineConfig()
-        spectra = tuple(pipeline._front_end_spectrum(s, cfg)
-                        for s in (sig, out))
-        f_in, f_out = (pipeline._time_signal(spec, s, cfg.target_rate)
-                       for spec, s in zip(spectra, (sig, out)))
+        (f_in, spec_in), (f_out, spec_out) = (pipeline._front_end(s, cfg)
+                                              for s in (sig, out))
+        spectra = (spec_in, spec_out)
         ref = align_by_crosscorrelation(f_in, f_out, max_lag=5000)
         got = align_by_crosscorrelation(f_in, f_out, max_lag=5000,
                                         spectra=spectra)
@@ -109,8 +124,8 @@ class TestAlignment:
 
     def test_shortest_alignable_capture(self):
         sig = generate_wgn_mimo(2, 4, 60e9, 1.0, seed=1)
-        res = pipeline._align(sig, sig, PipelineConfig(align_threshold=1.0),
-                              (None, None))
+        *_, res = pipeline._aligned_pair(
+            sig, sig, PipelineConfig(align_threshold=1.0, filter_bw=None))
         assert res.lag == 0 and np.isfinite(res.peak_ratio)
 
     def test_mismatched_spectra_rejected(self):
@@ -150,14 +165,15 @@ class TestAlignment:
         b = MimoSignal(np.ones((2, n_out), dtype=complex), 60e9)
         n = min(n_in, n_out)
         with pytest.raises(ValueError, match=f"capture of {n} samples"):
-            pipeline._align(a, b, PipelineConfig(), (None, None))
+            pipeline._aligned_pair(a, b, PipelineConfig(filter_bw=None))
 
     def test_lag_range_fits_the_shorter_capture(self):
         # the received capture is 4,000 samples of a 12,000-sample reference,
         # shorter than twice the default align_max_lag
         sig = generate_wgn_mimo(2, 12_000, 60e9, 1.0, seed=9)
         out = MimoSignal(sig.data[:, 300:4300], sig.sample_rate)
-        res = pipeline._align(sig, out, PipelineConfig(), (None, None))
+        *_, res = pipeline._aligned_pair(sig, out,
+                                         PipelineConfig(filter_bw=None))
         assert res.lag == -300
 
 
@@ -201,23 +217,28 @@ class TestFrontEnd:
         (40e9, 30_001, None, 78.0),
         (90e9, 45_000, 15e9, 78.0),
         (60e9, 30_000, 15e9, 78.0),
+        # at the target rate and unfiltered: EDC alone takes the spectral path
+        (60e9, 30_000, None, 78.0),
     ])
     def test_equals_resample_filter_edc_chain(self, rate, n, filter_bw,
                                               edc_km):
         sig = generate_wgn_mimo(3, n, rate, 1.0, seed=n)
         cfg = PipelineConfig(target_rate=60e9, filter_bw=filter_bw)
         link = None if edc_km is None else self.LINK
-        out = pipeline._front_end(sig, cfg, link, edc_km or 0.0)
+        out, spec = pipeline._front_end(sig, cfg, link, edc_km or 0.0)
         ref = self._reference(sig, cfg, edc_km)
         assert out.sample_rate == ref.sample_rate == 60e9
         a, b = out.as_array(), ref.as_array()
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+        # the spectrum returned is that of the output
+        assert np.array_equal(np.fft.ifft(spec, axis=1), a)
 
     def test_target_rate_without_stages_is_unchanged(self):
         sig = generate_wgn_mimo(2, 10_000, 60e9, 1.0, seed=3)
         cfg = PipelineConfig(target_rate=60e9, filter_bw=None)
-        assert pipeline._front_end(sig, cfg) is sig
+        out, spec = pipeline._front_end(sig, cfg)
+        assert out is sig and spec is None
 
     def test_filter_above_nyquist_warns(self):
         sig = generate_wgn_mimo(2, 10_000, 20e9, 1.0, seed=4)
@@ -359,6 +380,21 @@ class TestPhaseRecovery:
         with pytest.raises(ValueError):
             phase_recovery(sig, sig, window=0)
 
+    @pytest.mark.parametrize("n, window", [(1, 1), (7, 4), (1000, 200),
+                                           (1000, 201), (50, 5000)])
+    def test_moving_sum_matches_truncated_windows(self, n, window):
+        rng = np.random.default_rng(n + window)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        half_lo = (window - 1) // 2
+        lo = np.clip(np.arange(n) - half_lo, 0, n)
+        hi = np.clip(np.arange(n) + window - half_lo, 0, n)
+        # the same prefix sums, gathered at the clipped window edges
+        csum = np.concatenate([[0j], np.cumsum(x)])
+        got = pipeline._centered_moving_sum(x, window)
+        assert np.array_equal(got, csum[hi] - csum[lo])
+        direct = [np.sum(x[a:b]) for a, b in zip(lo, hi)]
+        np.testing.assert_allclose(got, direct, rtol=0, atol=1e-9)
+
 
 class TestRunPipeline:
     def test_dimension_mismatch(self):
@@ -402,25 +438,32 @@ class TestRunPipeline:
                                        rtol=0, atol=1e-12)
 
     def test_one_alignment_and_one_equalizer_call(self, monkeypatch):
-        calls = []
-
-        def counting(f):
-            def counted(*args, **kwargs):
-                calls.append(f.__name__)
-                return f(*args, **kwargs)
-            return counted
-
-        for name in ("align_by_crosscorrelation", "fde_lms_equalize"):
-            monkeypatch.setattr(pipeline, name,
-                                counting(getattr(pipeline, name)))
+        calls = _count_calls(monkeypatch, [], pipeline, "_front_end",
+                             "align_by_crosscorrelation", "fde_lms_equalize")
         link = LinkConfig(span_snr_db=25.0, mdl_per_span=0.5,
                           dgd_per_span=1e-11)
         sig = generate_wgn_mimo(2, 60_000, 40e9, 1.0, seed=34)
         res = run_pipeline(sig, run_link(sig, link, 2, seed=35), link,
                            PipelineConfig(), n_recirculations=2)
-        assert sorted(calls) == ["align_by_crosscorrelation",
+        assert sorted(calls) == ["_front_end", "_front_end",
+                                 "align_by_crosscorrelation",
                                  "fde_lms_equalize"]
         assert res.channel.matrices.shape == (4096, 2, 2)
+
+    def test_estimate_channel_takes_the_same_path(self, monkeypatch):
+        # the equalizer is counted where estimate_channel looks it up
+        calls = _count_calls(monkeypatch, [], pipeline, "_front_end",
+                             "align_by_crosscorrelation")
+        _count_calls(monkeypatch, calls, estimation, "fde_lms_equalize")
+        link = LinkConfig(span_snr_db=25.0, mdl_per_span=0.5,
+                          dgd_per_span=1e-11)
+        sig = generate_wgn_mimo(2, 60_000, 40e9, 1.0, seed=34)
+        est = estimate_channel(sig, run_link(sig, link, 2, seed=35),
+                               PipelineConfig())
+        assert sorted(calls) == ["_front_end", "_front_end",
+                                 "align_by_crosscorrelation",
+                                 "fde_lms_equalize"]
+        assert est.matrices.shape == (4096, 2, 2)
 
     def test_channel_against_the_coupled_dispersive_link(self):
         # 20 loops of dispersion and coupling; the truth is the span model
