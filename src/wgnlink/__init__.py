@@ -8,9 +8,9 @@ spectra, impulse responses).
 """
 
 from .channel import (LinkConfig, MimoChannel, MultiSectionModel, add_awgn,
-                      apply_channel, apply_chromatic_dispersion,
-                      apply_frequency_offset, apply_phase_noise, run_link,
-                      span_noise_power_ratio, synthesize_mimo_channel)
+                      apply_channel, apply_frequency_offset, apply_phase_noise,
+                      run_link, span_noise_power_ratio,
+                      synthesize_mimo_channel)
 from .config import ExperimentConfig, validate_config
 from .errors import AlignmentError, ConfigError, WgnLinkError
 from .estimation import (ImpulseResponse, MdlSpectrum, compare_channels,
@@ -19,14 +19,13 @@ from .estimation import (ImpulseResponse, MdlSpectrum, compare_channels,
 from .metrics import (RingConstellation, build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import (AlignmentResult, EqualizerState, PipelineConfig,
-                       PipelineResult, align_by_crosscorrelation, apply_edc,
+                       PipelineResult, align_by_crosscorrelation,
                        fde_lms_equalize, phase_recovery, run_pipeline,
                        trim_aligned)
 from .runner import (characterize_captures, generate_qam16_mimo,
                      run_experiment, run_reference_16qam, write_plots)
-from .signals import (ComplexSignal, MimoSignal, gaussian_filter,
-                      generate_wgn, generate_wgn_mimo, measure_power,
-                      read_signal, resample, write_signal)
+from .signals import (ComplexSignal, MimoSignal, generate_wgn,
+                      generate_wgn_mimo, read_signal, write_signal)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,9 @@ solver is out of scope by design.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -58,10 +60,6 @@ class MimoChannel:
         """Baseband frequency of each bin, FFT ordering."""
         return np.fft.fftfreq(self.n_bins, d=1.0 / (self.n_bins * self.bin_spacing))
 
-    def is_unitary(self, tol: float = 1e-9) -> bool:
-        sv = np.linalg.svd(self.matrices, compute_uv=False)
-        return bool(np.all(np.abs(sv - 1.0) < tol))
-
 
 @dataclass(frozen=True)
 class LinkConfig:
@@ -87,12 +85,33 @@ class LinkConfig:
     n_sections: int = 8                  # coupling sections per span
 
     def __post_init__(self):
+        _check_types(self)
         if self.span_length < 0:
             raise ValueError("span_length must be >= 0")
+        if self.center_wavelength <= 0:
+            raise ValueError("center_wavelength must be positive")
         if self.n_modes < 2 or self.n_modes % 2:
             raise ValueError("n_modes must be even and >= 2")
         if self.mdl_per_span < 0:
             raise ValueError("mdl_per_span must be >= 0")
+        if self.lo_linewidth < 0:
+            raise ValueError("lo_linewidth must be >= 0")
+
+
+def _check_types(cfg) -> None:
+    """Raise TypeError naming the first field of the dataclass `cfg` that
+    does not hold its annotated type: an ``int`` field an integer, any other
+    a real number, or None where the annotation is Optional.  A bool is
+    neither."""
+    for name, kind in typing.get_type_hints(type(cfg)).items():
+        v = getattr(cfg, name)
+        if v is None and kind == Optional[float]:
+            continue
+        if isinstance(v, bool) or not isinstance(
+                v, Integral if kind is int else Real):
+            raise TypeError(f"{name} must be "
+                            f"{'an integer' if kind is int else 'a number'}, "
+                            f"got {v!r}")
 
 
 def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,
@@ -104,25 +123,6 @@ def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,
     lam = wavelength_nm * 1e-9
     return (np.pi * lam * lam * d_si * (length_km * 1e3)
             * np.asarray(freqs) ** 2 / SPEED_OF_LIGHT)
-
-
-def apply_chromatic_dispersion(signal: MimoSignal, dispersion_coeff: float,
-                               length_km: float,
-                               wavelength_nm: float) -> MimoSignal:
-    """Forward dispersion operator (+j phase); :func:`wgnlink.pipeline.apply_edc`
-    with the same arguments is its exact inverse."""
-    return _apply_dispersion(signal, dispersion_coeff, length_km,
-                             wavelength_nm, sign=+1.0)
-
-
-def _apply_dispersion(signal: MimoSignal, dispersion_coeff: float,
-                      length_km: float, wavelength_nm: float,
-                      sign: float) -> MimoSignal:
-    rot = _dispersion_response(len(signal), signal.sample_rate,
-                               dispersion_coeff, length_km, wavelength_nm,
-                               sign)
-    data = np.fft.ifft(np.fft.fft(signal.data, axis=1) * rot, axis=1)
-    return MimoSignal(data, signal.sample_rate)
 
 
 def _dispersion_response(n: int, sample_rate: float, dispersion_coeff: float,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -23,6 +24,19 @@ from .pipeline import PipelineConfig
 log = logging.getLogger(__name__)
 
 SWEEP_AXES = ("recirculations", "launch_power_dbm", "snr_db")
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader follows YAML 1.1, which reads a number whose
+    exponent has no sign (``60.0e9``, ``1e5``) as a string; this one reads
+    it as a float, as YAML 1.2 does."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
+               r"[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,7 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
@@ -129,9 +143,10 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     link = _build(LinkConfig, raw.pop("link", {}), "link")
     pipe = _build(PipelineConfig, raw.pop("pipeline", {}), "pipeline")
 
-    sweep = raw.pop("sweep", None)
+    # no sweep: ExperimentConfig's default point (`characterize` needs none)
+    sweep = raw.pop("sweep", {"recirculations": [1]})
     if not isinstance(sweep, dict) or not sweep:
-        raise ConfigError("config must contain a 'sweep' mapping")
+        raise ConfigError("sweep must be a mapping naming one axis")
     axes = [a for a in sweep if a in SWEEP_AXES]
     if len(axes) != 1 or set(sweep) - set(SWEEP_AXES):
         raise ConfigError(

@@ -66,7 +66,7 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
     """
     f_in, f_out, _, _ = _aligned_pair(f_in, f_out, cfg)
     _, state = fde_lms_equalize(f_in, f_out, cfg, with_output=False)
-    return MimoChannel(state.channel, cfg.target_rate / state.block_size)
+    return MimoChannel(state.channel, cfg.target_rate / cfg.block_size)
 
 
 def mdl_from_channel(channel: MimoChannel,

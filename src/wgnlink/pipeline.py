@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import (LinkConfig, MimoChannel, _apply_dispersion,
+from .channel import (LinkConfig, MimoChannel, _check_types,
                       _dispersion_response)
 from .errors import AlignmentError
 from .signals import MimoSignal, _gaussian_response, _resample_spectrum
@@ -50,13 +50,8 @@ class EqualizerState:
     the channel estimate."""
 
     taps: np.ndarray          # (block_size, M, M) complex, FFT ordering
-    block_size: int
     channel: np.ndarray       # (block_size, M, M) complex, FFT ordering
     error_trace: list = field(default_factory=list)  # per-block NMSE, dB
-
-    def __post_init__(self):
-        if self.block_size < 2 or self.block_size & (self.block_size - 1):
-            raise ValueError("block_size must be a power of two >= 2")
 
 
 @dataclass(frozen=True)
@@ -76,6 +71,7 @@ class PipelineConfig:
     align_threshold: float = 10.0
 
     def __post_init__(self):
+        _check_types(self)
         if self.target_rate <= 0:
             raise ValueError("target_rate must be positive")
         if self.filter_bw is not None and self.filter_bw <= 0:
@@ -91,6 +87,8 @@ class PipelineConfig:
             raise ValueError("lms_step must be positive")
         if self.block_size < 2 or self.block_size & (self.block_size - 1):
             raise ValueError("block_size must be a power of two >= 2")
+        if self.align_max_lag < 1:
+            raise ValueError("align_max_lag must be >= 1")
 
     @property
     def assumed_baud(self) -> float:
@@ -183,14 +181,6 @@ def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
             start_in)
 
 
-def apply_edc(signal: MimoSignal, dispersion_coeff: float, length_km: float,
-              wavelength_nm: float) -> MimoSignal:
-    """Electronic dispersion compensation: exact inverse of
-    :func:`wgnlink.channel.apply_chromatic_dispersion`."""
-    return _apply_dispersion(signal, dispersion_coeff, length_km,
-                             wavelength_nm, sign=-1.0)
-
-
 def _front_end(sig: MimoSignal, cfg: PipelineConfig,
                link: Optional[LinkConfig] = None, edc_km: float = 0.0
                ) -> tuple[MimoSignal, Optional[np.ndarray]]:
@@ -198,9 +188,11 @@ def _front_end(sig: MimoSignal, cfg: PipelineConfig,
     Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
     given, EDC of `edc_km` of its fiber.
 
-    Equal to ``apply_edc(gaussian_filter(resample(.)))`` per tributary.
-    Returns the output and its (M, n) spectrum; a capture already at the
-    target rate with no stage asked for passes through as ``(sig, None)``.
+    One FFT, then the spectrum is cut or zero-padded to the new rate
+    (:func:`wgnlink.signals._resample_spectrum`) and multiplied by the filter
+    and EDC responses before one inverse FFT.  Returns the output and its
+    (M, n) spectrum; a capture already at the target rate with no stage
+    asked for passes through as ``(sig, None)``.
     """
     rate = cfg.target_rate
     if sig.sample_rate == rate and cfg.filter_bw is None and link is None:
@@ -306,7 +298,7 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
             trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
         f_eq = MimoSignal(out, f_in.sample_rate)
 
-    state = EqualizerState(taps=taps, block_size=block, channel=channel,
+    state = EqualizerState(taps=taps, channel=channel,
                            error_trace=[float(v) for v in trace])
     return f_eq, state
 
@@ -389,7 +381,7 @@ def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
                                                      cfg, link, edc_km)
     f_eq, state = fde_lms_equalize(f_in, f_out, cfg)
     f_eq = phase_recovery(f_in, f_eq, cfg.phase_window)
-    block = state.block_size
+    block = cfg.block_size
     fiber = _dispersion_response(block, rate, link.dispersion_coeff, edc_km,
                                  link.center_wavelength, +1.0)
     return PipelineResult(f_in=f_in, f_eq=f_eq, state=state,

@@ -1,4 +1,6 @@
-"""Complex baseband signal containers, WGN generation, resampling and filtering.
+"""Complex baseband signal containers, WGN generation, the capture file
+format, and the spectral resampler and filter response of the receiver
+front end (:func:`wgnlink.pipeline._front_end`).
 
 Everything downstream works on :class:`ComplexSignal` (one tributary) or
 :class:`MimoSignal` (M co-timed tributaries held as one complex (M, N)
@@ -106,24 +108,6 @@ def generate_wgn_mimo(n_tributaries: int, n_samples: int, sample_rate: float,
     return MimoSignal(data, sample_rate)
 
 
-def resample(signal: ComplexSignal, new_rate: float) -> ComplexSignal:
-    """FFT-based (exact band-limited) rate conversion to an arbitrary rate.
-
-    Output length is ``round(len * new_rate / old_rate)``; spectral content
-    below the smaller Nyquist frequency is preserved.
-    """
-    if new_rate <= 0:
-        raise ValueError("new_rate must be positive")
-    n = len(signal)
-    if n == 0:
-        return ComplexSignal(np.empty(0, dtype=complex), new_rate)
-    n_out = int(round(n * new_rate / signal.sample_rate))
-    if n_out == n:
-        return ComplexSignal(signal.samples.copy(), new_rate)
-    spec = _resample_spectrum(np.fft.fft(signal.samples), n_out)
-    return ComplexSignal(np.fft.ifft(spec), new_rate)
-
-
 def _resample_spectrum(spec: np.ndarray, n_out: int) -> np.ndarray:
     """Cut or zero-pad the FFT `spec` (last axis) to `n_out` bins, scaled so
     that its inverse FFT is the resampled signal.
@@ -152,42 +136,18 @@ def _resample_spectrum(spec: np.ndarray, n_out: int) -> np.ndarray:
     return out
 
 
-def gaussian_filter(signal: ComplexSignal, bandwidth_3db: float,
-                    order: int = 4) -> ComplexSignal:
-    """Zero-phase frequency-domain Gaussian filter.
-
-    |H(f)| = exp(-ln2/2 * (|f|/B)^(2k)) with B the single-sided 3-dB
-    cutoff and k the order; H(0) = 1 exactly.
-    """
-    n = len(signal)
-    h = _gaussian_response(n, signal.sample_rate, bandwidth_3db, order)
-    if n == 0:
-        return signal
-    out = np.fft.ifft(np.fft.fft(signal.samples) * h)
-    return ComplexSignal(out, signal.sample_rate)
-
-
 def _gaussian_response(n: int, sample_rate: float, bandwidth_3db: float,
                        order: int) -> np.ndarray:
-    """The :func:`gaussian_filter` response on the FFT grid of `n` samples at
-    `sample_rate`; warns when the bandwidth exceeds Nyquist."""
-    if bandwidth_3db <= 0:
-        raise ValueError("bandwidth_3db must be positive")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    """Zero-phase Gaussian filter response on the FFT grid of `n` samples at
+    `sample_rate`: |H(f)| = exp(-ln2/2 * (|f|/B)^(2k)) with B the
+    single-sided 3-dB cutoff and k the order, so H(0) = 1 exactly.  Warns
+    when the bandwidth exceeds Nyquist."""
     if bandwidth_3db > sample_rate / 2:
         warnings.warn("filter bandwidth exceeds Nyquist; applying as-is",
                       stacklevel=3)
     f = np.fft.fftfreq(n, d=1.0 / sample_rate)
     return np.exp(-0.5 * np.log(2.0) * (np.abs(f) / bandwidth_3db)
                   ** (2 * order))
-
-
-def measure_power(signal: ComplexSignal) -> float:
-    """Mean of |sample|^2."""
-    if len(signal) == 0:
-        raise ValueError("cannot measure power of an empty signal")
-    return float(np.mean(np.abs(signal.samples) ** 2))
 
 
 def write_signal(f: BinaryIO, signal: MimoSignal) -> None:

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
-                             MimoChannel, MultiSectionModel, add_awgn,
-                             apply_channel,
-                             apply_chromatic_dispersion,
+                             MimoChannel, MultiSectionModel,
+                             _dispersion_response, add_awgn, apply_channel,
                              apply_frequency_offset, apply_phase_noise,
                              dispersion_phase, run_link,
                              span_noise_power_ratio, synthesize_mimo_channel)
-from wgnlink.pipeline import apply_edc
+from wgnlink.pipeline import PipelineConfig, _front_end
 from wgnlink.signals import MimoSignal, generate_wgn_mimo
 
 
@@ -21,11 +20,18 @@ def _nmse_db(est, ref):
                          / np.sum(np.abs(ref) ** 2))
 
 
+def _disperse(sig: MimoSignal, cfg: LinkConfig) -> MimoSignal:
+    """One span of the fiber's dispersion, as a spectral multiply."""
+    rot = _dispersion_response(len(sig), sig.sample_rate, cfg.dispersion_coeff,
+                               cfg.span_length, cfg.center_wavelength, +1.0)
+    return MimoSignal(np.fft.ifft(np.fft.fft(sig.data, axis=1) * rot, axis=1),
+                      sig.sample_rate)
+
+
 class TestDispersion:
     def test_zero_length_is_identity(self):
-        sig = generate_wgn_mimo(2, 4096, 40e9, 1.0, seed=1)
-        out = apply_chromatic_dispersion(sig, 17.0, 0.0, 1550.0)
-        assert np.allclose(out.as_array(), sig.as_array(), atol=1e-12)
+        rot = _dispersion_response(4096, 40e9, 17.0, 0.0, 1550.0, +1.0)
+        assert np.array_equal(rot, np.ones(4096))
 
     def test_phase_oracle(self):
         # independently evaluated: pi * lambda0^2 * D * L * f^2 / c
@@ -38,15 +44,13 @@ class TestDispersion:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_edc_inverts_forward(self):
-        sig = generate_wgn_mimo(2, 16384, 60e9, 1.0, seed=2)
-        disp = apply_chromatic_dispersion(sig, 17.0, 78.0, 1550.0)
-        back = apply_edc(disp, 17.0, 78.0, 1550.0)
-        assert _nmse_db(back.as_array(), sig.as_array()) < -100
+        fiber, edc = (_dispersion_response(16384, 60e9, 17.0, 78.0, 1550.0,
+                                           sign) for sign in (+1.0, -1.0))
+        assert np.max(np.abs(fiber * edc - 1.0)) < 1e-12
 
     def test_invalid_wavelength(self):
-        sig = generate_wgn_mimo(2, 64, 60e9, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            apply_chromatic_dispersion(sig, 17.0, 78.0, 0.0)
+        with pytest.raises(ValueError, match="wavelength"):
+            _dispersion_response(64, 60e9, 17.0, 78.0, 0.0, +1.0)
 
 
 class TestSynthesizeChannel:
@@ -54,7 +58,6 @@ class TestSynthesizeChannel:
         ch = synthesize_mimo_channel(2, 0.0, 0.0, 256, 1e8, seed=3)
         sv = np.linalg.svd(ch.matrices, compute_uv=False)
         assert np.all(np.abs(sv - 1.0) < 1e-9)
-        assert ch.is_unitary()
 
     def test_mdl_ratio_exact(self):
         ch = synthesize_mimo_channel(2, 6.0206, 0.0, 128, 1e8, seed=4)
@@ -232,8 +235,9 @@ class TestRunLink:
         cfg = LinkConfig(span_snr_db=float("inf"), nlin_coeff=0.0)
         sig = generate_wgn_mimo(2, 65536, 40e9, 1.0, seed=19)
         out = run_link(sig, cfg, 3, seed=6)
-        back = apply_edc(out, cfg.dispersion_coeff, 3 * cfg.span_length,
-                         cfg.center_wavelength)
+        back, _ = _front_end(out, PipelineConfig(target_rate=40e9,
+                                                 filter_bw=None),
+                             cfg, 3 * cfg.span_length)
         assert _nmse_db(back.as_array(), sig.as_array()) < -80
 
     def test_deterministic(self):
@@ -258,10 +262,7 @@ class TestRunLink:
                                         n, rate / n)
         ref = sig
         for _ in range(3):
-            ref = apply_chromatic_dispersion(ref, cfg.dispersion_coeff,
-                                             cfg.span_length,
-                                             cfg.center_wavelength)
-            ref = apply_channel(ref, channel)
+            ref = apply_channel(_disperse(ref, cfg), channel)
         np.testing.assert_allclose(out.as_array(), ref.as_array(), rtol=0,
                                    atol=1e-10)
 
@@ -269,9 +270,7 @@ class TestRunLink:
         cfg = LinkConfig(span_snr_db=20.0, nlin_coeff=0.0)
         sig = generate_wgn_mimo(2, 400_000, 40e9, 1.0, seed=23)
         out = run_link(sig, cfg, 1, seed=12)
-        clean = apply_chromatic_dispersion(sig, cfg.dispersion_coeff,
-                                           cfg.span_length,
-                                           cfg.center_wavelength).as_array()
+        clean = _disperse(sig, cfg).as_array()
         noise = out.as_array() - clean
         ratio = np.mean(np.abs(noise) ** 2) / np.mean(np.abs(clean) ** 2)
         assert ratio == pytest.approx(0.01, rel=0.02)

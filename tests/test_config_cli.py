@@ -48,6 +48,8 @@ n_samples: 40000
 mi_max_symbols: 10000
 """
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="workers see the patched point function only when forked")
@@ -104,6 +106,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="line"):
             validate_config(_write(tmp_path, "sweep: [\n  bad"))
 
+    def test_readme_example_validates(self, tmp_path):
+        # the config block the README documents, read from the README itself
+        block = README.read_text().split("```yaml\n", 1)[1].split("```")[0]
+        cfg = validate_config(_write(tmp_path, block))
+        assert cfg.pipeline.target_rate == 60e9
+        assert cfg.pipeline.filter_bw == 15e9
+        assert cfg.capture_rate == 40e9
+        assert cli.main(["validate", "--config", _write(tmp_path, block)]) == 0
+
     def test_sweep_point_link_override(self):
         cfg = ExperimentConfig(sweep_axis="launch_power_dbm",
                                sweep_values=(-3.0, 0.0), seeds=(1,))
@@ -138,6 +149,30 @@ class TestCliVerbs:
     def test_bad_pipeline_value_is_exit_1(self, tmp_path, key, value):
         text = f"pipeline:\n  {key}: {value}\n" + MINIMAL
         cfg = _write(tmp_path, text)
+        with pytest.raises(ConfigError, match=key):
+            validate_config(cfg)
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert cli.main(["simulate", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--no-plots"]) == 1
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pipeline", "align_max_lag", "0"),
+        ("pipeline", "align_max_lag", "-5"),
+        ("link", "lo_linewidth", "-1"),
+        ("link", "center_wavelength", "0"),
+        ("pipeline", "phase_window", "2.5"),
+        ("pipeline", "oversampling", "1.5"),
+        ("link", "n_modes", "2.0"),
+        ("link", "n_sections", "true"),
+        ("link", "launch_power_dbm", "true"),
+        ("link", "lo_linewidth", "'1.0e5'"),
+        ("link", "span_length", "abc"),
+        ("pipeline", "target_rate", "'60e9'"),
+        ("pipeline", "filter_bw", "'15e9'"),
+    ])
+    def test_bad_section_value_is_exit_1(self, tmp_path, section, key,
+                                         value):
+        cfg = _write(tmp_path, f"{section}:\n  {key}: {value}\n" + MINIMAL)
         with pytest.raises(ConfigError, match=key):
             validate_config(cfg)
         assert cli.main(["validate", "--config", cfg]) == 1
@@ -263,6 +298,18 @@ class TestCliVerbs:
         assert rc == 0
         assert (out / "mdl_capture.csv").exists()
         assert (out / "impulse_capture.csv").exists()
+
+    def test_characterize_needs_no_sweep(self, tmp_path):
+        # the verb reads only the config's pipeline section
+        fi = tmp_path / "in.bin"
+        with open(fi, "wb") as f:
+            write_signal(f, generate_wgn_mimo(2, 40_000, 60e9, 1.0, seed=5))
+        out = tmp_path / "char"
+        rc = cli.main(["characterize", "--input", str(fi), "--output",
+                       str(fi), "--out", str(out), "--no-plots", "--config",
+                       _write(tmp_path, "pipeline: {filter_bw: null}\n")])
+        assert rc == 0
+        assert (out / "mdl_capture.csv").exists()
 
     def test_characterize_unreadable_capture_exit_2(self, tmp_path):
         bad = tmp_path / "junk.bin"

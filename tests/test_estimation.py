@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from wgnlink import estimation
-from wgnlink.channel import (MimoChannel, add_awgn, apply_channel,
-                             apply_chromatic_dispersion, dispersion_phase,
+from wgnlink.channel import (MimoChannel, _dispersion_response, add_awgn,
+                             apply_channel, dispersion_phase,
                              synthesize_mimo_channel)
 from wgnlink.estimation import (compare_channels, estimate_channel,
                                 impulse_response_from_channel,
                                 mdl_from_channel)
 from wgnlink.pipeline import PipelineConfig, fde_lms_equalize
-from wgnlink.signals import generate_wgn_mimo
+from wgnlink.signals import MimoSignal, generate_wgn_mimo
 
 BLOCK = 4096
 RATE = 60e9
@@ -60,7 +60,9 @@ class TestEstimateChannel:
 
     def test_pure_dispersion_phase_profile(self):
         sig = generate_wgn_mimo(2, 400_000, RATE, 1.0, seed=5)
-        out = apply_chromatic_dispersion(sig, 17.0, 78.0, 1550.0)
+        rot = _dispersion_response(len(sig), RATE, 17.0, 78.0, 1550.0, +1.0)
+        out = MimoSignal(np.fft.ifft(np.fft.fft(sig.data, axis=1) * rot,
+                                     axis=1), RATE)
         cfg = PipelineConfig(lms_step=0.4, lms_passes=4)
         est = estimate_channel(sig, out, cfg)
         freqs = est.frequencies

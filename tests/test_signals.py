@@ -1,4 +1,5 @@
-"""Tests for signal containers, WGN generation, resampling, and filtering."""
+"""Tests for signal containers, WGN generation, the front end's resampler
+and filter response, and the capture format."""
 
 import io
 
@@ -9,10 +10,22 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 from scipy import stats
 
+from wgnlink.pipeline import PipelineConfig, _front_end
 from wgnlink.runner import generate_qam16_mimo
-from wgnlink.signals import (ComplexSignal, MimoSignal, gaussian_filter,
-                             generate_wgn, generate_wgn_mimo, measure_power,
-                             read_signal, resample, write_signal)
+from wgnlink.signals import (ComplexSignal, MimoSignal, _gaussian_response,
+                             _resample_spectrum, generate_wgn,
+                             generate_wgn_mimo, read_signal, write_signal)
+
+
+def _power(x: np.ndarray) -> float:
+    return float(np.mean(np.abs(x) ** 2))
+
+
+def _front(sig: MimoSignal, rate: float, filter_bw=None, order=4) -> np.ndarray:
+    """The receiver front end, without EDC, as an (M, N) array at `rate`."""
+    cfg = PipelineConfig(target_rate=rate, filter_bw=filter_bw,
+                         filter_order=order)
+    return _front_end(sig, cfg)[0].data
 
 
 class TestComplexSignal:
@@ -76,7 +89,7 @@ class TestGenerateWgn:
 
     def test_mean_power_within_one_percent(self):
         sig = generate_wgn(1_000_000, 40e9, 1.0, seed=3)
-        assert measure_power(sig) == pytest.approx(1.0, rel=0.01)
+        assert _power(sig.samples) == pytest.approx(1.0, rel=0.01)
 
     def test_component_variances(self):
         sig = generate_wgn(500_000, 1.0, 2.0, seed=5)
@@ -115,27 +128,24 @@ class TestGenerateWgn:
         n = 20_000
         sig = generate_wgn(n, 1.0, p, seed=seed)
         # mean of |s|^2 has std p/sqrt(n); allow 4 sigma
-        assert abs(measure_power(sig) - p) < 4 * p / np.sqrt(n)
+        assert abs(_power(sig.samples) - p) < 4 * p / np.sqrt(n)
 
 
 class TestResample:
     def test_40_to_60_length(self):
-        sig = generate_wgn(8_000, 40e9, 1.0, seed=1)
-        out = resample(sig, 60e9)
-        assert len(out) == 12_000
-        assert out.sample_rate == 60e9
+        sig = generate_wgn_mimo(2, 8_000, 40e9, 1.0, seed=1)
+        assert _front(sig, 60e9).shape == (2, 12_000)
 
     def test_identity(self):
-        sig = generate_wgn(5_000, 40e9, 1.0, seed=1)
-        out = resample(sig, 40e9)
-        assert np.allclose(out.samples, sig.samples, rtol=1e-12, atol=0)
+        spec = np.fft.fft(generate_wgn(5_000, 40e9, 1.0, seed=1).samples)
+        assert _resample_spectrum(spec, 5_000) is spec
 
     def test_tone_preserved_images_suppressed(self):
         n = 4096
         t = np.arange(n) / 40e9
-        sig = ComplexSignal(np.exp(2j * np.pi * 5e9 * t), 40e9)
-        out = resample(sig, 60e9)
-        spec = np.abs(np.fft.fft(out.samples))
+        sig = MimoSignal(np.exp(2j * np.pi * 5e9 * t)[None, :], 40e9)
+        out = _front(sig, 60e9)[0]
+        spec = np.abs(np.fft.fft(out))
         freqs = np.fft.fftfreq(len(out), d=1 / 60e9)
         peak_bin = int(np.argmax(spec))
         assert freqs[peak_bin] == pytest.approx(5e9, rel=1e-3)
@@ -144,12 +154,12 @@ class TestResample:
 
     def test_round_trip_nmse(self):
         # 40 -> 60 -> 40 GS/s reproduces the in-band signal, NMSE < -50 dB
-        sig = generate_wgn(60_000, 40e9, 1.0, seed=9)
-        back = resample(resample(sig, 60e9), 40e9)
-        err = back.samples - sig.samples
+        sig = generate_wgn_mimo(1, 60_000, 40e9, 1.0, seed=9)
+        back = _front(MimoSignal(_front(sig, 60e9), 60e9), 40e9)
+        err = back - sig.data
         # exclude a small edge region (FFT resampling rings at the boundaries)
-        sl = slice(500, -500)
-        nmse = np.mean(np.abs(err[sl]) ** 2) / np.mean(np.abs(sig.samples[sl]) ** 2)
+        sl = (0, slice(500, -500))
+        nmse = _power(err[sl]) / _power(sig.data[sl])
         assert 10 * np.log10(nmse) < -50
 
     # (n, n_out): the shorter length even (unpaired Nyquist bin split or
@@ -158,20 +168,11 @@ class TestResample:
                                           (1001, 1500), (1500, 1001),
                                           (1000, 1000), (1001, 1001)])
     def test_matches_scipy(self, n, n_out):
-        sig = generate_wgn(n, 40e9, 1.0, seed=n + n_out)
-        out = resample(sig, 40e9 * n_out / n)
-        ref = sp_signal.resample(sig.samples, n_out)
+        x = generate_wgn(n, 40e9, 1.0, seed=n + n_out).samples
+        out = np.fft.ifft(_resample_spectrum(np.fft.fft(x), n_out))
+        ref = sp_signal.resample(x, n_out)
         assert len(out) == n_out
-        assert np.max(np.abs(out.samples - ref)) < 1e-12 * np.max(np.abs(ref))
-
-    def test_empty_input(self):
-        sig = ComplexSignal(np.empty(0, dtype=complex), 40e9)
-        assert len(resample(sig, 60e9)) == 0
-
-    def test_invalid_rate(self):
-        sig = generate_wgn(10, 1.0, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            resample(sig, -1.0)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestQam16Waveform:
@@ -183,11 +184,11 @@ class TestQam16Waveform:
         wave, sym = generate_qam16_mimo(2, n_sym, 30e9, 1.0, seed=5)
         direct, sym_d = generate_qam16_mimo(2, n_sym, 30e9, 1.0, seed=5,
                                             sample_rate=rate)
-        ref = MimoSignal(np.array([resample(t, rate).samples
-                                   for t in wave.tributaries]), rate)
+        n_out = round(len(wave) * rate / wave.sample_rate)
+        b = sp_signal.resample(wave.data, n_out, axis=1)
         assert direct.sample_rate == rate
         assert np.array_equal(sym, sym_d)
-        a, b = direct.as_array(), ref.as_array()
+        a = direct.as_array()
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
@@ -200,56 +201,36 @@ class TestQam16Waveform:
 
 class TestGaussianFilter:
     def test_dc_unit_gain(self):
-        sig = ComplexSignal(np.ones(1024, dtype=complex), 60e9)
-        out = gaussian_filter(sig, 15e9, order=4)
-        assert np.allclose(out.samples, 1.0, atol=1e-12)
+        sig = MimoSignal(np.ones((1, 1024), dtype=complex), 60e9)
+        assert np.allclose(_front(sig, 60e9, 15e9), 1.0, atol=1e-12)
 
     def test_half_power_at_cutoff(self):
         n = 6000
         b = 15e9
         t = np.arange(n) / 60e9
-        sig = ComplexSignal(np.exp(2j * np.pi * b * t), 60e9)
-        out = gaussian_filter(sig, b, order=4)
-        assert measure_power(out) == pytest.approx(0.5, rel=1e-6)
+        sig = MimoSignal(np.exp(2j * np.pi * b * t)[None, :], 60e9)
+        assert _power(_front(sig, 60e9, b)) == pytest.approx(0.5, rel=1e-6)
 
     def test_idempotent_shape(self):
         # filtering twice equals one filter with |H|^2 (frequency domain)
-        sig = generate_wgn(4096, 60e9, 1.0, seed=4)
-        twice = gaussian_filter(gaussian_filter(sig, 10e9, 3), 10e9, 3)
+        sig = generate_wgn_mimo(1, 4096, 60e9, 1.0, seed=4)
+        once = MimoSignal(_front(sig, 60e9, 10e9, 3), 60e9)
+        twice = _front(once, 60e9, 10e9, 3)
         f = np.fft.fftfreq(4096, d=1 / 60e9)
         h2 = np.exp(-0.5 * np.log(2) * (np.abs(f) / 10e9) ** 6) ** 2
-        direct = np.fft.ifft(np.fft.fft(sig.samples) * h2)
-        assert np.max(np.abs(twice.samples - direct)) < 1e-10
+        direct = np.fft.ifft(np.fft.fft(sig.data) * h2)
+        assert np.max(np.abs(twice - direct)) < 1e-10
 
     def test_bandwidth_above_nyquist_warns(self):
-        sig = generate_wgn(256, 10e9, 1.0, seed=0)
         with pytest.warns(UserWarning):
-            gaussian_filter(sig, 8e9, 4)
+            _gaussian_response(256, 10e9, 8e9, 4)
 
     def test_invalid_arguments(self):
-        sig = generate_wgn(16, 1.0, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            gaussian_filter(sig, 0.0)
-        with pytest.raises(ValueError):
-            gaussian_filter(sig, 0.1, order=0)
-
-
-class TestMeasurePower:
-    def test_unit_samples(self):
-        sig = ComplexSignal(np.ones(100, dtype=complex), 1.0)
-        assert measure_power(sig) == 1.0
-
-    def test_zero_samples(self):
-        sig = ComplexSignal(np.zeros(100, dtype=complex), 1.0)
-        assert measure_power(sig) == 0.0
-
-    def test_wgn_power(self):
-        sig = generate_wgn(1_000_000, 1.0, 2.0, seed=6)
-        assert measure_power(sig) == pytest.approx(2.0, rel=0.01)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            measure_power(ComplexSignal(np.empty(0, dtype=complex), 1.0))
+        # the front end's config owns the filter's argument checks
+        with pytest.raises(ValueError, match="filter_bw"):
+            PipelineConfig(filter_bw=0.0)
+        with pytest.raises(ValueError, match="filter_order"):
+            PipelineConfig(filter_order=0)
 
 
 class TestBinaryFormat:
