@@ -96,6 +96,10 @@ class LinkConfig:
             raise ValueError("mdl_per_span must be >= 0")
         if self.lo_linewidth < 0:
             raise ValueError("lo_linewidth must be >= 0")
+        if self.nlin_coeff < 0:
+            raise ValueError("nlin_coeff must be >= 0")
+        if self.n_sections < 1:
+            raise ValueError("n_sections must be >= 1")
 
 
 def _check_types(cfg) -> None:

@@ -79,6 +79,11 @@ class ExperimentConfig:
             if not (_is_number(v) and v > 0):
                 raise ConfigError(f"{name} must be a positive number, "
                                   f"got {v!r}")
+        if abs(self.link.frequency_offset) >= self.capture_rate / 2:
+            raise ConfigError(
+                f"link.frequency_offset {self.link.frequency_offset:g} Hz "
+                f"must be below half the capture_rate "
+                f"{self.capture_rate:g} Hz")
         if len(self.seeds) == 0:
             raise ConfigError("need at least one seed")
         for s in self.seeds:

@@ -181,6 +181,11 @@ def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
             start_in)
 
 
+def _front_end_length(sig: MimoSignal, cfg: PipelineConfig) -> int:
+    """Samples of `sig` after :func:`_front_end`'s rate conversion."""
+    return int(round(len(sig) * cfg.target_rate / sig.sample_rate))
+
+
 def _front_end(sig: MimoSignal, cfg: PipelineConfig,
                link: Optional[LinkConfig] = None, edc_km: float = 0.0
                ) -> tuple[MimoSignal, Optional[np.ndarray]]:
@@ -197,7 +202,7 @@ def _front_end(sig: MimoSignal, cfg: PipelineConfig,
     rate = cfg.target_rate
     if sig.sample_rate == rate and cfg.filter_bw is None and link is None:
         return sig, None
-    n_out = int(round(len(sig) * rate / sig.sample_rate))
+    n_out = _front_end_length(sig, cfg)
     spec = _resample_spectrum(np.fft.fft(sig.data, axis=1), n_out)
     if cfg.filter_bw is not None:
         spec *= _gaussian_response(n_out, rate, cfg.filter_bw,
@@ -215,15 +220,17 @@ def _aligned_pair(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
     """Both captures through :func:`_front_end` (EDC on `f_out_raw` only),
     aligned from their spectra over a lag range cut to the shorter one, and
     trimmed: returns ``(f_in, f_out, trim offset, alignment)``.  A capture
-    under four samples leaves no off-peak lag and raises ValueError."""
+    under four samples at the target rate leaves no off-peak lag and raises
+    ValueError before any transform."""
     if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
         raise ValueError("capture tributary counts differ")
-    f_in, spec_in = _front_end(f_in_raw, cfg)
-    f_out, spec_out = _front_end(f_out_raw, cfg, link, edc_km)
-    n = min(len(f_in), len(f_out))
+    n = min(_front_end_length(f_in_raw, cfg),
+            _front_end_length(f_out_raw, cfg))
     if n < 4:
         raise ValueError(f"a capture of {n} samples is too short to align "
                          "(need at least 4)")
+    f_in, spec_in = _front_end(f_in_raw, cfg)
+    f_out, spec_out = _front_end(f_out_raw, cfg, link, edc_km)
     max_lag = min(cfg.align_max_lag, n // 2 - 1)
     alignment = align_by_crosscorrelation(f_in, f_out, max_lag,
                                           cfg.align_threshold,

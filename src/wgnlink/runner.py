@@ -18,13 +18,13 @@ from typing import Optional
 import numpy as np
 
 from . import svgplot
-from .channel import run_link
+from .channel import MimoChannel, run_link
 from .config import ExperimentConfig
-from .estimation import estimate_channel, impulse_response_from_channel, \
-    mdl_from_channel
+from .estimation import (ImpulseResponse, MdlSpectrum, estimate_channel,
+                         impulse_response_from_channel, mdl_from_channel)
 from .metrics import (build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .signals import (ComplexSignal, MimoSignal, _resample_spectrum,
                       generate_wgn_mimo)
 
@@ -43,42 +43,59 @@ def _point_seed(seed: int, value) -> int:
 def _wgn_point(cfg: ExperimentConfig, value, seed: int,
                characterize: bool) -> dict:
     """One sweep point x seed: full WGN capture, link, pipeline, metrics."""
-    link, n_rec = cfg.link_for(value)
-    f_in = generate_wgn_mimo(link.n_modes, cfg.n_samples, cfg.capture_rate,
+    f_in = generate_wgn_mimo(cfg.link.n_modes, cfg.n_samples, cfg.capture_rate,
                              cfg.mean_power, seed)
-    f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
-    result = run_pipeline(f_in, f_out, link, cfg.pipeline,
-                          n_recirculations=n_rec)
+    result = _receive(cfg, value, seed, f_in, cfg.pipeline)
     osr, limit = cfg.pipeline.oversampling, cfg.mi_max_symbols
     rate = result.f_in.sample_rate / osr
     rings = build_ring_constellation(cfg.n_rings, cfg.mean_power)
-    rows = []
-    for m in range(result.f_in.n_tributaries):
-        ref_d = ComplexSignal(result.f_in.data[m, ::osr][:limit], rate)
-        eq_d = ComplexSignal(result.f_eq.data[m, ::osr][:limit], rate)
-        mi = estimate_mi(ref_d, eq_d, rings)
-        if mi >= np.log2(rings.n_points):
-            log.warning("sweep value %s seed %s tributary %d: MI at the "
-                        "clamp log2(64 * n_rings) = %.2f bits (n_rings=%d)",
-                        value, seed, m, mi, cfg.n_rings)
-        rows.append({
-            "signal": "wgn", "sweep_axis": cfg.sweep_axis,
-            "sweep_value": value,
-            "distance_km": n_rec * link.span_length,
-            "launch_power_dbm": link.launch_power_dbm,
-            "seed": seed, "tributary": m,
-            "bits_per_symbol": mi,
-            "assumed_baud": cfg.pipeline.assumed_baud,
-            "snr_db": estimate_snr(ref_d, eq_d),
-        })
+    pairs = ((ComplexSignal(ref[::osr][:limit], rate),
+              ComplexSignal(eq[::osr][:limit], rate))
+             for ref, eq in zip(result.f_in.data, result.f_eq.data))
+    rows = _tributary_rows(cfg, "wgn", value, seed, pairs,
+                           lambda ref, eq: estimate_mi(ref, eq, rings))
+    cap = np.log2(rings.n_points)
+    for m in (r["tributary"] for r in rows if r["bits_per_symbol"] >= cap):
+        log.warning("sweep value %s seed %s tributary %d: MI at the "
+                    "clamp log2(64 * n_rings) = %.2f bits (n_rings=%d)",
+                    value, seed, m, cap, cfg.n_rings)
     out = {"rows": rows}
     if characterize:
-        band = cfg.pipeline.filter_bw
-        mdl = mdl_from_channel(result.channel, band_edge=band)
-        ir = impulse_response_from_channel(result.channel, band_edge=band)
-        out["mdl"] = (mdl.frequencies[mdl.valid], mdl.mdl_db[mdl.valid])
-        out["impulse"] = (ir.delays, ir.taps, ir.dynamic_range_db)
+        out["characterization"] = _characterize(result.channel,
+                                                cfg.pipeline.filter_bw)
     return out
+
+
+def _receive(cfg: ExperimentConfig, value, seed: int, f_in: MimoSignal,
+             pipe: PipelineConfig) -> PipelineResult:
+    """The sweep point's link, then the receive chain `pipe`."""
+    link, n_rec = cfg.link_for(value)
+    f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
+    return run_pipeline(f_in, f_out, link, pipe, n_recirculations=n_rec)
+
+
+def _tributary_rows(cfg: ExperimentConfig, signal: str, value, seed: int,
+                    pairs, mi) -> list[dict]:
+    """One `MI_COLUMNS` row per (reference, received) pair of symbol-rate
+    signals; ``mi(reference, received)`` gives the bits per symbol."""
+    link, n_rec = cfg.link_for(value)
+    return [{"signal": signal, "sweep_axis": cfg.sweep_axis,
+             "sweep_value": value,
+             "distance_km": n_rec * link.span_length,
+             "launch_power_dbm": link.launch_power_dbm,
+             "seed": seed, "tributary": m,
+             "bits_per_symbol": mi(ref, eq),
+             "assumed_baud": cfg.pipeline.assumed_baud,
+             "snr_db": estimate_snr(ref, eq)}
+            for m, (ref, eq) in enumerate(pairs)]
+
+
+def _characterize(channel: MimoChannel, band: Optional[float]
+                  ) -> tuple[MdlSpectrum, ImpulseResponse]:
+    """MDL spectrum and impulse response of a channel estimate, both cut
+    at the receive filter's band edge `band`."""
+    return (mdl_from_channel(channel, band_edge=band),
+            impulse_response_from_channel(channel, band_edge=band))
 
 
 def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
@@ -128,7 +145,6 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
 
 def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     """16QAM reference transmission through the same link and pipeline."""
-    link, n_rec = cfg.link_for(value)
     pipe = dataclasses.replace(cfg.pipeline, filter_bw=None)
     osr = pipe.oversampling
     # capture length must round-trip exactly through the rate conversion
@@ -136,33 +152,24 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     n_hi = int(round(cfg.n_samples * ratio))
     n_hi -= n_hi % (osr * 3)
     n_sym = n_hi // osr
-    f_in, symbols = generate_qam16_mimo(link.n_modes, n_sym,
+    f_in, symbols = generate_qam16_mimo(cfg.link.n_modes, n_sym,
                                         pipe.assumed_baud, cfg.mean_power,
                                         seed, osr,
                                         sample_rate=cfg.capture_rate)
-    f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
-    result = run_pipeline(f_in, f_out, link, pipe, n_recirculations=n_rec)
+    result = _receive(cfg, value, seed, f_in, pipe)
     start = result.trim_start_in
     n_avail = len(result.f_eq)
     k_first = -(-start // osr)
     k_last = (start + n_avail - 1) // osr
     ks = np.arange(k_first, min(k_last + 1, n_sym))[:cfg.mi_max_symbols]
     locs = ks * osr - start
+    baud = pipe.assumed_baud
     pts = qam16_constellation(cfg.mean_power)
-    rows = []
-    for m in range(link.n_modes):
-        y = ComplexSignal(result.f_eq.data[m, locs], pipe.assumed_baud)
-        x = symbols[m][ks]
-        rows.append({
-            "signal": "qam16", "sweep_axis": cfg.sweep_axis,
-            "sweep_value": value,
-            "distance_km": n_rec * link.span_length,
-            "launch_power_dbm": link.launch_power_dbm,
-            "seed": seed, "tributary": m,
-            "bits_per_symbol": estimate_mi_discrete(x, y, pts),
-            "assumed_baud": pipe.assumed_baud,
-            "snr_db": estimate_snr(ComplexSignal(x, pipe.assumed_baud), y),
-        })
+    pairs = ((ComplexSignal(sym[ks], baud), ComplexSignal(eq[locs], baud))
+             for sym, eq in zip(symbols, result.f_eq.data))
+    rows = _tributary_rows(
+        cfg, "qam16", value, seed, pairs,
+        lambda ref, eq: estimate_mi_discrete(ref.samples, eq, pts))
     return {"rows": rows}
 
 
@@ -176,7 +183,7 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
             characterize = kind == "wgn" and i == 0
             tasks.append((value, seed, characterize))
 
-    rows, errors, extras = [], [], {}
+    rows, errors, characterized = [], [], {}
 
     def handle(task, outcome):
         value, seed, _ = task
@@ -187,8 +194,8 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
                            "error": str(outcome) or type(outcome).__name__})
             return
         rows.extend(outcome["rows"])
-        if "mdl" in outcome:
-            extras[value] = outcome
+        if "characterization" in outcome:
+            characterized[value] = outcome["characterization"]
 
     # any per-point failure, including MemoryError or a BrokenProcessPool
     # from a killed worker, is recorded so the finished points are written
@@ -210,16 +217,12 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
     suffix = "" if kind == "wgn" else f"_{kind}"
     _write_mi_csv(out_dir / f"mi_results{suffix}.csv", rows)
     written = [f"mi_results{suffix}.csv"]
-    for value, extra in sorted(extras.items(), key=lambda kv: float(kv[0])):
-        tag = _tag(value)
-        freqs, mdl = extra["mdl"]
-        _write_mdl_csv(out_dir / f"mdl_{tag}.csv", freqs, mdl)
-        delays, taps, dyn = extra["impulse"]
-        _write_impulse_csv(out_dir / f"impulse_{tag}.csv", delays, taps, dyn)
-        written += [f"mdl_{tag}.csv", f"impulse_{tag}.csv"]
+    for value, (mdl, ir) in sorted(characterized.items(),
+                                   key=lambda kv: float(kv[0])):
+        written += _write_characterization(out_dir, _tag(value), mdl, ir)
     manifest = {
         "kind": kind,
-        "config": _config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "files": sorted(written),
         "errors": sorted(errors, key=lambda e: (str(e["sweep_value"]),
                                                 e["seed"])),
@@ -255,13 +258,8 @@ def characterize_captures(f_in: MimoSignal, f_out: MimoSignal,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     channel = estimate_channel(f_in, f_out, pipe)
-    band = pipe.filter_bw
-    mdl = mdl_from_channel(channel, band_edge=band)
-    ir = impulse_response_from_channel(channel, band_edge=band)
-    _write_mdl_csv(out_dir / "mdl_capture.csv",
-                   mdl.frequencies[mdl.valid], mdl.mdl_db[mdl.valid])
-    _write_impulse_csv(out_dir / "impulse_capture.csv", ir.delays, ir.taps,
-                       ir.dynamic_range_db)
+    _write_characterization(out_dir, "capture",
+                            *_characterize(channel, pipe.filter_bw))
     if emit_plots:
         write_plots(out_dir)
 
@@ -286,26 +284,29 @@ def _write_mi_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow([_fmt(r[c]) for c in MI_COLUMNS])
 
 
-def _write_mdl_csv(path: Path, freqs, mdl) -> None:
-    with open(path, "w", newline="") as f:
+def _write_characterization(out_dir: Path, tag: str, mdl: MdlSpectrum,
+                            ir: ImpulseResponse) -> list[str]:
+    """Write ``mdl_<tag>.csv`` (valid bins only) and ``impulse_<tag>.csv``;
+    returns their names."""
+    names = [f"mdl_{tag}.csv", f"impulse_{tag}.csv"]
+    with open(out_dir / names[0], "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frequency_hz", "mdl_db"])
-        for fr, m in zip(freqs, mdl):
+        for fr, m in zip(mdl.frequencies[mdl.valid], mdl.mdl_db[mdl.valid]):
             writer.writerow([_fmt(float(fr)), _fmt(float(m))])
-
-
-def _write_impulse_csv(path: Path, delays, taps, dynamic_range_db) -> None:
-    m = taps.shape[1]
-    with open(path, "w", newline="") as f:
+    m = ir.taps.shape[1]
+    with open(out_dir / names[1], "w", newline="") as f:
         writer = csv.writer(f)
         header = ["time_s"] + [f"power_db_{i}{j}" for i in range(m)
                                for j in range(m)]
-        writer.writerow(header + [f"# dynamic_range_db={dynamic_range_db:.2f}"])
-        power_db = 10.0 * np.log10(np.maximum(np.abs(taps) ** 2, 1e-30))
-        for k, t in enumerate(delays):
+        writer.writerow(header
+                        + [f"# dynamic_range_db={ir.dynamic_range_db:.2f}"])
+        power_db = 10.0 * np.log10(np.maximum(np.abs(ir.taps) ** 2, 1e-30))
+        for k, t in enumerate(ir.delays):
             writer.writerow([_fmt(float(t))]
                             + [_fmt(float(power_db[k, i, j]))
                                for i in range(m) for j in range(m)])
+    return names
 
 
 def _read_mi_csv(path: Path) -> list[dict]:
@@ -407,10 +408,3 @@ def _plot_impulse(out_dir: Path, csv_path: Path) -> None:
     svgplot.line_plot(str(out_dir / (csv_path.stem + ".svg")),
                       [svgplot.Series(times, total, markers=False)],
                       "Impulse response", "delay (ns)", "power (dB)")
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["link"] = dataclasses.asdict(cfg.link)
-    d["pipeline"] = dataclasses.asdict(cfg.pipeline)
-    return d

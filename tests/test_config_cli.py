@@ -169,6 +169,13 @@ class TestCliVerbs:
         ("link", "span_length", "abc"),
         ("pipeline", "target_rate", "'60e9'"),
         ("pipeline", "filter_bw", "'15e9'"),
+        # a negative eta cancels the span noise; no sections carry no DGD
+        pytest.param("link", "nlin_coeff", "-1.0\n  launch_power_dbm: 3.0",
+                     id="link-nlin_coeff-negative"),
+        pytest.param("link", "n_sections", "0\n  mdl_per_span: 0.5",
+                     id="link-n_sections-0-coupled"),
+        ("link", "frequency_offset", "25.0e9"),
+        ("link", "frequency_offset", "-20.0e9"),
     ])
     def test_bad_section_value_is_exit_1(self, tmp_path, section, key,
                                          value):
@@ -418,7 +425,8 @@ class TestOutputContracts:
         plain = runner._wgn_point(cfg, 2, 3, False)
         char = runner._wgn_point(cfg, 2, 3, True)
         assert char["rows"] == plain["rows"]
-        assert "mdl" in char and "mdl" not in plain
+        assert "characterization" in char
+        assert "characterization" not in plain
 
     def test_mi_clamp_is_logged(self, tmp_path, caplog):
         text = MINIMAL + "n_rings: 1\nlink:\n  span_snr_db: 30.0\n"
@@ -436,18 +444,24 @@ class TestOutputContracts:
         assert "sweep value 1 seed 3 tributary 0" in clamped[0]
         assert "n_rings=1" in clamped[0]
 
-    def test_rows_carry_provenance(self, tmp_path):
+    @pytest.mark.parametrize("verb, csv_name", [
+        ("simulate", "mi_results.csv"),
+        ("reference-16qam", "mi_results_qam16.csv")],
+        ids=["simulate", "reference-16qam"])
+    def test_rows_carry_provenance(self, tmp_path, verb, csv_name):
         out = tmp_path / "results"
-        cli.main(["simulate", "--config", _write(tmp_path, TINY_SWEEP),
-                  "--out", str(out), "--no-plots"])
-        lines = (out / "mi_results.csv").read_text().strip().splitlines()
-        header = lines[0].split(",")
-        for col in ("seed", "sweep_value", "tributary", "distance_km",
-                    "launch_power_dbm", "bits_per_symbol", "assumed_baud",
-                    "snr_db"):
-            assert col in header
-        # 2 sweep values x 2 seeds x 2 tributaries
-        assert len(lines) - 1 == 8
+        assert cli.main([verb, "--config", _write(tmp_path, TINY_SWEEP),
+                         "--out", str(out), "--no-plots"]) == 0
+        lines = (out / csv_name).read_text().strip().splitlines()
+        assert lines[0].split(",") == runner.MI_COLUMNS
+        # 2 sweep values x 2 seeds x 2 tributaries, each row its own
+        rows = [line.split(",") for line in lines[1:]]
+        assert sorted((r[2], r[5], r[6]) for r in rows) == [
+            (v, s, t) for v in "12" for s in "34" for t in "01"]
+        for r in rows:
+            assert r[1] == "recirculations"
+            assert float(r[3]) == 78.0 * int(r[2])  # distance_km
+            assert float(r[8]) == 30e9              # assumed_baud
 
     def test_plots_are_pure_functions_of_csv(self, tmp_path):
         out = tmp_path / "results"

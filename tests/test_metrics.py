@@ -1,10 +1,9 @@
-"""Tests for ring constellations, MI estimation, and SNR estimation."""
+"""Tests for the MI clamp, MI estimation, and SNR estimation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from wgnlink.metrics import (RingConstellation, build_ring_constellation,
                              estimate_mi, estimate_mi_discrete, estimate_snr,
@@ -50,31 +49,7 @@ class TestBuildRingConstellation:
         rings = build_ring_constellation(16)
         assert rings.n_rings == 16
         assert rings.phase_points == 64
-        assert np.all(np.diff(rings.radii) > 0)
-        assert rings.mean_power == pytest.approx(1.0, rel=1e-9)
-
-    def test_single_ring_degenerate(self):
-        rings = build_ring_constellation(1, mean_power=2.0)
-        # one equiprobable annulus: conditional mean is the Rayleigh mean,
-        # renormalized so the ring power equals mean_power
-        assert rings.radii[0] == pytest.approx(np.sqrt(2.0), rel=1e-9)
-
-    def test_two_rings_against_integration_oracle(self):
-        sigma = np.sqrt(0.5)
-        median = sigma * np.sqrt(2 * np.log(2))
-
-        def pdf(r):
-            return (r / sigma ** 2) * np.exp(-r ** 2 / (2 * sigma ** 2))
-
-        means = []
-        for a, b in ((0.0, median), (median, np.inf)):
-            num, _ = integrate.quad(lambda r: r * pdf(r), a, b)
-            den, _ = integrate.quad(pdf, a, b)
-            means.append(num / den)
-        means = np.array(means)
-        means *= np.sqrt(1.0 / np.mean(means ** 2))
-        rings = build_ring_constellation(2, 1.0)
-        assert rings.radii == pytest.approx(means, rel=1e-6)
+        assert rings.n_points == 1024
 
     def test_invalid_ring_count(self):
         with pytest.raises(ValueError):
@@ -84,16 +59,15 @@ class TestBuildRingConstellation:
     @given(n=st.integers(min_value=1, max_value=64),
            p=st.floats(min_value=0.01, max_value=50.0))
     def test_power_normalization(self, n, p):
-        rings = build_ring_constellation(n, mean_power=p)
-        assert rings.mean_power == pytest.approx(p, rel=1e-9)
+        # the clamp of a scale-invariant estimate has no power
+        assert build_ring_constellation(n, mean_power=p) == \
+            build_ring_constellation(n)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            RingConstellation(np.array([1.0, 0.5]), np.array([0.5, 0.5]), 64)
+            RingConstellation(0, 64)
         with pytest.raises(ValueError):
-            RingConstellation(np.array([0.5, 1.0]), np.array([0.6, 0.6]), 64)
-        with pytest.raises(ValueError):
-            RingConstellation(np.array([0.5, 1.0]), np.array([0.5, 0.5]), 2)
+            RingConstellation(16, 2)
 
 
 class TestEstimateMi:
@@ -102,33 +76,6 @@ class TestEstimateMi:
         sig = generate_wgn(50_000, 30e9, 1.0, seed=2)
         mi = estimate_mi(sig, sig, rings)
         assert mi == pytest.approx(np.log2(16 * 64), abs=0.01)
-
-    def test_10db_against_integration_oracle(self):
-        rings = build_ring_constellation(16, 1.0)
-        x, y = _awgn_pair(300_000, 10.0, seed=3)
-        mi = estimate_mi(x, y, rings)
-        # 2-D integration oracle for the 16x64-point constellation over AWGN;
-        # by phase symmetry one representative input per ring suffices, while
-        # the output marginal uses all 1024 points
-        nv = 0.1
-        pts = rings.points()
-        half = np.max(np.abs(pts)) + 5 * np.sqrt(nv)
-        axis = np.linspace(-half, half, 320)
-        dxdy = (axis[1] - axis[0]) ** 2
-        yy = (axis[None, :] + 1j * axis[:, None]).ravel()
-        p_y = np.zeros(yy.size)
-        for p in pts:
-            p_y += np.exp(-np.abs(yy - p) ** 2 / nv)
-        p_y /= len(pts) * np.pi * nv
-        oracle = 0.0
-        for r in rings.radii:
-            p_yx = np.exp(-np.abs(yy - r) ** 2 / nv) / (np.pi * nv)
-            mask = p_yx > 1e-300
-            oracle += np.sum(p_yx[mask]
-                             * np.log2(p_yx[mask] / p_y[mask])) * dxdy
-        oracle /= rings.n_rings
-        assert oracle == pytest.approx(np.log2(1 + 10.0), abs=0.1)
-        assert abs(mi - oracle) < 0.15
 
     def test_independent_signals_near_zero(self):
         rings = build_ring_constellation(16, 1.0)

@@ -157,12 +157,15 @@ class TestAlignment:
         assert np.shares_memory(a.data, sig.data)
         assert np.shares_memory(b.data, out.data)
 
-    @pytest.mark.parametrize("n_in, n_out", [(0, 0), (1, 1), (2, 2), (3, 3),
-                                             (1000, 1)])
-    def test_capture_too_short_to_align_named(self, n_in, n_out):
-        a = MimoSignal(np.ones((2, n_in), dtype=complex), 60e9)
-        b = MimoSignal(np.ones((2, n_out), dtype=complex), 60e9)
-        n = min(n_in, n_out)
+    @pytest.mark.parametrize("n_in, n_out, rate, n", [
+        (0, 0, 60e9, 0), (1, 1, 60e9, 1), (2, 2, 60e9, 2), (3, 3, 60e9, 3),
+        (1000, 1, 60e9, 1), (0, 0, 40e9, 0), (2, 2, 40e9, 3)],
+        ids=["0-0", "1-1", "2-2", "3-3", "1000-1", "0-0-40GSps", "2-2-40GSps"])
+    def test_capture_too_short_to_align_named(self, n_in, n_out, rate, n):
+        # n: the shorter capture's length at the 60 GS/s target rate, checked
+        # before the front end transforms either capture
+        a = MimoSignal(np.ones((2, n_in), dtype=complex), rate)
+        b = MimoSignal(np.ones((2, n_out), dtype=complex), rate)
         with pytest.raises(ValueError, match=f"capture of {n} samples"):
             pipeline._aligned_pair(a, b, PipelineConfig(filter_bw=None))
 
