@@ -102,20 +102,25 @@ class LinkConfig:
             raise ValueError("n_sections must be >= 1")
 
 
+# per annotated field type: the type its value must be and how errors name it
+_FIELD_TYPES = {int: (Integral, "an integer"), float: (Real, "a number"),
+                Optional[float]: (Real, "a number"),
+                bool: (bool, "true or false"), str: (str, "a string")}
+
+
 def _check_types(cfg) -> None:
     """Raise TypeError naming the first field of the dataclass `cfg` that
-    does not hold its annotated type: an ``int`` field an integer, any other
-    a real number, or None where the annotation is Optional.  A bool is
-    neither."""
+    does not hold its annotated type: an ``int`` field an integer, a
+    ``float`` field any real number (or None where the annotation is
+    Optional), any other field an instance of its type.  A bool is no
+    number."""
     for name, kind in typing.get_type_hints(type(cfg)).items():
         v = getattr(cfg, name)
         if v is None and kind == Optional[float]:
             continue
-        if isinstance(v, bool) or not isinstance(
-                v, Integral if kind is int else Real):
-            raise TypeError(f"{name} must be "
-                            f"{'an integer' if kind is int else 'a number'}, "
-                            f"got {v!r}")
+        want, noun = _FIELD_TYPES.get(kind, (kind, f"a {kind.__name__}"))
+        if isinstance(v, bool) != (kind is bool) or not isinstance(v, want):
+            raise TypeError(f"{name} must be {noun}, got {v!r}")
 
 
 def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,

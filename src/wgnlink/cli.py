@@ -6,8 +6,8 @@ Verbs:
   characterize     channel estimation from a stored capture pair
   validate         parse and check a config file without running anything
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure at one or
-more sweep points.
+Exit codes: 0 success, 1 configuration error (a bad config file, flag or
+output directory), 2 runtime failure at one or more sweep points.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+from pathlib import Path
 
 from . import runner
 from .config import validate_config
@@ -91,6 +92,16 @@ def _load(args) -> "runner.ExperimentConfig":
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
+def _make_out_dir(path) -> None:
+    """Create the output directory before any point runs; a path that
+    cannot be one (an existing file, say) is a configuration error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -107,11 +118,14 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
             run = (runner.run_experiment if args.verb == "simulate"
                    else runner.run_reference_16qam)
-            return run(_load(args), jobs=args.jobs)
+            cfg = _load(args)
+            _make_out_dir(cfg.outputs)
+            return run(cfg, jobs=args.jobs)
         if args.verb == "characterize":
             pipe = PipelineConfig()
             if args.config is not None:
                 pipe = validate_config(args.config).pipeline
+            _make_out_dir(args.out)
             try:
                 with open(args.input, "rb") as f:
                     f_in = read_signal(f)

@@ -1,8 +1,13 @@
 """Experiment configuration: YAML parsing, defaulting, and validation.
 
 The config file is a YAML document with `link`, `pipeline`, `sweep`,
-`seeds`, and output settings; every omitted field falls back to the
-dataclass default and the applied defaults are logged at INFO level.
+`seeds`, and output settings.  One builder, :func:`_build`, makes the
+`link` and `pipeline` sections and the top level into their dataclasses:
+every omitted field falls back to the dataclass default, the applied
+defaults are logged at INFO level, an empty section takes all of them, and
+unknown keys or a section that is not a mapping are a :class:`ConfigError`.
+Each dataclass checks its own field types against its annotations and
+then its ranges.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from .channel import LinkConfig
+from .channel import LinkConfig, _check_types
 from .errors import ConfigError
 from .pipeline import PipelineConfig
 
@@ -50,12 +55,12 @@ class ExperimentConfig:
     emit_plots: bool = True
     n_samples: int = 8_000_000
     capture_rate: float = 40e9
-    mean_power: float = 1.0
     base_recirculations: int = 1   # used when the sweep axis is not distance
     n_rings: int = 16
     mi_max_symbols: int = 500_000  # cap on samples fed to the MI estimator
 
     def __post_init__(self):
+        _check_types(self)
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
         if len(self.sweep_values) == 0:
@@ -72,13 +77,11 @@ class ExperimentConfig:
         for name in ("base_recirculations", "n_rings", "mi_max_symbols",
                      "n_samples"):
             v = getattr(self, name)
-            if not _is_count(v):
+            if v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-        for name in ("mean_power", "capture_rate"):
-            v = getattr(self, name)
-            if not (_is_number(v) and v > 0):
-                raise ConfigError(f"{name} must be a positive number, "
-                                  f"got {v!r}")
+        if not 0 < self.capture_rate < math.inf:
+            raise ConfigError(f"capture_rate must be a positive number, "
+                              f"got {self.capture_rate!r}")
         if abs(self.link.frequency_offset) >= self.capture_rate / 2:
             raise ConfigError(
                 f"link.frequency_offset {self.link.frequency_offset:g} Hz "
@@ -115,8 +118,16 @@ def _reject_duplicates(key: str, values: tuple) -> None:
         raise ConfigError(f"{key} lists a value twice: {list(values)}")
 
 
-def _build(cls, section: dict, name: str):
-    known = {f.name for f in dataclasses.fields(cls)}
+def _build(cls, section, name: str, **parsed):
+    """Build the config dataclass `cls` from the YAML mapping `section` and
+    log the fields it leaves at their defaults.  An empty section (None)
+    takes every default, and YAML lists become tuples.  `parsed` holds the
+    fields the caller read from other keys; `section` may not name them."""
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {section!r}")
+    known = {f.name for f in dataclasses.fields(cls)} - set(parsed)
     unknown = set(section) - known
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
@@ -124,9 +135,10 @@ def _build(cls, section: dict, name: str):
     if defaulted:
         log.info("%s: using defaults for %s", name, sorted(defaulted))
     try:
-        return cls(**section)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in section.items()}, **parsed)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {name} section: {exc}") from exc
+        raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
 def validate_config(path: str | Path) -> ExperimentConfig:
@@ -145,8 +157,8 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
-    link = _build(LinkConfig, raw.pop("link", {}), "link")
-    pipe = _build(PipelineConfig, raw.pop("pipeline", {}), "pipeline")
+    link = _build(LinkConfig, raw.pop("link", None), "link")
+    pipe = _build(PipelineConfig, raw.pop("pipeline", None), "pipeline")
 
     # no sweep: ExperimentConfig's default point (`characterize` needs none)
     sweep = raw.pop("sweep", {"recirculations": [1]})
@@ -161,22 +173,5 @@ def validate_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(values, (list, tuple)) or len(values) == 0:
         raise ConfigError(f"sweep.{axis} must be a non-empty list")
 
-    seeds = raw.pop("seeds", [1])
-    if not isinstance(seeds, (list, tuple)) or len(seeds) == 0:
-        raise ConfigError("seeds must be a non-empty list")
-
-    extra = {}
-    for key in ("outputs", "emit_plots", "n_samples", "capture_rate",
-                "mean_power", "base_recirculations", "n_rings",
-                "mi_max_symbols"):
-        if key in raw:
-            extra[key] = raw.pop(key)
-    if raw:
-        raise ConfigError(f"unknown top-level key(s): {sorted(raw)}")
-
-    try:
-        return ExperimentConfig(link=link, pipeline=pipe, sweep_axis=axis,
-                                sweep_values=tuple(values),
-                                seeds=tuple(seeds), **extra)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ExperimentConfig, raw, "config", link=link, pipeline=pipe,
+                  sweep_axis=axis, sweep_values=tuple(values))

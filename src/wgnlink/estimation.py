@@ -91,13 +91,10 @@ def mdl_from_channel(channel: MimoChannel,
     return MdlSpectrum(freqs_s, mdl, sv, valid)
 
 
-def _spectral_window(freqs: np.ndarray, window: str, band_edge: float,
-                     transition: float) -> np.ndarray:
-    """Edge taper applied before the impulse-response IFFT."""
-    if window in ("none", "rect"):
-        return (np.abs(freqs) <= band_edge).astype(float)
-    if window != "raised_cosine":
-        raise ValueError(f"unknown window {window!r}")
+def _spectral_window(freqs: np.ndarray, band_edge: float) -> np.ndarray:
+    """Raised-cosine edge taper applied before the impulse-response IFFT:
+    flat to 90 % of `band_edge`, then a cosine ramp to zero at it."""
+    transition = 0.1 * band_edge
     af = np.abs(freqs)
     flat = band_edge - transition
     w = np.zeros_like(af)
@@ -108,11 +105,11 @@ def _spectral_window(freqs: np.ndarray, window: str, band_edge: float,
 
 
 def impulse_response_from_channel(channel: MimoChannel,
-                                  window: str = "raised_cosine",
-                                  band_edge: float | None = None,
-                                  transition: float | None = None
+                                  band_edge: float | None = None
                                   ) -> ImpulseResponse:
-    """Per-entry IFFT of the (windowed) channel matrices, centered in time.
+    """Per-entry IFFT of the channel matrices, tapered by
+    :func:`_spectral_window` at `band_edge` (default: Nyquist) and centered
+    in time.
 
     The dynamic range is the peak summed-power tap over the median summed
     power outside the support region (the central eighth around the peak),
@@ -122,9 +119,7 @@ def impulse_response_from_channel(channel: MimoChannel,
     span = channel.n_bins * channel.bin_spacing
     if band_edge is None:
         band_edge = 0.5 * span
-    if transition is None:
-        transition = 0.1 * band_edge
-    w = _spectral_window(freqs, window, band_edge, transition)
+    w = _spectral_window(freqs, band_edge)
     mats = channel.matrices * w[:, None, None]
     taps = np.fft.fftshift(np.fft.ifft(mats, axis=0), axes=0)
     power = np.sum(np.abs(taps) ** 2, axis=(1, 2))

@@ -43,12 +43,14 @@ def _point_seed(seed: int, value) -> int:
 def _wgn_point(cfg: ExperimentConfig, value, seed: int,
                characterize: bool) -> dict:
     """One sweep point x seed: full WGN capture, link, pipeline, metrics."""
+    # unit power: the link noise is set relative to the measured signal
+    # power, so the transmitted power does not change any result
     f_in = generate_wgn_mimo(cfg.link.n_modes, cfg.n_samples, cfg.capture_rate,
-                             cfg.mean_power, seed)
+                             1.0, seed)
     result = _receive(cfg, value, seed, f_in, cfg.pipeline)
     osr, limit = cfg.pipeline.oversampling, cfg.mi_max_symbols
     rate = result.f_in.sample_rate / osr
-    rings = build_ring_constellation(cfg.n_rings, cfg.mean_power)
+    rings = build_ring_constellation(cfg.n_rings)
     pairs = ((ComplexSignal(ref[::osr][:limit], rate),
               ComplexSignal(eq[::osr][:limit], rate))
              for ref, eq in zip(result.f_in.data, result.f_eq.data))
@@ -153,8 +155,7 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     n_hi -= n_hi % (osr * 3)
     n_sym = n_hi // osr
     f_in, symbols = generate_qam16_mimo(cfg.link.n_modes, n_sym,
-                                        pipe.assumed_baud, cfg.mean_power,
-                                        seed, osr,
+                                        pipe.assumed_baud, 1.0, seed, osr,
                                         sample_rate=cfg.capture_rate)
     result = _receive(cfg, value, seed, f_in, pipe)
     start = result.trim_start_in
@@ -164,7 +165,7 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     ks = np.arange(k_first, min(k_last + 1, n_sym))[:cfg.mi_max_symbols]
     locs = ks * osr - start
     baud = pipe.assumed_baud
-    pts = qam16_constellation(cfg.mean_power)
+    pts = qam16_constellation()
     pairs = ((ComplexSignal(sym[ks], baud), ComplexSignal(eq[locs], baud))
              for sym, eq in zip(symbols, result.f_eq.data))
     rows = _tributary_rows(

@@ -115,6 +115,20 @@ class TestValidateConfig:
         assert cfg.capture_rate == 40e9
         assert cli.main(["validate", "--config", _write(tmp_path, block)]) == 0
 
+    @pytest.mark.parametrize("text, name", [
+        ("link:\n  # span_length: 78.0\n  # n_modes: 2\n", "link"),
+        ("pipeline: null\n", "pipeline"),
+        ("", "config"),
+    ], ids=["link-commented-out", "pipeline-null", "top-level"])
+    def test_omitted_keys_take_logged_defaults(self, tmp_path, caplog, text,
+                                               name):
+        cfg = _write(tmp_path, text + MINIMAL)
+        with caplog.at_level(logging.INFO, logger="wgnlink.config"):
+            assert validate_config(cfg) == validate_config(
+                _write(tmp_path, MINIMAL, "minimal.yaml"))
+        assert f"{name}: using defaults for [" in caplog.text
+        assert cli.main(["validate", "--config", cfg]) == 0
+
     def test_sweep_point_link_override(self):
         cfg = ExperimentConfig(sweep_axis="launch_power_dbm",
                                sweep_values=(-3.0, 0.0), seeds=(1,))
@@ -216,8 +230,12 @@ class TestCliVerbs:
         assert cli.main(["validate", "--config", cfg]) == 1
 
     @pytest.mark.parametrize("line, key", [
-        ("mean_power: -1", "mean_power"),
-        ("mean_power: 0", "mean_power"),
+        ("mean_power: 1.0", "mean_power"),
+        ("link: 5", "link must be a mapping"),
+        ("link: [1, 2]", "link must be a mapping"),
+        ("pipeline: [1]", "pipeline must be a mapping"),
+        ("outputs: 5", "outputs"),
+        ("emit_plots: 'no'", "emit_plots"),
         ("capture_rate: 0", "capture_rate"),
         ("n_rings: 0", "n_rings"),
         ("mi_max_symbols: 0", "mi_max_symbols"),
@@ -229,7 +247,9 @@ class TestCliVerbs:
         ("seeds: [1, 1]", "seeds"),
         ("sweep: {launch_power_dbm: [0, 0.0]}", "sweep.launch_power_dbm"),
         ("sweep: {recirculations: [2, 1, 2]}", "sweep.recirculations"),
-    ], ids=["negative-power", "zero-power", "zero-rate", "zero-rings",
+    ], ids=["removed-mean-power", "scalar-link", "list-link",
+            "list-pipeline", "number-outputs", "string-emit-plots",
+            "zero-rate", "zero-rings",
             "zero-mi-symbols", "fractional-samples", "fractional-seed",
             "bool-seed", "text-seed", "negative-seed", "repeated-seed",
             "repeated-power", "repeated-loops"])
@@ -253,6 +273,25 @@ class TestCliVerbs:
         assert cli.main([verb, "--config", _write(tmp_path, MINIMAL),
                          "--out", str(out), "--no-plots", *flag]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "reference-16qam",
+                                      "characterize"])
+    def test_out_naming_a_file_is_exit_1(self, tmp_path, caplog, verb):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        fi = tmp_path / "in.bin"
+        with open(fi, "wb") as f:
+            write_signal(f, generate_wgn_mimo(2, 40_000, 60e9, 1.0, seed=5))
+        args = (["--input", str(fi), "--output", str(fi)]
+                if verb == "characterize"
+                else ["--config", _write(tmp_path, MINIMAL)])
+        with caplog.at_level(logging.ERROR):
+            rc = cli.main([verb, *args, "--out", str(taken), "--no-plots"])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(taken) in errors[0]
+        assert taken.read_text() == ""
 
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
