@@ -24,7 +24,7 @@ from .pipeline import (AlignmentResult, EqualizerState, PipelineConfig,
                        trim_aligned)
 from .runner import (characterize_captures, generate_qam16_mimo,
                      run_experiment, run_reference_16qam, write_plots)
-from .signals import (ComplexSignal, MimoSignal, generate_wgn,
+from .signals import (ComplexSignal, MimoSignal, MimoSpectrum, generate_wgn,
                       generate_wgn_mimo, read_signal, write_signal)
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ unitary/delay cascade with a frequency-flat singular-value (MDL) profile,
 amplifier noise is additive Gaussian per span, and nonlinear interference
 is a cubic-in-power additive Gaussian term.  Both noises are white, so
 :func:`run_link` injects them per frequency bin at the Parseval-scaled
-power and a link costs one FFT pair whatever its loop count.  A split-step
-solver is out of scope by design.
+power, and a link given a spectrum returns one without a transform,
+whatever its loop count.  A split-step solver is out of scope by design.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import MimoSignal
+from .signals import MimoSignal, MimoSpectrum
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _COUPLING_CHUNK = 16384  # bins per cache-resident pass of the coupling
@@ -126,22 +126,34 @@ def _check_types(cfg) -> None:
 def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,
                      length_km: float, wavelength_nm: float) -> np.ndarray:
     """Quadratic dispersion phase pi * lambda0^2 * D * L * f^2 / c (radians)."""
+    return (_dispersion_scale(dispersion_coeff, length_km, wavelength_nm)
+            * np.asarray(freqs) ** 2 / SPEED_OF_LIGHT)
+
+
+def _dispersion_scale(dispersion_coeff: float, length_km: float,
+                      wavelength_nm: float) -> float:
+    """The scalar factor pi * lambda0^2 * D * L of :func:`dispersion_phase`."""
     if wavelength_nm <= 0:
         raise ValueError("wavelength must be positive")
     d_si = dispersion_coeff * 1e-6          # ps/(nm km) -> s/m^2
     lam = wavelength_nm * 1e-9
-    return (np.pi * lam * lam * d_si * (length_km * 1e3)
-            * np.asarray(freqs) ** 2 / SPEED_OF_LIGHT)
+    return np.pi * lam * lam * d_si * (length_km * 1e3)
 
 
 def _dispersion_response(n: int, sample_rate: float, dispersion_coeff: float,
                          length_km: float, wavelength_nm: float,
                          sign: float) -> np.ndarray:
     """``exp(sign * j * dispersion_phase)`` on the FFT grid of `n` samples at
-    `sample_rate`: the fiber response for ``sign=+1``, EDC for ``sign=-1``."""
-    f = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    return np.exp(sign * 1j * dispersion_phase(f, dispersion_coeff,
-                                               length_km, wavelength_nm))
+    `sample_rate`: the fiber response for ``sign=+1``, EDC for ``sign=-1``.
+    Built in place, with :func:`dispersion_phase`'s operations in its order,
+    in one real and one complex array of `n`."""
+    scale = _dispersion_scale(dispersion_coeff, length_km, wavelength_nm)
+    phase = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    np.square(phase, out=phase)
+    phase *= scale
+    phase /= SPEED_OF_LIGHT
+    out = np.multiply(phase, sign * 1j)
+    return np.exp(out, out=out)
 
 
 class MultiSectionModel:
@@ -311,17 +323,23 @@ def span_noise_power_ratio(cfg: LinkConfig) -> float:
     return (n_ase + n_nl) / p_mw
 
 
-def run_link(signal: MimoSignal, cfg: LinkConfig, n_recirculations: int,
-             seed: int) -> MimoSignal:
+def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
+             n_recirculations: int, seed: int) -> MimoSignal | MimoSpectrum:
     """Propagate through `n_recirculations` passes of the loop span.
 
     Each span applies, in order: chromatic dispersion over the span length,
     the span's mode-coupling section (identity when both MDL and DGD are
     zero), and the combined ASE + nonlinear-interference noise.  The field
-    stays a spectrum from one FFT to one IFFT whatever the loop count: the
-    white noise is drawn per frequency bin, at the per-sample power the
-    signal power (measured by Parseval) sets.  LO phase noise and frequency
-    offset are applied once at the receiver.
+    stays a spectrum whatever the loop count: the white noise is drawn per
+    frequency bin, at the per-sample power the signal power (measured by
+    Parseval) sets.  LO phase noise and frequency offset are applied once
+    at the receiver, in the time domain.
+
+    A :class:`MimoSignal` is FFT'd once and returned as a signal after one
+    inverse FFT.  A :class:`MimoSpectrum` is left unchanged and the result
+    is a spectrum: without LO phase noise and frequency offset the link
+    then makes no transform at all, and with either it makes one inverse
+    FFT and one FFT.
     """
     if n_recirculations < 1:
         raise ValueError("n_recirculations must be >= 1")
@@ -334,15 +352,21 @@ def run_link(signal: MimoSignal, cfg: LinkConfig, n_recirculations: int,
         model = MultiSectionModel(cfg.n_modes, cfg.mdl_per_span,
                                   cfg.dgd_per_span, model_seed,
                                   cfg.n_sections)
-    spec = np.fft.fft(signal.data, axis=1)
+    spectral = isinstance(signal, MimoSpectrum)
+    rate = signal.sample_rate
+    spec = (signal.data.copy() if spectral
+            else np.fft.fft(signal.data, axis=1))
     # the loop's buffers are freed before the IFFT allocates the output, so
     # it can reuse their memory instead of raising the peak RSS
-    _recirculate(spec, signal.sample_rate, cfg, model,
-                 np.random.default_rng(noise_seed), n_recirculations)
-    out = MimoSignal(np.fft.ifft(spec, axis=1), signal.sample_rate)
+    _recirculate(spec, rate, cfg, model, np.random.default_rng(noise_seed),
+                 n_recirculations)
+    if spectral and cfg.lo_linewidth == 0 and cfg.frequency_offset == 0:
+        return MimoSpectrum(spec, rate)
+    out = MimoSignal(np.fft.ifft(spec, axis=1), rate)
+    del spec
     out = apply_phase_noise(out, cfg.lo_linewidth, lo_seed)
     out = apply_frequency_offset(out, cfg.frequency_offset)
-    return out
+    return MimoSpectrum.of(out) if spectral else out
 
 
 def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,

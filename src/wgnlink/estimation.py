@@ -64,8 +64,8 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
     ``H = R_xd R_dd^-1``; ``run_pipeline`` returns the same estimate, with
     the EDC undone, from its own equalizer call.
     """
-    f_in, f_out, _, _ = _aligned_pair(f_in, f_out, cfg)
-    _, state = fde_lms_equalize(f_in, f_out, cfg, with_output=False)
+    f_in, f_out, _, _ = _aligned_pair([f_in, f_out], cfg)
+    _, state = fde_lms_equalize(f_in, f_out, cfg, n_output=0)
     return MimoChannel(state.channel, cfg.target_rate / cfg.block_size)
 
 

@@ -8,12 +8,14 @@ the least-squares limit of the paper's LMS equalizer, with no training phase
 and no step size.
 
 The forward chain and the channel estimate share one front end and
-alignment: per capture one FFT, a spectral resample, the Gaussian filter and
-EDC multiplies, one inverse FFT; the spectra give the alignment in one more.
-One accumulation of the per-bin covariance of the stacked block spectra
-then gives both the forward taps and the channel estimate, from two solves
-of the same matrix; EDC is a unit-modulus scalar per frequency, so it
-commutes with the channel and is undone exactly on the estimate.
+alignment: per capture one FFT (none for a capture handed over as its
+spectrum), a spectral resample, the Gaussian filter and EDC multiplies, one
+inverse FFT; the spectra give the alignment in one more.  One accumulation
+of the per-bin covariance of the stacked block spectra then gives both the
+forward taps and the channel estimate, from two solves of the same matrix;
+EDC is a unit-modulus scalar per frequency, so it commutes with the channel
+and is undone exactly on the estimate.  The equalizer output and phase
+recovery cover only the samples the caller measures.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from .channel import (LinkConfig, MimoChannel, _check_types,
                       _dispersion_response)
 from .errors import AlignmentError
-from .signals import MimoSignal, _gaussian_response, _resample_spectrum
+from .signals import (MimoSignal, MimoSpectrum, _gaussian_response,
+                      _resample_spectrum)
 
 # Overlap-save blocks whose spectra are held at once; bounds the equalizer's
 # working set independently of the capture length.
@@ -100,7 +103,7 @@ class PipelineResult:
     """The receive chain's outputs for one capture pair."""
 
     f_in: MimoSignal      # trimmed reference, target rate
-    f_eq: MimoSignal      # equalized + phase-recovered field
+    f_eq: MimoSignal      # equalized + phase-recovered measured window
     state: EqualizerState
     alignment: AlignmentResult
     trim_start_in: int    # offset of f_in[0] in the resampled input timeline
@@ -181,56 +184,79 @@ def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
             start_in)
 
 
-def _front_end_length(sig: MimoSignal, cfg: PipelineConfig) -> int:
+def _front_end_length(sig: MimoSignal | MimoSpectrum,
+                      cfg: PipelineConfig) -> int:
     """Samples of `sig` after :func:`_front_end`'s rate conversion."""
     return int(round(len(sig) * cfg.target_rate / sig.sample_rate))
 
 
-def _front_end(sig: MimoSignal, cfg: PipelineConfig,
-               link: Optional[LinkConfig] = None, edc_km: float = 0.0
+def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
+               link: Optional[LinkConfig] = None, edc_km: float = 0.0,
+               gauss: Optional[np.ndarray] = None
                ) -> tuple[MimoSignal, Optional[np.ndarray]]:
     """Receiver front end of one capture: resample to ``cfg.target_rate``,
     Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
     given, EDC of `edc_km` of its fiber.
 
-    One FFT, then the spectrum is cut or zero-padded to the new rate
-    (:func:`wgnlink.signals._resample_spectrum`) and multiplied by the filter
-    and EDC responses before one inverse FFT.  Returns the output and its
-    (M, n) spectrum; a capture already at the target rate with no stage
-    asked for passes through as ``(sig, None)``.
+    A :class:`MimoSignal` takes one FFT; a :class:`MimoSpectrum` starts
+    from its bins, which are never written to.  The spectrum is cut or
+    zero-padded to the new rate (:func:`wgnlink.signals._resample_spectrum`)
+    and multiplied by the filter response (`gauss` when the caller has it
+    on the output grid) and the EDC response before one inverse FFT.
+    Returns the output and its (M, n) spectrum; a signal already at the
+    target rate with no stage asked for passes through as ``(sig, None)``.
     """
     rate = cfg.target_rate
-    if sig.sample_rate == rate and cfg.filter_bw is None and link is None:
+    spectral = isinstance(sig, MimoSpectrum)
+    if (not spectral and sig.sample_rate == rate and cfg.filter_bw is None
+            and link is None):
         return sig, None
     n_out = _front_end_length(sig, cfg)
-    spec = _resample_spectrum(np.fft.fft(sig.data, axis=1), n_out)
+    spec = sig.data if spectral else np.fft.fft(sig.data, axis=1)
+    spec = _resample_spectrum(spec, n_out)
+    if spec is sig.data and (cfg.filter_bw is not None or link is not None):
+        spec = spec.copy()
+    # a capture that run_pipeline handed over is freed here
+    del sig
     if cfg.filter_bw is not None:
-        spec *= _gaussian_response(n_out, rate, cfg.filter_bw,
-                                   cfg.filter_order)
+        if gauss is None:
+            gauss = _gaussian_response(n_out, rate, cfg.filter_bw,
+                                       cfg.filter_order)
+        spec *= gauss
     if link is not None:
         spec *= _dispersion_response(n_out, rate, link.dispersion_coeff,
                                      edc_km, link.center_wavelength, -1.0)
     return MimoSignal(np.fft.ifft(spec, axis=1), rate), spec
 
 
-def _aligned_pair(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
-                  cfg: PipelineConfig, link: Optional[LinkConfig] = None,
-                  edc_km: float = 0.0
+def _aligned_pair(captures: list, cfg: PipelineConfig,
+                  link: Optional[LinkConfig] = None, edc_km: float = 0.0
                   ) -> tuple[MimoSignal, MimoSignal, int, AlignmentResult]:
-    """Both captures through :func:`_front_end` (EDC on `f_out_raw` only),
-    aligned from their spectra over a lag range cut to the shorter one, and
-    trimmed: returns ``(f_in, f_out, trim offset, alignment)``.  A capture
-    under four samples at the target rate leaves no off-peak lag and raises
-    ValueError before any transform."""
-    if f_in_raw.n_tributaries != f_out_raw.n_tributaries:
+    """The transmitted and received captures in `captures` (each a
+    :class:`MimoSignal` or a :class:`MimoSpectrum`) through
+    :func:`_front_end` (EDC on the received one only), aligned from their
+    spectra over a lag range cut to the shorter one, and trimmed: returns
+    ``(f_in, f_out, trim offset, alignment)``.
+
+    The list is emptied as the front end consumes it, so a capture that no
+    caller still holds is freed before the next one is transformed.  The
+    filter response is computed once when both outputs have one length.  A
+    capture under four samples at the target rate leaves no off-peak lag
+    and raises ValueError before any transform."""
+    if captures[0].n_tributaries != captures[1].n_tributaries:
         raise ValueError("capture tributary counts differ")
-    n = min(_front_end_length(f_in_raw, cfg),
-            _front_end_length(f_out_raw, cfg))
+    n_in, n_rx = (_front_end_length(c, cfg) for c in captures)
+    n = min(n_in, n_rx)
     if n < 4:
         raise ValueError(f"a capture of {n} samples is too short to align "
                          "(need at least 4)")
-    f_in, spec_in = _front_end(f_in_raw, cfg)
-    f_out, spec_out = _front_end(f_out_raw, cfg, link, edc_km)
+    gauss = None
+    if cfg.filter_bw is not None and n_in == n_rx:
+        gauss = _gaussian_response(n, cfg.target_rate, cfg.filter_bw,
+                                   cfg.filter_order)
+    f_in, spec_in = _front_end(captures.pop(0), cfg, gauss=gauss)
+    f_out, spec_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
+    del gauss
     max_lag = min(cfg.align_max_lag, n // 2 - 1)
     alignment = align_by_crosscorrelation(f_in, f_out, max_lag,
                                           cfg.align_threshold,
@@ -240,7 +266,7 @@ def _aligned_pair(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
 
 
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
-                     cfg: PipelineConfig, with_output: bool = True
+                     cfg: PipelineConfig, n_output: Optional[int] = None
                      ) -> tuple[Optional[MimoSignal], EqualizerState]:
     """Data-aided frequency-domain MIMO equalizer (overlap-save), solved in
     closed form.
@@ -259,10 +285,12 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     (the equalizer with the roles inverted) is the estimate of the channel
     that maps the reference onto the input; it is the state's `channel`.
 
-    The equalized field comes from a frozen-tap overlap-save pass, and
-    ``error_trace`` holds its NMSE per block.  With ``with_output=False``
-    that pass is skipped: the first element of the result is None and the
-    trace is empty.
+    The equalized field comes from a frozen-tap overlap-save pass over the
+    first `n_output` samples (the whole capture when None), and
+    ``error_trace`` holds its NMSE per block of those samples.  The
+    covariance always spans the whole capture, and the output samples do
+    not depend on `n_output`.  With ``n_output=0`` the pass is skipped: the
+    first element of the result is None and the trace is empty.
     """
     if f_in.n_tributaries != f_out.n_tributaries:
         raise ValueError("tributary count mismatch")
@@ -270,6 +298,7 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
         raise ValueError("signals must be equal length (align first)")
     m = f_in.n_tributaries
     n = len(f_in)
+    n_output = n if n_output is None else min(n_output, n)
     block = cfg.block_size
     hop = block // 2
     if n < block:
@@ -288,13 +317,17 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
 
     trace: list[float] = []
     f_eq = None
-    if with_output:
-        out = np.empty((m, n), dtype=complex)
+    if n_output > 0:
+        out = np.empty((m, n_output), dtype=complex)
+        # whole chunks, as over the full capture, so that the samples kept
+        # are those of the full pass
         for first, stop in chunks:
+            if first * hop >= n_output:
+                break
             spec_x = _block_spectra((f_out.data,), first, stop, hop)
             # overlap-save keeps the second half of each block
             y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
-            seg = slice(first * hop, min(stop * hop, n))
+            seg = slice(first * hop, min(stop * hop, n_output))
             y = y.transpose(1, 2, 0).reshape(m, -1)[:, :seg.stop - seg.start]
             out[:, seg] = y
             d = f_in.data[:, seg]
@@ -366,28 +399,50 @@ def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
     return csum[window:] - csum[:-window]
 
 
-def run_pipeline(f_in_raw: MimoSignal, f_out_raw: MimoSignal,
+def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
+                 f_out_raw: MimoSignal | MimoSpectrum,
                  link: LinkConfig, cfg: PipelineConfig,
-                 n_recirculations: int = 1) -> PipelineResult:
+                 n_recirculations: int = 1,
+                 n_measured: Optional[int] = None) -> PipelineResult:
     """Full receive chain: resample, filter, EDC, align, FDE, phase recovery.
 
     EDC compensates ``edc_km = n_recirculations * span_length`` of
     dispersion on the received capture only.  Returns the co-trimmed
     reference, the equalized field and the channel estimate.
 
-    The front end, alignment and trim are :func:`_aligned_pair`'s.  The
-    one equalizer call gives the forward taps and, from the same
-    covariance, the channel seen from the transmitted to the EDC-compensated
-    received capture; the result's `channel` is that estimate times the
-    fiber response of `edc_km` on its block grid, the exact inverse of the
-    EDC multiply there.
+    Each capture is a :class:`MimoSignal` or its :class:`MimoSpectrum`.
+    The front end, alignment and trim are :func:`_aligned_pair`'s; a
+    caller that passes a capture it does not keep lets it be freed once
+    the front end has consumed it.  The one equalizer call gives the
+    forward taps and, from the same covariance over the whole capture, the
+    channel seen from the transmitted to the EDC-compensated received
+    capture; the result's `channel` is that estimate times the fiber
+    response of `edc_km` on its block grid, the exact inverse of the EDC
+    multiply there.
+
+    `n_measured` is the number of leading samples of the trimmed capture
+    that the caller measures (all when None).  The equalizer output and
+    phase recovery run over those plus ``cfg.phase_window`` samples, and
+    `f_eq` holds the first `n_measured`: sample for sample the values a
+    run over the whole capture gives, because the phase estimate is a
+    moving sum over ``cfg.phase_window`` samples.
     """
+    if n_measured is not None and n_measured < 0:
+        raise ValueError("n_measured must be >= 0")
     rate = cfg.target_rate
     edc_km = link.span_length * n_recirculations
-    f_in, f_out, start_in, alignment = _aligned_pair(f_in_raw, f_out_raw,
-                                                     cfg, link, edc_km)
-    f_eq, state = fde_lms_equalize(f_in, f_out, cfg)
-    f_eq = phase_recovery(f_in, f_eq, cfg.phase_window)
+    captures = [f_in_raw, f_out_raw]
+    del f_in_raw, f_out_raw
+    f_in, f_out, start_in, alignment = _aligned_pair(captures, cfg, link,
+                                                     edc_km)
+    n_eq = len(f_in)
+    if n_measured is not None:
+        n_eq = min(n_eq, n_measured + cfg.phase_window)
+    f_eq, state = fde_lms_equalize(f_in, f_out, cfg, n_output=n_eq)
+    f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
+                          cfg.phase_window)
+    if n_measured is not None:
+        f_eq = MimoSignal(f_eq.data[:, :n_measured], rate)
     block = cfg.block_size
     fiber = _dispersion_response(block, rate, link.dispersion_coeff, edc_km,
                                  link.center_wavelength, +1.0)

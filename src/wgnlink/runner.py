@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import logging
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
@@ -25,8 +26,8 @@ from .estimation import (ImpulseResponse, MdlSpectrum, estimate_channel,
 from .metrics import (build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
-from .signals import (ComplexSignal, MimoSignal, _resample_spectrum,
-                      generate_wgn_mimo)
+from .signals import (ComplexSignal, MimoSignal, MimoSpectrum,
+                      _resample_spectrum, generate_wgn_mimo)
 
 log = logging.getLogger(__name__)
 
@@ -45,9 +46,9 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
     """One sweep point x seed: full WGN capture, link, pipeline, metrics."""
     # unit power: the link noise is set relative to the measured signal
     # power, so the transmitted power does not change any result
-    f_in = generate_wgn_mimo(cfg.link.n_modes, cfg.n_samples, cfg.capture_rate,
-                             1.0, seed)
-    result = _receive(cfg, value, seed, f_in, cfg.pipeline)
+    captures = [MimoSpectrum.of(generate_wgn_mimo(
+        cfg.link.n_modes, cfg.n_samples, cfg.capture_rate, 1.0, seed))]
+    result = _receive(cfg, value, seed, captures, cfg.pipeline)
     osr, limit = cfg.pipeline.oversampling, cfg.mi_max_symbols
     rate = result.f_in.sample_rate / osr
     rings = build_ring_constellation(cfg.n_rings)
@@ -68,12 +69,19 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
     return out
 
 
-def _receive(cfg: ExperimentConfig, value, seed: int, f_in: MimoSignal,
+def _receive(cfg: ExperimentConfig, value, seed: int, captures: list,
              pipe: PipelineConfig) -> PipelineResult:
-    """The sweep point's link, then the receive chain `pipe`."""
+    """The sweep point's link, then the receive chain `pipe` over the first
+    ``mi_max_symbols`` symbols.  `captures` holds the transmitted spectrum
+    and nothing else may: the link appends the received one, and both are
+    popped into run_pipeline, which then holds the last reference to each
+    and frees it once the front end has consumed it."""
     link, n_rec = cfg.link_for(value)
-    f_out = run_link(f_in, link, n_rec, _point_seed(seed, value))
-    return run_pipeline(f_in, f_out, link, pipe, n_recirculations=n_rec)
+    captures.append(run_link(captures[0], link, n_rec,
+                             _point_seed(seed, value)))
+    return run_pipeline(captures.pop(0), captures.pop(), link, pipe,
+                        n_recirculations=n_rec,
+                        n_measured=cfg.mi_max_symbols * pipe.oversampling)
 
 
 def _tributary_rows(cfg: ExperimentConfig, signal: str, value, seed: int,
@@ -103,7 +111,8 @@ def _characterize(channel: MimoChannel, band: Optional[float]
 def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
                         mean_power: float, seed: int, oversampling: int = 2,
                         rolloff: float = 0.1,
-                        sample_rate: Optional[float] = None):
+                        sample_rate: Optional[float] = None, *,
+                        spectrum: bool = False):
     """Nyquist (raised-cosine) shaped 16QAM, `oversampling` samples/symbol.
 
     Returns the waveform and the per-tributary symbol matrix.  The pulse is
@@ -113,8 +122,10 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
     The waveform is sampled at `sample_rate` (default ``baud *
     oversampling``): the shaped spectrum is cut or zero-padded onto that
     rate's grid before the one inverse FFT, which equals resampling the
-    waveform afterwards.  A rate whose Nyquist frequency is below the
-    occupied band ``(1 + rolloff) * baud / 2`` raises ValueError.
+    waveform afterwards.  With ``spectrum=True`` that inverse FFT is skipped
+    and the waveform comes as its :class:`MimoSpectrum`.  A rate whose
+    Nyquist frequency is below the occupied band ``(1 + rolloff) * baud /
+    2`` raises ValueError.
     """
     rate = baud * oversampling
     if sample_rate is None:
@@ -136,13 +147,14 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
                                 * (af[ramp] - (1 - beta) * baud / 2)))
     symbols = np.empty((n_modes, n_symbols), dtype=complex)
     wave = np.empty((n_modes, n_out), dtype=complex)
+    finish = (lambda row: row) if spectrum else np.fft.ifft
     for m in range(n_modes):
         symbols[m] = pts[rng.integers(0, 16, n_symbols)]
         stuffed = np.zeros(n, dtype=complex)
         stuffed[::oversampling] = symbols[m]
-        wave[m] = np.fft.ifft(_resample_spectrum(np.fft.fft(stuffed) * h,
-                                                 n_out))
-    return MimoSignal(wave, sample_rate), symbols
+        wave[m] = finish(_resample_spectrum(np.fft.fft(stuffed) * h, n_out))
+    kind = MimoSpectrum if spectrum else MimoSignal
+    return kind(wave, sample_rate), symbols
 
 
 def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
@@ -154,12 +166,17 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     n_hi = int(round(cfg.n_samples * ratio))
     n_hi -= n_hi % (osr * 3)
     n_sym = n_hi // osr
-    f_in, symbols = generate_qam16_mimo(cfg.link.n_modes, n_sym,
-                                        pipe.assumed_baud, 1.0, seed, osr,
-                                        sample_rate=cfg.capture_rate)
-    result = _receive(cfg, value, seed, f_in, pipe)
+    tx, symbols = generate_qam16_mimo(cfg.link.n_modes, n_sym,
+                                      pipe.assumed_baud, 1.0, seed, osr,
+                                      sample_rate=cfg.capture_rate,
+                                      spectrum=True)
+    captures = [tx]
+    del tx
+    result = _receive(cfg, value, seed, captures, pipe)
     start = result.trim_start_in
-    n_avail = len(result.f_eq)
+    # the trimmed reference spans the aligned capture; f_eq only the first
+    # mi_max_symbols symbols of it, which are all that is read
+    n_avail = len(result.f_in)
     k_first = -(-start // osr)
     k_last = (start + n_avail - 1) // osr
     ks = np.arange(k_first, min(k_last + 1, n_sym))[:cfg.mi_max_symbols]
@@ -185,18 +202,24 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
             tasks.append((value, seed, characterize))
 
     rows, errors, characterized = [], [], {}
+    started, done = time.monotonic(), 0
 
     def handle(task, outcome):
+        nonlocal done
         value, seed, _ = task
         if isinstance(outcome, Exception):
             log.error("sweep point %s seed %s failed: %r", value, seed,
                       outcome, exc_info=outcome)
             errors.append({"sweep_value": value, "seed": seed,
                            "error": str(outcome) or type(outcome).__name__})
-            return
-        rows.extend(outcome["rows"])
-        if "characterization" in outcome:
-            characterized[value] = outcome["characterization"]
+        else:
+            rows.extend(outcome["rows"])
+            if "characterization" in outcome:
+                characterized[value] = outcome["characterization"]
+        done += 1
+        log.info("sweep: %d of %d points done, %d left, %.1f s elapsed",
+                 done, len(tasks), len(tasks) - done,
+                 time.monotonic() - started)
 
     # any per-point failure, including MemoryError or a BrokenProcessPool
     # from a killed worker, is recorded so the finished points are written

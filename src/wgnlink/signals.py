@@ -4,8 +4,11 @@ front end (:func:`wgnlink.pipeline._front_end`).
 
 Everything downstream works on :class:`ComplexSignal` (one tributary) or
 :class:`MimoSignal` (M co-timed tributaries held as one complex (M, N)
-array, so every stage transforms all modes at once).  All operations are
-pure: they return new objects and never mutate their inputs.
+array, so every stage transforms all modes at once).  A simulated capture
+travels from the transmitter through the link to the receiver front end as
+its :class:`MimoSpectrum` instead, so that it is transformed once.  All
+operations are pure: they return new objects and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class ComplexSignal:
 
 
 @dataclass(frozen=True)
-class MimoSignal:
-    """M co-timed tributaries sharing one sample rate, as one complex128
-    (M, N) array: row m is tributary m."""
+class _Capture:
+    """One finite complex128 (M, N) array, row m for tributary m, and the
+    sample rate of the capture it holds."""
 
     data: np.ndarray
     sample_rate: float
@@ -68,6 +71,12 @@ class MimoSignal:
     def __len__(self) -> int:
         return self.data.shape[1]
 
+
+@dataclass(frozen=True)
+class MimoSignal(_Capture):
+    """M co-timed tributaries sharing one sample rate, as one complex128
+    (M, N) array: row m is tributary m."""
+
     @property
     def tributaries(self) -> tuple[ComplexSignal, ...]:
         """One :class:`ComplexSignal` per row, each a view of `data`."""
@@ -77,6 +86,16 @@ class MimoSignal:
     def as_array(self) -> np.ndarray:
         """The (M, N) sample array itself, not a copy."""
         return self.data
+
+
+@dataclass(frozen=True)
+class MimoSpectrum(_Capture):
+    """The (M, N) FFT, row by row, of a :class:`MimoSignal` capture, with
+    the sample rate of that capture; bins follow FFT ordering."""
+
+    @classmethod
+    def of(cls, signal: MimoSignal) -> "MimoSpectrum":
+        return cls(np.fft.fft(signal.data, axis=1), signal.sample_rate)
 
 
 def generate_wgn(n_samples: int, sample_rate: float, mean_power: float,
@@ -145,9 +164,13 @@ def _gaussian_response(n: int, sample_rate: float, bandwidth_3db: float,
     if bandwidth_3db > sample_rate / 2:
         warnings.warn("filter bandwidth exceeds Nyquist; applying as-is",
                       stacklevel=3)
-    f = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    return np.exp(-0.5 * np.log(2.0) * (np.abs(f) / bandwidth_3db)
-                  ** (2 * order))
+    # in place on the one frequency array, in the formula's order
+    h = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    np.abs(h, out=h)
+    h /= bandwidth_3db
+    h **= 2 * order
+    h *= -0.5 * np.log(2.0)
+    return np.exp(h, out=h)
 
 
 def write_signal(f: BinaryIO, signal: MimoSignal) -> None:

@@ -12,7 +12,7 @@ from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
                              dispersion_phase, run_link,
                              span_noise_power_ratio, synthesize_mimo_channel)
 from wgnlink.pipeline import PipelineConfig, _front_end
-from wgnlink.signals import MimoSignal, generate_wgn_mimo
+from wgnlink.signals import MimoSignal, MimoSpectrum, generate_wgn_mimo
 
 
 def _nmse_db(est, ref):
@@ -278,6 +278,20 @@ class TestRunLink:
         inner = np.abs(np.fft.fftfreq(noise.shape[1])) < 0.25
         assert (np.mean(spec[:, inner]) / np.mean(spec[:, ~inner])
                 == pytest.approx(1.0, rel=0.03))
+
+    @pytest.mark.parametrize("impairments", [
+        {}, {"lo_linewidth": 1e5}, {"frequency_offset": 1e9}],
+        ids=["spectral", "lo-noise", "offset"])
+    def test_spectrum_in_spectrum_out(self, impairments):
+        cfg = LinkConfig(mdl_per_span=1.0, dgd_per_span=1e-10, **impairments)
+        sig = generate_wgn_mimo(2, 20_000, 40e9, 1.0, seed=24)
+        spec = MimoSpectrum.of(sig)
+        bins = spec.data.copy()
+        out = run_link(spec, cfg, 2, seed=8)
+        assert isinstance(out, MimoSpectrum) and out.sample_rate == 40e9
+        assert np.array_equal(spec.data, bins)
+        ref = np.fft.fft(run_link(sig, cfg, 2, seed=8).data, axis=1)
+        assert np.max(np.abs(out.data - ref)) < 1e-12 * np.max(np.abs(ref))
 
     def test_mode_count_mismatch(self):
         cfg = LinkConfig(n_modes=6)

@@ -467,6 +467,26 @@ class TestOutputContracts:
         assert "characterization" in char
         assert "characterization" not in plain
 
+    def test_sweep_progress_is_logged(self, tmp_path, caplog):
+        out = tmp_path / "results"
+        cfg_path = _write(tmp_path, TINY_SWEEP)
+        with caplog.at_level(logging.INFO, logger="wgnlink.runner"):
+            rc = cli.main(["simulate", "--config", cfg_path, "--out",
+                           str(out), "--no-plots"])
+        assert rc == 0
+        lines = [m for m in (r.getMessage() for r in caplog.records
+                             if r.levelno == logging.INFO)
+                 if "points done" in m]
+        # 2 sweep values x 2 seeds, one line as each point finishes
+        assert [line.split(",")[:2] for line in lines] == [
+            [f"sweep: {k} of 4 points done", f" {4 - k} left"]
+            for k in range(1, 5)]
+        assert all(float(line.split(", ")[2].split()[0]) >= 0
+                   for line in lines)
+        # the log only: the outputs do not carry progress or times
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["config", "errors", "files", "kind"]
+
     def test_mi_clamp_is_logged(self, tmp_path, caplog):
         text = MINIMAL + "n_rings: 1\nlink:\n  span_snr_db: 30.0\n"
         out = tmp_path / "results"

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from wgnlink import estimation, pipeline
+from wgnlink import estimation, pipeline, runner
 from wgnlink.channel import (SPEED_OF_LIGHT, LinkConfig, MimoChannel,
                              MultiSectionModel, _dispersion_response,
                              apply_channel, apply_phase_noise,
                              dispersion_phase, run_link,
                              synthesize_mimo_channel)
+from wgnlink.config import ExperimentConfig
 from wgnlink.errors import AlignmentError
 from wgnlink.estimation import compare_channels, estimate_channel
 from wgnlink.metrics import build_ring_constellation, estimate_mi
 from wgnlink.pipeline import (PipelineConfig, align_by_crosscorrelation,
                               fde_lms_equalize, phase_recovery, run_pipeline,
                               trim_aligned)
-from wgnlink.signals import ComplexSignal, MimoSignal, generate_wgn_mimo
+from wgnlink.signals import (ComplexSignal, MimoSignal, MimoSpectrum,
+                             generate_wgn_mimo)
 
 
 def _nmse_db(est, ref):
@@ -124,7 +126,7 @@ class TestAlignment:
     def test_shortest_alignable_capture(self):
         sig = generate_wgn_mimo(2, 4, 60e9, 1.0, seed=1)
         *_, res = pipeline._aligned_pair(
-            sig, sig, PipelineConfig(align_threshold=1.0, filter_bw=None))
+            [sig, sig], PipelineConfig(align_threshold=1.0, filter_bw=None))
         assert res.lag == 0 and np.isfinite(res.peak_ratio)
 
     def test_mismatched_spectra_rejected(self):
@@ -167,14 +169,14 @@ class TestAlignment:
         a = MimoSignal(np.ones((2, n_in), dtype=complex), rate)
         b = MimoSignal(np.ones((2, n_out), dtype=complex), rate)
         with pytest.raises(ValueError, match=f"capture of {n} samples"):
-            pipeline._aligned_pair(a, b, PipelineConfig(filter_bw=None))
+            pipeline._aligned_pair([a, b], PipelineConfig(filter_bw=None))
 
     def test_lag_range_fits_the_shorter_capture(self):
         # the received capture is 4,000 samples of a 12,000-sample reference,
         # shorter than twice the default align_max_lag
         sig = generate_wgn_mimo(2, 12_000, 60e9, 1.0, seed=9)
         out = MimoSignal(sig.data[:, 300:4300], sig.sample_rate)
-        *_, res = pipeline._aligned_pair(sig, out,
+        *_, res = pipeline._aligned_pair([sig, out],
                                          PipelineConfig(filter_bw=None))
         assert res.lag == -300
 
@@ -246,6 +248,26 @@ class TestFrontEnd:
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
         # the spectrum returned is that of the output
         assert np.array_equal(np.fft.ifft(spec, axis=1), a)
+
+    @pytest.mark.parametrize("rate, filter_bw, edc_km", [
+        (40e9, 15e9, 156.0), (40e9, None, None), (60e9, 15e9, None),
+        (60e9, None, 78.0),
+        # at the target rate with no stage: the spectrum is only inverted
+        (60e9, None, None)])
+    def test_spectrum_takes_the_signal_path(self, rate, filter_bw, edc_km):
+        sig = generate_wgn_mimo(2, 30_000, rate, 1.0, seed=7)
+        spec = MimoSpectrum.of(sig)
+        bins = spec.data.copy()
+        cfg = PipelineConfig(target_rate=60e9, filter_bw=filter_bw)
+        link = None if edc_km is None else self.LINK
+        out, out_spec = pipeline._front_end(spec, cfg, link, edc_km or 0.0)
+        ref = self._reference(sig, cfg, edc_km)
+        a, b = out.as_array(), ref.as_array()
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+        assert np.array_equal(np.fft.ifft(out_spec, axis=1), a)
+        # the caller's bins are never scaled in place
+        assert np.array_equal(spec.data, bins)
 
     def test_target_rate_without_stages_is_unchanged(self):
         sig = generate_wgn_mimo(2, 10_000, 60e9, 1.0, seed=3)
@@ -345,6 +367,63 @@ class TestFdeLms:
         for bad in (4000, 1, 0):
             with pytest.raises(ValueError, match="block_size"):
                 PipelineConfig(block_size=bad)
+
+
+class TestMeasuredWindow:
+    """Equalizer output and phase recovery over the first samples only."""
+
+    LINK = LinkConfig(span_snr_db=25.0, mdl_per_span=0.5, dgd_per_span=1e-11,
+                      lo_linewidth=1e5)
+
+    def test_equalizer_window_is_the_full_output_cut(self):
+        # 256-sample blocks at a hop of 128 and 16 blocks per chunk: the
+        # window ends inside a block of the fourth chunk
+        sig = generate_wgn_mimo(2, 20_000, 60e9, 1.0, seed=70)
+        ch = synthesize_mimo_channel(2, 1.0, 1e-10, 256, 60e9 / 256, seed=71)
+        out = apply_channel(sig, ch)
+        cfg = PipelineConfig(filter_bw=None, block_size=256)
+        full, ref = fde_lms_equalize(sig, out, cfg)
+        n = 7_001
+        part, state = fde_lms_equalize(sig, out, cfg, n_output=n)
+        assert np.array_equal(part.data, full.data[:, :n])
+        assert np.array_equal(state.taps, ref.taps)
+        assert np.array_equal(state.channel, ref.channel)
+        # one NMSE per block of the window; only the last, partial one
+        # covers fewer samples than the full pass's
+        assert len(state.error_trace) == -(-n // 128)
+        assert state.error_trace[:-1] == ref.error_trace[:len(
+            state.error_trace) - 1]
+
+    @pytest.mark.parametrize("n", [1, 9_999, 40_000, 10 ** 9])
+    def test_pipeline_window_is_the_full_output_cut(self, n):
+        # LO phase noise: phase recovery has a trajectory to follow
+        sig = generate_wgn_mimo(2, 40_000, 40e9, 1.0, seed=72)
+        out = run_link(sig, self.LINK, 2, seed=73)
+        cfg = PipelineConfig()
+        full = run_pipeline(sig, out, self.LINK, cfg, n_recirculations=2)
+        part = run_pipeline(sig, out, self.LINK, cfg, n_recirculations=2,
+                            n_measured=n)
+        assert len(part.f_eq) == min(n, len(full.f_in))
+        assert np.array_equal(part.f_eq.data, full.f_eq.data[:, :n])
+        assert np.array_equal(part.f_in.data, full.f_in.data)
+        assert np.array_equal(part.channel.matrices, full.channel.matrices)
+        assert part.alignment == full.alignment
+
+    def test_negative_window_rejected(self):
+        sig = generate_wgn_mimo(2, 10_000, 40e9, 1.0, seed=76)
+        with pytest.raises(ValueError, match="n_measured"):
+            run_pipeline(sig, sig, LinkConfig(), PipelineConfig(),
+                         n_measured=-1)
+
+    def test_phase_recovery_window_is_the_full_output_cut(self):
+        sig = generate_wgn_mimo(2, 30_000, 60e9, 1.0, seed=74)
+        noisy = apply_phase_noise(sig, 1e6, seed=75)
+        window, n = 200, 12_345
+        full = phase_recovery(sig, noisy, window)
+        cut = [MimoSignal(x.data[:, :n + window], x.sample_rate)
+               for x in (sig, noisy)]
+        part = phase_recovery(*cut, window)
+        assert np.array_equal(part.data[:, :n], full.data[:, :n])
 
 
 class TestPhaseRecovery:
@@ -509,3 +588,103 @@ class TestRunPipeline:
             mi = estimate_mi(x, y, rings)
             per_second.append((60e9 / k) * k * mi)
         assert per_second[0] == pytest.approx(per_second[1], rel=0.02)
+
+
+def _point_config(**link) -> ExperimentConfig:
+    # 60k samples at 40 GS/s; the MI reads the first 15k of 45k symbols
+    return ExperimentConfig(link=LinkConfig(span_snr_db=22.0, **link),
+                            sweep_values=(2,), seeds=(3,), n_samples=60_000,
+                            mi_max_symbols=15_000, emit_plots=False)
+
+
+def _receiver(monkeypatch, as_signals: bool) -> list:
+    """Route the runner's link and receive chain through MimoSignal
+    captures when `as_signals`, else leave them as the runner passes them.
+    Returns a list that collects the link's input type, then the receive
+    chain's input types and its PipelineResult."""
+    calls = []
+
+    def given(c):
+        if as_signals and isinstance(c, MimoSpectrum):
+            return MimoSignal(np.fft.ifft(c.data, axis=1), c.sample_rate)
+        return c
+
+    def link(x, *args):
+        calls.append(type(given(x)))
+        return run_link(given(x), *args)
+
+    def receive(a, b, *args, **kwargs):
+        a, b = given(a), given(b)
+        res = run_pipeline(a, b, *args, **kwargs)
+        calls.append((type(a), type(b), res))
+        return res
+
+    monkeypatch.setattr(runner, "run_link", link)
+    monkeypatch.setattr(runner, "run_pipeline", receive)
+    return calls
+
+
+def _close(a, b, rel=1e-9) -> bool:
+    return np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestSpectralHandOff:
+    """A sweep point passes spectra from the transmitter through the link
+    to the front end; MimoSignal captures must give the same numbers."""
+
+    @pytest.mark.parametrize("kind, link", [
+        ("wgn", {"mdl_per_span": 0.5, "dgd_per_span": 1e-11}),
+        ("qam16", {}),
+        # LO phase noise: the link's time-domain branch
+        ("wgn", {"lo_linewidth": 1e5})], ids=["wgn", "qam16", "lo-noise"])
+    def test_point_matches_the_signal_path(self, monkeypatch, kind, link):
+        cfg = _point_config(**link)
+        point = ((lambda: runner._wgn_point(cfg, 2, 3, True))
+                 if kind == "wgn" else (lambda: runner._qam_point(cfg, 2, 3)))
+        runs = []
+        for as_signals in (False, True):
+            calls = _receiver(monkeypatch, as_signals)
+            runs.append((point(), calls))
+        (spec_out, spec_calls), (sig_out, sig_calls) = runs
+        kinds = (MimoSpectrum, MimoSpectrum, MimoSpectrum)
+        assert (spec_calls[0], *spec_calls[1][:2]) == kinds
+        kinds = (MimoSignal, MimoSignal, MimoSignal)
+        assert (sig_calls[0], *sig_calls[1][:2]) == kinds
+        got, want = spec_calls[1][2], sig_calls[1][2]
+        assert got.alignment.lag == want.alignment.lag
+        assert got.trim_start_in == want.trim_start_in
+        assert len(got.f_eq) == len(want.f_eq) == 30_000
+        assert _close(got.f_eq.data, want.f_eq.data)
+        assert _close(got.channel.matrices, want.channel.matrices)
+        assert len(spec_out["rows"]) == len(sig_out["rows"]) == 2
+        for a, b in zip(spec_out["rows"], sig_out["rows"]):
+            for key in ("bits_per_symbol", "snr_db"):
+                assert a.pop(key) == pytest.approx(b.pop(key), rel=1e-9)
+            assert a == b
+
+    # capture-length FFTs and inverse FFTs of one 60k-sample point: the
+    # transmitted WGN capture's FFT (or the 16QAM generator's, one per
+    # mode), the link's pair when LO noise is on, the front end's inverse
+    # per capture and the alignment's inverse
+    @pytest.mark.parametrize("kind, link, counts", [
+        ("wgn", {}, {"fft": 1, "ifft": 3}),
+        ("qam16", {}, {"fft": 2, "ifft": 3}),
+        ("wgn", {"lo_linewidth": 1e5}, {"fft": 2, "ifft": 4})],
+        ids=["wgn", "qam16", "lo-noise"])
+    def test_capture_length_transforms_per_point(self, monkeypatch, kind,
+                                                 link, counts):
+        cfg = _point_config(**link)
+        seen = {"fft": 0, "ifft": 0}
+        for name in seen:
+            def counted(a, *args, _f=getattr(np.fft, name), _name=name,
+                        **kwargs):
+                out = _f(a, *args, **kwargs)
+                if out.shape[kwargs.get("axis", -1)] >= cfg.n_samples:
+                    seen[_name] += 1
+                return out
+            monkeypatch.setattr(np.fft, name, counted)
+        if kind == "wgn":
+            runner._wgn_point(cfg, 2, 3, True)
+        else:
+            runner._qam_point(cfg, 2, 3)
+        assert seen == counts

@@ -12,9 +12,10 @@ from scipy import stats
 
 from wgnlink.pipeline import PipelineConfig, _front_end
 from wgnlink.runner import generate_qam16_mimo
-from wgnlink.signals import (ComplexSignal, MimoSignal, _gaussian_response,
-                             _resample_spectrum, generate_wgn,
-                             generate_wgn_mimo, read_signal, write_signal)
+from wgnlink.signals import (ComplexSignal, MimoSignal, MimoSpectrum,
+                             _gaussian_response, _resample_spectrum,
+                             generate_wgn, generate_wgn_mimo, read_signal,
+                             write_signal)
 
 
 def _power(x: np.ndarray) -> float:
@@ -74,6 +75,26 @@ class TestMimoSignal:
     def test_as_array_is_the_data(self):
         sig = generate_wgn_mimo(2, 100, 40e9, 1.0, seed=1)
         assert sig.as_array() is sig.data
+
+
+class TestMimoSpectrum:
+    def test_of_a_signal(self):
+        sig = generate_wgn_mimo(3, 1000, 40e9, 1.0, seed=2)
+        spec = MimoSpectrum.of(sig)
+        assert (spec.n_tributaries, len(spec)) == (3, 1000)
+        assert spec.sample_rate == 40e9
+        assert np.array_equal(spec.data, np.fft.fft(sig.data, axis=1))
+
+    @pytest.mark.parametrize("data, rate, match", [
+        (np.zeros(4, dtype=complex), 1.0, "M, N"),
+        (np.zeros((0, 4), dtype=complex), 1.0, "M >= 1"),
+        (np.zeros((2, 4), dtype=complex), 0.0, "sample_rate"),
+        (np.array([[1.0, np.nan]]), 1.0, "NaN or Inf"),
+        (np.array([[1.0], [np.inf]]), 1.0, "NaN or Inf"),
+    ])
+    def test_constructor_rejects(self, data, rate, match):
+        with pytest.raises(ValueError, match=match):
+            MimoSpectrum(data, rate)
 
 
 class TestGenerateWgn:
@@ -191,6 +212,18 @@ class TestQam16Waveform:
         a = direct.as_array()
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("rate", [40e9, 60e9])
+    def test_spectrum_is_the_waveforms_fft(self, rate):
+        wave, sym = generate_qam16_mimo(2, 3001, 30e9, 1.0, seed=5,
+                                        sample_rate=rate)
+        spec, sym_s = generate_qam16_mimo(2, 3001, 30e9, 1.0, seed=5,
+                                          sample_rate=rate, spectrum=True)
+        assert isinstance(spec, MimoSpectrum) and spec.sample_rate == rate
+        assert np.array_equal(sym, sym_s)
+        # the waveform is the inverse FFT of each row, bit for bit
+        assert all(np.array_equal(np.fft.ifft(row), w)
+                   for row, w in zip(spec.data, wave.data))
 
     def test_rate_below_band_rejected(self):
         # a 30 GBd, 0.1-rolloff band is 33 GHz wide
