@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MimoChannel, _channel_on_grid
-from .pipeline import PipelineConfig, _aligned_pair, fde_lms_equalize
+from .pipeline import PipelineConfig, run_pipeline
 from .signals import MimoSignal
 
 _NMSE_CAP_DB = -120.0
@@ -57,16 +57,12 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig) -> MimoChannel:
     """Estimate the full channel from the inverted-role equalizer solve.
 
-    The pair takes :func:`wgnlink.pipeline.run_pipeline`'s front end,
-    alignment and trim without EDC, so the estimate holds the complete
-    channel.  One taps-only equalizer call, with the transmitted field as
-    the reference, returns the per-bin least-squares channel
-    ``H = R_xd R_dd^-1``; ``run_pipeline`` returns the same estimate, with
-    the EDC undone, from its own equalizer call.
+    :func:`wgnlink.pipeline.run_pipeline` with no link, so no EDC and the
+    estimate holds the complete channel, and nothing measured, so only the
+    equalizer's covariance is accumulated: its second solve is the per-bin
+    least-squares channel ``H = R_xd R_dd^-1``.
     """
-    f_in, f_out, _, _ = _aligned_pair([f_in, f_out], cfg)
-    _, state = fde_lms_equalize(f_in, f_out, cfg, n_output=0)
-    return MimoChannel(state.channel, cfg.target_rate / cfg.block_size)
+    return run_pipeline(f_in, f_out, None, cfg, n_measured=0).channel
 
 
 def mdl_from_channel(channel: MimoChannel,

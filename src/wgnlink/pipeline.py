@@ -7,15 +7,16 @@ form, per frequency bin, from cross-spectra averaged over the whole capture:
 the least-squares limit of the paper's LMS equalizer, with no training phase
 and no step size.
 
-The forward chain and the channel estimate share one front end and
-alignment: per capture one FFT (none for a capture handed over as its
-spectrum), a spectral resample, the Gaussian filter and EDC multiplies, one
-inverse FFT; the spectra give the alignment in one more.  One accumulation
-of the per-bin covariance of the stacked block spectra then gives both the
-forward taps and the channel estimate, from two solves of the same matrix;
-EDC is a unit-modulus scalar per frequency, so it commutes with the channel
-and is undone exactly on the estimate.  The equalizer output and phase
-recovery cover only the samples the caller measures.
+:func:`run_pipeline` runs the chain for the sweep and, with no link and
+nothing measured, for the channel estimate of a stored pair: per capture
+one FFT (none for a capture handed over as its spectrum), a spectral
+resample, the Gaussian filter and EDC multiplies, one inverse FFT; the
+spectra give the alignment in one more.  One accumulation of the per-bin
+covariance of the stacked block spectra then gives both the forward taps
+and the channel estimate, from two solves of the same matrix; EDC is a
+unit-modulus scalar per frequency, so it commutes with the channel and is
+undone exactly on the estimate.  The equalizer output and phase recovery
+cover only the samples the caller measures.
 """
 
 from __future__ import annotations
@@ -229,45 +230,9 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
     return MimoSignal(np.fft.ifft(spec, axis=1), rate), spec
 
 
-def _aligned_pair(captures: list, cfg: PipelineConfig,
-                  link: Optional[LinkConfig] = None, edc_km: float = 0.0
-                  ) -> tuple[MimoSignal, MimoSignal, int, AlignmentResult]:
-    """The transmitted and received captures in `captures` (each a
-    :class:`MimoSignal` or a :class:`MimoSpectrum`) through
-    :func:`_front_end` (EDC on the received one only), aligned from their
-    spectra over a lag range cut to the shorter one, and trimmed: returns
-    ``(f_in, f_out, trim offset, alignment)``.
-
-    The list is emptied as the front end consumes it, so a capture that no
-    caller still holds is freed before the next one is transformed.  The
-    filter response is computed once when both outputs have one length.  A
-    capture under four samples at the target rate leaves no off-peak lag
-    and raises ValueError before any transform."""
-    if captures[0].n_tributaries != captures[1].n_tributaries:
-        raise ValueError("capture tributary counts differ")
-    n_in, n_rx = (_front_end_length(c, cfg) for c in captures)
-    n = min(n_in, n_rx)
-    if n < 4:
-        raise ValueError(f"a capture of {n} samples is too short to align "
-                         "(need at least 4)")
-    gauss = None
-    if cfg.filter_bw is not None and n_in == n_rx:
-        gauss = _gaussian_response(n, cfg.target_rate, cfg.filter_bw,
-                                   cfg.filter_order)
-    f_in, spec_in = _front_end(captures.pop(0), cfg, gauss=gauss)
-    f_out, spec_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
-    del gauss
-    max_lag = min(cfg.align_max_lag, n // 2 - 1)
-    alignment = align_by_crosscorrelation(f_in, f_out, max_lag,
-                                          cfg.align_threshold,
-                                          spectra=(spec_in, spec_out))
-    # the spectra are freed on return, before any equalizer runs
-    return (*trim_aligned(f_in, f_out, alignment.lag), alignment)
-
-
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
                      cfg: PipelineConfig, n_output: Optional[int] = None
-                     ) -> tuple[Optional[MimoSignal], EqualizerState]:
+                     ) -> tuple[MimoSignal, EqualizerState]:
     """Data-aided frequency-domain MIMO equalizer (overlap-save), solved in
     closed form.
 
@@ -290,12 +255,15 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     ``error_trace`` holds its NMSE per block of those samples.  The
     covariance always spans the whole capture, and the output samples do
     not depend on `n_output`.  With ``n_output=0`` the pass is skipped: the
-    first element of the result is None and the trace is empty.
+    field has no samples and the trace is empty.  A negative `n_output`
+    raises ValueError.
     """
     if f_in.n_tributaries != f_out.n_tributaries:
         raise ValueError("tributary count mismatch")
     if len(f_in) != len(f_out):
         raise ValueError("signals must be equal length (align first)")
+    if n_output is not None and n_output < 0:
+        raise ValueError(f"n_output must be >= 0, got {n_output}")
     m = f_in.n_tributaries
     n = len(f_in)
     n_output = n if n_output is None else min(n_output, n)
@@ -316,31 +284,28 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     channel = _wiener(corr[:, m:, m:], corr[:, :m, m:])
 
     trace: list[float] = []
-    f_eq = None
-    if n_output > 0:
-        out = np.empty((m, n_output), dtype=complex)
-        # whole chunks, as over the full capture, so that the samples kept
-        # are those of the full pass
-        for first, stop in chunks:
-            if first * hop >= n_output:
-                break
-            spec_x = _block_spectra((f_out.data,), first, stop, hop)
-            # overlap-save keeps the second half of each block
-            y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
-            seg = slice(first * hop, min(stop * hop, n_output))
-            y = y.transpose(1, 2, 0).reshape(m, -1)[:, :seg.stop - seg.start]
-            out[:, seg] = y
-            d = f_in.data[:, seg]
-            starts = np.arange(0, y.shape[1], hop)
-            err = np.add.reduceat(np.sum(np.abs(d - y) ** 2, axis=0), starts)
-            ref = np.add.reduceat(np.sum(np.abs(d) ** 2, axis=0), starts)
-            nmse = np.divide(err, ref, out=np.zeros_like(err), where=ref > 0)
-            trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
-        f_eq = MimoSignal(out, f_in.sample_rate)
+    out = np.empty((m, n_output), dtype=complex)
+    # whole chunks, as over the full capture, so that the samples kept are
+    # those of the full pass
+    for first, stop in chunks:
+        if first * hop >= n_output:
+            break
+        spec_x = _block_spectra((f_out.data,), first, stop, hop)
+        # overlap-save keeps the second half of each block
+        y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
+        seg = slice(first * hop, min(stop * hop, n_output))
+        y = y.transpose(1, 2, 0).reshape(m, -1)[:, :seg.stop - seg.start]
+        out[:, seg] = y
+        d = f_in.data[:, seg]
+        starts = np.arange(0, y.shape[1], hop)
+        err = np.add.reduceat(np.sum(np.abs(d - y) ** 2, axis=0), starts)
+        ref = np.add.reduceat(np.sum(np.abs(d) ** 2, axis=0), starts)
+        nmse = np.divide(err, ref, out=np.zeros_like(err), where=ref > 0)
+        trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
 
     state = EqualizerState(taps=taps, channel=channel,
                            error_trace=[float(v) for v in trace])
-    return f_eq, state
+    return MimoSignal(out, f_in.sample_rate), state
 
 
 def _wiener(r_in: np.ndarray, r_cross: np.ndarray) -> np.ndarray:
@@ -401,53 +366,76 @@ def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
 
 def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
                  f_out_raw: MimoSignal | MimoSpectrum,
-                 link: LinkConfig, cfg: PipelineConfig,
+                 link: Optional[LinkConfig], cfg: PipelineConfig,
                  n_recirculations: int = 1,
                  n_measured: Optional[int] = None) -> PipelineResult:
-    """Full receive chain: resample, filter, EDC, align, FDE, phase recovery.
-
-    EDC compensates ``edc_km = n_recirculations * span_length`` of
-    dispersion on the received capture only.  Returns the co-trimmed
-    reference, the equalized field and the channel estimate.
+    """The receive chain: front end, alignment, trim, equalizer, phase
+    recovery and channel estimate.
 
     Each capture is a :class:`MimoSignal` or its :class:`MimoSpectrum`.
-    The front end, alignment and trim are :func:`_aligned_pair`'s; a
-    caller that passes a capture it does not keep lets it be freed once
-    the front end has consumed it.  The one equalizer call gives the
-    forward taps and, from the same covariance over the whole capture, the
-    channel seen from the transmitted to the EDC-compensated received
-    capture; the result's `channel` is that estimate times the fiber
-    response of `edc_km` on its block grid, the exact inverse of the EDC
-    multiply there.
+    Both go through :func:`_front_end`; when `link` is given, the received
+    one also takes EDC of ``edc_km = n_recirculations * span_length`` of
+    its fiber.  ``link=None`` (a stored pair whose link is unknown) means
+    no EDC.  A caller that passes a capture it does not keep lets it be
+    freed once the front end has consumed it.  The pair is aligned from the
+    front end's spectra over a lag range cut to the shorter capture, and
+    trimmed; a capture under four samples at the target rate leaves no
+    off-peak lag and raises ValueError before any transform.
+
+    The one equalizer call gives the forward taps and, from the same
+    covariance over the whole capture, the channel seen from the
+    transmitted to the EDC-compensated received capture; the result's
+    `channel` is that estimate times the fiber response of `edc_km` on its
+    block grid, the exact inverse of the EDC multiply there.
 
     `n_measured` is the number of leading samples of the trimmed capture
     that the caller measures (all when None).  The equalizer output and
     phase recovery run over those plus ``cfg.phase_window`` samples, and
-    `f_eq` holds the first `n_measured`: sample for sample the values a
-    run over the whole capture gives, because the phase estimate is a
-    moving sum over ``cfg.phase_window`` samples.
+    `f_eq` holds the first `n_measured`.  The equalizer output there is
+    that of a run over the whole capture; the phase estimate is a moving
+    sum over ``cfg.phase_window`` samples, so it is too, up to the last
+    bits of its complex products.  With ``n_measured=0`` neither the output
+    pass nor phase recovery runs and `f_eq` has no samples.
     """
     if n_measured is not None and n_measured < 0:
         raise ValueError("n_measured must be >= 0")
     rate = cfg.target_rate
-    edc_km = link.span_length * n_recirculations
     captures = [f_in_raw, f_out_raw]
     del f_in_raw, f_out_raw
-    f_in, f_out, start_in, alignment = _aligned_pair(captures, cfg, link,
-                                                     edc_km)
-    n_eq = len(f_in)
-    if n_measured is not None:
-        n_eq = min(n_eq, n_measured + cfg.phase_window)
+    if captures[0].n_tributaries != captures[1].n_tributaries:
+        raise ValueError("capture tributary counts differ")
+    n_in, n_rx = (_front_end_length(c, cfg) for c in captures)
+    n = min(n_in, n_rx)
+    if n < 4:
+        raise ValueError(f"a capture of {n} samples is too short to align "
+                         "(need at least 4)")
+    edc_km = 0.0 if link is None else link.span_length * n_recirculations
+    gauss = None
+    if cfg.filter_bw is not None and n_in == n_rx:
+        gauss = _gaussian_response(n, rate, cfg.filter_bw, cfg.filter_order)
+    # the list is emptied as the front end consumes it
+    f_in, spec_in = _front_end(captures.pop(0), cfg, gauss=gauss)
+    f_out, spec_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
+    del gauss
+    alignment = align_by_crosscorrelation(
+        f_in, f_out, min(cfg.align_max_lag, n // 2 - 1), cfg.align_threshold,
+        spectra=(spec_in, spec_out))
+    # freed before the equalizer runs
+    del spec_in, spec_out
+    f_in, f_out, start_in = trim_aligned(f_in, f_out, alignment.lag)
+    n_keep = len(f_in) if n_measured is None else min(n_measured, len(f_in))
+    n_eq = min(n_keep + cfg.phase_window, len(f_in)) if n_keep else 0
     f_eq, state = fde_lms_equalize(f_in, f_out, cfg, n_output=n_eq)
-    f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
-                          cfg.phase_window)
-    if n_measured is not None:
-        f_eq = MimoSignal(f_eq.data[:, :n_measured], rate)
+    if n_keep:
+        f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
+                              cfg.phase_window)
+        f_eq = MimoSignal(f_eq.data[:, :n_keep], rate)
     block = cfg.block_size
-    fiber = _dispersion_response(block, rate, link.dispersion_coeff, edc_km,
-                                 link.center_wavelength, +1.0)
+    channel = state.channel
+    if link is not None:
+        channel = channel * _dispersion_response(
+            block, rate, link.dispersion_coeff, edc_km,
+            link.center_wavelength, +1.0)[:, None, None]
     return PipelineResult(f_in=f_in, f_eq=f_eq, state=state,
                           alignment=alignment, trim_start_in=start_in,
-                          channel=MimoChannel(state.channel
-                                              * fiber[:, None, None],
-                                              rate / block))
+                          channel=MimoChannel(channel, rate / block))

@@ -11,8 +11,10 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -161,10 +163,14 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     """16QAM reference transmission through the same link and pipeline."""
     pipe = dataclasses.replace(cfg.pipeline, filter_bw=None)
     osr = pipe.oversampling
-    # capture length must round-trip exactly through the rate conversion
-    ratio = pipe.target_rate / cfg.capture_rate
-    n_hi = int(round(cfg.n_samples * ratio))
-    n_hi -= n_hi % (osr * 3)
+    # whole symbols that convert sample for sample between the two rates:
+    # for target / capture = p / q, a multiple of p target-rate samples
+    ratio = Fraction(pipe.target_rate) / Fraction(cfg.capture_rate)
+    n_hi = round(cfg.n_samples * ratio)
+    n_hi -= n_hi % math.lcm(osr, ratio.numerator)
+    if n_hi < pipe.block_size:
+        raise ValueError(f"capture_rate {cfg.capture_rate!r} Hz leaves no "
+                         "16QAM capture of a block that converts exactly")
     n_sym = n_hi // osr
     tx, symbols = generate_qam16_mimo(cfg.link.n_modes, n_sym,
                                       pipe.assumed_baud, 1.0, seed, osr,

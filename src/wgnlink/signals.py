@@ -13,6 +13,7 @@ inputs.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -182,7 +183,9 @@ def write_signal(f: BinaryIO, signal: MimoSignal) -> None:
 
 
 def read_signal(f: BinaryIO) -> MimoSignal:
-    """Read the format of :func:`write_signal`; samples are a read-only view."""
+    """Read the format of :func:`write_signal` from a seekable file; samples
+    are a read-only view.  A payload the header declares larger than the
+    rest of the file raises ValueError before anything is allocated."""
     raw = f.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise ValueError("truncated signal file header")
@@ -191,8 +194,9 @@ def read_signal(f: BinaryIO) -> MimoSignal:
         raise ValueError("not a wgnlink capture file")
     if version != _VERSION:
         raise ValueError(f"unsupported capture version {version}")
-    payload = f.read(m * ns * 16)
-    if len(payload) != m * ns * 16:
+    size, start = m * ns * 16, f.tell()
+    if size > f.seek(0, os.SEEK_END) - start:
         raise ValueError("truncated signal payload")
-    return MimoSignal(np.frombuffer(payload, dtype="<c16").reshape(m, ns),
-                      rate)
+    f.seek(start)
+    return MimoSignal(np.frombuffer(f.read(size), dtype="<c16")
+                      .reshape(m, ns), rate)

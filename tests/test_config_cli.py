@@ -364,6 +364,22 @@ class TestCliVerbs:
                        str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("n_samples", [2 ** 40, 2 ** 61])
+    def test_characterize_oversized_header_exit_2(self, tmp_path, caplog,
+                                                  n_samples):
+        # magic, version and mode count take the header's first 12 bytes
+        fi = tmp_path / "big.bin"
+        with open(fi, "wb") as f:
+            write_signal(f, generate_wgn_mimo(2, 100, 40e9, 1.0, seed=7))
+        data = bytearray(fi.read_bytes())
+        data[12:20] = n_samples.to_bytes(8, "little")
+        fi.write_bytes(bytes(data))
+        with caplog.at_level(logging.ERROR, logger="wgnlink.cli"):
+            rc = cli.main(["characterize", "--input", str(fi), "--output",
+                           str(fi), "--out", str(tmp_path / "char")])
+        assert rc == 2
+        assert "cannot read captures: truncated signal payload" in caplog.text
+
     def test_characterize_mode_count_mismatch_exit_2(self, tmp_path):
         fi, fo = tmp_path / "in.bin", tmp_path / "out.bin"
         with open(fi, "wb") as f:

@@ -289,6 +289,21 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             read_signal(io.BytesIO(data))
 
+    @pytest.mark.parametrize("n_samples", [2 ** 40, 2 ** 61])
+    def test_oversized_header_is_a_truncated_payload(self, tmp_path,
+                                                     n_samples):
+        # the declared payload is checked against the file, not allocated;
+        # magic, version and mode count take the header's first 12 bytes
+        buf = io.BytesIO()
+        write_signal(buf, generate_wgn_mimo(2, 100, 40e9, 1.0, seed=8))
+        data = bytearray(buf.getvalue())
+        data[12:20] = n_samples.to_bytes(8, "little")
+        path = tmp_path / "big.bin"
+        path.write_bytes(bytes(data))
+        with open(path, "rb") as f:
+            with pytest.raises(ValueError, match="truncated signal payload"):
+                read_signal(f)
+
     def test_truncated_header(self):
         with pytest.raises(ValueError):
             read_signal(io.BytesIO(b"WG"))
