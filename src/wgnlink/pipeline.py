@@ -10,13 +10,15 @@ and no step size.
 :func:`run_pipeline` runs the chain for the sweep and, with no link and
 nothing measured, for the channel estimate of a stored pair: per capture
 one FFT (none for a capture handed over as its spectrum), a spectral
-resample, the Gaussian filter and EDC multiplies, one inverse FFT; the
-spectra give the alignment in one more.  One accumulation of the per-bin
-covariance of the stacked block spectra then gives both the forward taps
-and the channel estimate, from two solves of the same matrix; EDC is a
-unit-modulus scalar per frequency, so it commutes with the channel and is
-undone exactly on the estimate.  The equalizer output and phase recovery
-cover only the samples the caller measures.
+resample and the Gaussian filter and EDC multiplies.  The alignment reads
+the two spectra and costs one inverse FFT; each spectrum is then turned
+into its time signal by one inverse FFT in place, so that a capture is
+held in one form at a time.  One accumulation of the per-bin covariance of
+the stacked block spectra then gives both the forward taps and the channel
+estimate, from two solves of the same matrix; EDC is a unit-modulus scalar
+per frequency, so it commutes with the channel and is undone exactly on
+the estimate.  The equalizer output and phase recovery cover only the
+samples the caller measures.
 """
 
 from __future__ import annotations
@@ -111,45 +113,48 @@ class PipelineResult:
     channel: MimoChannel  # full channel estimate, EDC undone, block grid
 
 
-def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
-                              max_lag: int, threshold: float = 10.0, *,
-                              spectra: Optional[tuple] = None
+def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
+                              f_out: MimoSignal | MimoSpectrum,
+                              max_lag: int, threshold: float = 10.0
                               ) -> AlignmentResult:
     """Locate the delay of f_out relative to f_in by FFT cross-correlation.
 
-    The per-tributary cross-spectra ``F_out,m conj(F_in,m)`` are summed
-    (common-LO phase) and inverted with one IFFT; the winning lag maximizes
-    the correlation magnitude over ``[-max_lag, max_lag]``, and ties break
-    toward the smallest |lag|.  A peak-to-RMS ratio below `threshold` raises
-    :class:`AlignmentError`.
+    Either capture may be a :class:`MimoSignal` or its
+    :class:`MimoSpectrum`.  The per-tributary cross-spectra
+    ``F_out,m conj(F_in,m)`` over the first ``n = min(len(f_in),
+    len(f_out))`` samples are summed (common-LO phase), one row at a time
+    in one row buffer, and inverted with one IFFT; the winning lag
+    maximizes the correlation magnitude over ``[-max_lag, max_lag]``, and
+    ties break toward the smallest |lag|.  A peak-to-RMS ratio below
+    `threshold` raises :class:`AlignmentError`.
 
-    ``spectra=(spec_in, spec_out)`` are the (M, N) FFTs of the two signals,
-    as the receiver front end computes them; either may be None.  They are
-    used when both signals have the same length N, and then aligning costs a
-    single IFFT.  A spectrum not given, or any spectrum when the lengths
-    differ, is computed row by row over the first
-    ``min(len(f_in), len(f_out))`` samples.  A `max_lag` under 1 leaves no
-    off-peak lag to measure the ratio against and raises ValueError.
+    A spectrum of length n is read bin for bin, so aligning two spectra of
+    one length costs a single IFFT.  A signal's rows are transformed over
+    their first n samples; a longer spectrum's rows are first inverted.
+    Captures with different tributary counts, or a `max_lag` under 1,
+    which leaves no off-peak lag to measure the ratio against, raise
+    ValueError.
     """
     if f_in.sample_rate != f_out.sample_rate:
         raise ValueError("signals must share a sample rate")
+    if f_in.n_tributaries != f_out.n_tributaries:
+        raise ValueError(f"tributary counts differ: f_in has "
+                         f"{f_in.n_tributaries}, f_out has "
+                         f"{f_out.n_tributaries}")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     n = min(len(f_in), len(f_out))
     if n < 2 * max_lag:
         raise ValueError("signals shorter than 2 * max_lag")
-    spec_in = spec_out = None
-    if spectra is not None and len(f_in) == len(f_out):
-        spec_in, spec_out = spectra
-        for spec, sig in ((spec_in, f_in), (spec_out, f_out)):
-            if spec is not None and spec.shape != (sig.n_tributaries, n):
-                raise ValueError("spectra do not match the signals")
     cross = np.zeros(n, dtype=complex)
-    # row by row: transforming all rows at once would hold 2*M*N more samples
-    for m, (a, b) in enumerate(zip(f_in.data[:, :n], f_out.data[:, :n])):
-        fa = np.fft.fft(a) if spec_in is None else spec_in[m]
-        fb = np.fft.fft(b) if spec_out is None else spec_out[m]
-        cross += fb * np.conj(fa)
+    # conj(F_in) * F_out in this operand order: numpy's complex multiply
+    # may round a*b and b*a differently
+    row = np.empty(n, dtype=complex)
+    for m in range(f_in.n_tributaries):
+        np.conjugate(_row_spectrum(f_in, m, n), out=row)
+        np.multiply(row, _row_spectrum(f_out, m, n), out=row)
+        cross += row
+    del row  # before the inverse FFT allocates its output
     corr = np.fft.ifft(cross)
     lags = np.concatenate([np.arange(-max_lag, 0), np.arange(0, max_lag + 1)])
     mags = np.abs(corr[lags])
@@ -167,6 +172,17 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     lag = int(lags[best])
     return AlignmentResult(lag=lag, phase=float(np.angle(corr[lag])),
                            peak_ratio=float(ratio))
+
+
+def _row_spectrum(capture: MimoSignal | MimoSpectrum, m: int,
+                  n: int) -> np.ndarray:
+    """The FFT of the first `n` samples of row `m` of `capture`."""
+    row = capture.data[m]
+    if isinstance(capture, MimoSpectrum):
+        if len(capture) == n:
+            return row
+        row = np.fft.ifft(row)
+    return np.fft.fft(row[:n])
 
 
 def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
@@ -194,7 +210,7 @@ def _front_end_length(sig: MimoSignal | MimoSpectrum,
 def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
                link: Optional[LinkConfig] = None, edc_km: float = 0.0,
                gauss: Optional[np.ndarray] = None
-               ) -> tuple[MimoSignal, Optional[np.ndarray]]:
+               ) -> MimoSignal | MimoSpectrum:
     """Receiver front end of one capture: resample to ``cfg.target_rate``,
     Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
     given, EDC of `edc_km` of its fiber.
@@ -203,19 +219,20 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
     from its bins, which are never written to.  The spectrum is cut or
     zero-padded to the new rate (:func:`wgnlink.signals._resample_spectrum`)
     and multiplied by the filter response (`gauss` when the caller has it
-    on the output grid) and the EDC response before one inverse FFT.
-    Returns the output and its (M, n) spectrum; a signal already at the
-    target rate with no stage asked for passes through as ``(sig, None)``.
+    on the output grid) and the EDC response.  Returns the output's
+    :class:`MimoSpectrum`, in bins of its own that the caller may invert in
+    place; the inverse FFT is left to the caller.  A signal already at the
+    target rate with no stage asked for passes through as itself.
     """
     rate = cfg.target_rate
     spectral = isinstance(sig, MimoSpectrum)
     if (not spectral and sig.sample_rate == rate and cfg.filter_bw is None
             and link is None):
-        return sig, None
+        return sig
     n_out = _front_end_length(sig, cfg)
     spec = sig.data if spectral else np.fft.fft(sig.data, axis=1)
     spec = _resample_spectrum(spec, n_out)
-    if spec is sig.data and (cfg.filter_bw is not None or link is not None):
+    if spec is sig.data:
         spec = spec.copy()
     # a capture that run_pipeline handed over is freed here
     del sig
@@ -227,7 +244,16 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
     if link is not None:
         spec *= _dispersion_response(n_out, rate, link.dispersion_coeff,
                                      edc_km, link.center_wavelength, -1.0)
-    return MimoSignal(np.fft.ifft(spec, axis=1), rate), spec
+    return MimoSpectrum(spec, rate)
+
+
+def _as_signal(capture: MimoSignal | MimoSpectrum) -> MimoSignal:
+    """The time signal of a front-end output: a spectrum's bins are
+    inverted in place, so the spectrum is gone afterwards."""
+    if isinstance(capture, MimoSignal):
+        return capture
+    return MimoSignal(np.fft.ifft(capture.data, axis=1, out=capture.data),
+                      capture.sample_rate)
 
 
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
@@ -339,22 +365,34 @@ def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
     return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
 
 
-def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
-                   window: int = 200) -> MimoSignal:
+def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal, window: int = 200,
+                   *, overwrite: bool = False) -> MimoSignal:
     """Data-aided common-LO phase recovery.
 
     The phase estimate at sample n is the argument of the centered
     moving-window sum of sum_m f_eq,m(n) * conj(f_in,m(n)); edges use
-    truncated windows.  Returns f_eq rotated by the negated estimate.
+    truncated windows.  The sum over tributaries is taken one row at a
+    time.  Returns f_eq rotated by the negated estimate: a new signal, or
+    with ``overwrite=True`` f_eq itself, its array rotated in place.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if len(f_in) != len(f_eq):
-        raise ValueError("signals must be equal length")
-    cross = np.sum(f_eq.data * np.conj(f_in.data), axis=0)
+    if len(f_in) != len(f_eq) or f_in.n_tributaries != f_eq.n_tributaries:
+        raise ValueError("signals must be of equal length and mode count")
+    eq = f_eq.data
+    # conj(f_in) * f_eq in this operand order, as in the alignment
+    cross = np.zeros(len(f_eq), dtype=complex)
+    row = np.empty_like(cross)
+    for a, b in zip(f_in.data, eq):
+        np.multiply(np.conjugate(a, out=row), b, out=row)
+        cross += row
+    del row
     phi = np.angle(_centered_moving_sum(cross, window))
-    return MimoSignal(f_eq.data * np.exp(-1j * phi)[None, :],
-                      f_eq.sample_rate)
+    rotation = np.exp(-1j * phi)[None, :]
+    if overwrite:
+        np.multiply(eq, rotation, out=eq)
+        return f_eq
+    return MimoSignal(eq * rotation, f_eq.sample_rate)
 
 
 def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
@@ -378,9 +416,13 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     its fiber.  ``link=None`` (a stored pair whose link is unknown) means
     no EDC.  A caller that passes a capture it does not keep lets it be
     freed once the front end has consumed it.  The pair is aligned from the
-    front end's spectra over a lag range cut to the shorter capture, and
-    trimmed; a capture under four samples at the target rate leaves no
-    off-peak lag and raises ValueError before any transform.
+    front end's spectra over a lag range cut to the shorter capture; only
+    then is each spectrum inverted in place into the time signal that is
+    trimmed and equalized, so no capture is held as spectrum and signal at
+    once.  Spectra of two lengths are inverted before the alignment, which
+    then transforms the signals row by row.  A capture under four samples
+    at the target rate leaves no off-peak lag and raises ValueError before
+    any transform.
 
     The one equalizer call gives the forward taps and, from the same
     covariance over the whole capture, the channel seen from the
@@ -394,8 +436,10 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     `f_eq` holds the first `n_measured`.  The equalizer output there is
     that of a run over the whole capture; the phase estimate is a moving
     sum over ``cfg.phase_window`` samples, so it is too, up to the last
-    bits of its complex products.  With ``n_measured=0`` neither the output
-    pass nor phase recovery runs and `f_eq` has no samples.
+    bits of its complex products.  Phase recovery rotates the equalizer's
+    own output in place, once the received capture has been freed.  With
+    ``n_measured=0`` neither the output pass nor phase recovery runs and
+    `f_eq` has no samples.
     """
     if n_measured is not None and n_measured < 0:
         raise ValueError("n_measured must be >= 0")
@@ -414,21 +458,25 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     if cfg.filter_bw is not None and n_in == n_rx:
         gauss = _gaussian_response(n, rate, cfg.filter_bw, cfg.filter_order)
     # the list is emptied as the front end consumes it
-    f_in, spec_in = _front_end(captures.pop(0), cfg, gauss=gauss)
-    f_out, spec_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
+    f_in = _front_end(captures.pop(0), cfg, gauss=gauss)
+    f_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
     del gauss
+    if n_in != n_rx:
+        # spectra of two lengths cannot be read bin for bin: align the
+        # signals row by row
+        f_in, f_out = _as_signal(f_in), _as_signal(f_out)
     alignment = align_by_crosscorrelation(
-        f_in, f_out, min(cfg.align_max_lag, n // 2 - 1), cfg.align_threshold,
-        spectra=(spec_in, spec_out))
-    # freed before the equalizer runs
-    del spec_in, spec_out
-    f_in, f_out, start_in = trim_aligned(f_in, f_out, alignment.lag)
+        f_in, f_out, min(cfg.align_max_lag, n // 2 - 1), cfg.align_threshold)
+    f_in, f_out, start_in = trim_aligned(_as_signal(f_in), _as_signal(f_out),
+                                         alignment.lag)
     n_keep = len(f_in) if n_measured is None else min(n_measured, len(f_in))
     n_eq = min(n_keep + cfg.phase_window, len(f_in)) if n_keep else 0
     f_eq, state = fde_lms_equalize(f_in, f_out, cfg, n_output=n_eq)
+    # the received capture is freed before phase recovery runs
+    del f_out
     if n_keep:
         f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
-                              cfg.phase_window)
+                              cfg.phase_window, overwrite=True)
         f_eq = MimoSignal(f_eq.data[:, :n_keep], rate)
     block = cfg.block_size
     channel = state.channel

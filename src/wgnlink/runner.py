@@ -23,6 +23,7 @@ import numpy as np
 from . import svgplot
 from .channel import MimoChannel, run_link
 from .config import ExperimentConfig
+from .errors import ConfigError
 from .estimation import (ImpulseResponse, MdlSpectrum, estimate_channel,
                          impulse_response_from_channel, mdl_from_channel)
 from .metrics import (build_ring_constellation, estimate_mi,
@@ -159,19 +160,29 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
     return kind(wave, sample_rate), symbols
 
 
+def _qam_capture_length(cfg: ExperimentConfig) -> int:
+    """Target-rate samples of a 16QAM capture: whole symbols that convert
+    sample for sample between the capture and target rates.  For target /
+    capture = p / q that is a multiple of p target-rate samples.  A
+    `capture_rate` that leaves no capture of one equalizer block raises
+    :class:`ConfigError`."""
+    pipe = cfg.pipeline
+    ratio = Fraction(pipe.target_rate) / Fraction(cfg.capture_rate)
+    n_hi = round(cfg.n_samples * ratio)
+    n_hi -= n_hi % math.lcm(pipe.oversampling, ratio.numerator)
+    if n_hi < pipe.block_size:
+        raise ConfigError(f"capture_rate {cfg.capture_rate!r} Hz with "
+                          f"n_samples {cfg.n_samples} leaves no 16QAM "
+                          f"capture of one {pipe.block_size}-sample block "
+                          "that converts exactly")
+    return n_hi
+
+
 def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     """16QAM reference transmission through the same link and pipeline."""
     pipe = dataclasses.replace(cfg.pipeline, filter_bw=None)
     osr = pipe.oversampling
-    # whole symbols that convert sample for sample between the two rates:
-    # for target / capture = p / q, a multiple of p target-rate samples
-    ratio = Fraction(pipe.target_rate) / Fraction(cfg.capture_rate)
-    n_hi = round(cfg.n_samples * ratio)
-    n_hi -= n_hi % math.lcm(osr, ratio.numerator)
-    if n_hi < pipe.block_size:
-        raise ValueError(f"capture_rate {cfg.capture_rate!r} Hz leaves no "
-                         "16QAM capture of a block that converts exactly")
-    n_sym = n_hi // osr
+    n_sym = _qam_capture_length(cfg) // osr
     tx, symbols = generate_qam16_mimo(cfg.link.n_modes, n_sym,
                                       pipe.assumed_baud, 1.0, seed, osr,
                                       sample_rate=cfg.capture_rate,
@@ -277,7 +288,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
 
 def run_reference_16qam(cfg: ExperimentConfig, jobs: int = 1) -> int:
-    """Conventional 16QAM reference transmission over the same sweep."""
+    """Conventional 16QAM reference transmission over the same sweep.  A
+    `capture_rate` that leaves no 16QAM capture raises ConfigError before
+    any point runs."""
+    _qam_capture_length(cfg)
     return _run_sweep(cfg, "qam16", jobs)
 
 

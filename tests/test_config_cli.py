@@ -293,6 +293,26 @@ class TestCliVerbs:
         assert len(errors) == 1 and str(taken) in errors[0]
         assert taken.read_text() == ""
 
+    def test_reference_16qam_rate_without_a_capture_is_exit_1(
+            self, tmp_path, monkeypatch, caplog):
+        # 60 GS/s over 40 GS/s plus half a hertz leaves no 16QAM capture
+        # that converts exactly; the WGN sweep runs at that rate, so the
+        # config validates
+        ran = []
+        monkeypatch.setattr(runner, "_run_task", lambda *a: ran.append(a))
+        cfg = _write(tmp_path, MINIMAL + "capture_rate: 40000000000.5\n")
+        assert cli.main(["validate", "--config", cfg]) == 0
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR):
+            rc = cli.main(["reference-16qam", "--config", cfg, "--out",
+                           str(out), "--no-plots"])
+        assert rc == 1
+        assert ran == [] and not (out / "manifest_qam16.json").exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "capture_rate 40000000000.5 Hz" in errors[0]
+
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 1

@@ -1,5 +1,7 @@
 """Tests for alignment, EDC, FDE equalization, and phase recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -11,7 +13,7 @@ from wgnlink.channel import (SPEED_OF_LIGHT, LinkConfig, MimoChannel,
                              dispersion_phase, run_link,
                              synthesize_mimo_channel)
 from wgnlink.config import ExperimentConfig
-from wgnlink.errors import AlignmentError
+from wgnlink.errors import AlignmentError, ConfigError
 from wgnlink.estimation import compare_channels, estimate_channel
 from wgnlink.metrics import build_ring_constellation, estimate_mi
 from wgnlink.pipeline import (PipelineConfig, align_by_crosscorrelation,
@@ -82,12 +84,11 @@ class TestAlignment:
         noise = generate_wgn_mimo(m, 60_000, 40e9, 0.1, seed=50 + m)
         out = MimoSignal(_delay(sig, lag).as_array() + noise.as_array(), 40e9)
         cfg = PipelineConfig()
-        (f_in, spec_in), (f_out, spec_out) = (pipeline._front_end(s, cfg)
-                                              for s in (sig, out))
-        spectra = (spec_in, spec_out)
+        spec_in, spec_out = (pipeline._front_end(s, cfg) for s in (sig, out))
+        f_in, f_out = (MimoSignal(np.fft.ifft(s.data, axis=1), s.sample_rate)
+                       for s in (spec_in, spec_out))
         ref = align_by_crosscorrelation(f_in, f_out, max_lag=5000)
-        got = align_by_crosscorrelation(f_in, f_out, max_lag=5000,
-                                        spectra=spectra)
+        got = align_by_crosscorrelation(spec_in, spec_out, max_lag=5000)
         assert got.lag == ref.lag == round(1.5 * lag)
         assert got.peak_ratio == pytest.approx(ref.peak_ratio, rel=1e-9)
         assert got.phase == pytest.approx(ref.phase, abs=1e-9)
@@ -95,26 +96,36 @@ class TestAlignment:
         a, b = f_in.as_array(), np.roll(f_out.as_array(), -got.lag, axis=1)
         assert got.phase == pytest.approx(
             np.angle(np.sum(b * np.conj(a))), abs=1e-9)
+        # a signal and a spectrum mix
+        mixed = align_by_crosscorrelation(f_in, spec_out, max_lag=5000)
+        assert mixed.lag == got.lag
+        assert mixed.peak_ratio == pytest.approx(got.peak_ratio, rel=1e-9)
 
-    def test_spectra_ignored_for_unequal_lengths(self):
+    @pytest.mark.parametrize("as_spectrum", [(True, True), (False, True),
+                                             (True, False)],
+                             ids=["both", "longer", "shorter"])
+    def test_unequal_length_spectra_give_the_signals_alignment(
+            self, as_spectrum):
+        # the longer capture's spectrum cannot be read bin for bin: its
+        # rows are inverted and cut to the shorter length
         sig = generate_wgn_mimo(2, 100_000, 40e9, 1.0, seed=60)
         longer = MimoSignal(
             np.concatenate([_delay(sig, 300).as_array(),
                             sig.as_array()[:, :500]], axis=1), 40e9)
-        spectra = (np.fft.fft(sig.as_array(), axis=1),
-                   np.fft.fft(longer.as_array(), axis=1))
-        got = align_by_crosscorrelation(sig, longer, max_lag=5000,
-                                        spectra=spectra)
+        pair = [MimoSpectrum.of(x) if spectral else x
+                for x, spectral in zip((sig, longer), as_spectrum)]
+        got = align_by_crosscorrelation(*pair, max_lag=5000)
         ref = align_by_crosscorrelation(sig, longer, max_lag=5000)
-        assert got == ref
-        assert got.lag == 300
+        assert got.lag == ref.lag == 300
+        assert got.peak_ratio == pytest.approx(ref.peak_ratio, rel=1e-9)
+        assert got.phase == pytest.approx(ref.phase, abs=1e-9)
 
     def test_unrelated_captures_rejected_from_spectra(self):
         a = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=61)
         b = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=62)
-        spectra = tuple(np.fft.fft(s.as_array(), axis=1) for s in (a, b))
         with pytest.raises(AlignmentError, match="may be unrelated"):
-            align_by_crosscorrelation(a, b, max_lag=10_000, spectra=spectra)
+            align_by_crosscorrelation(MimoSpectrum.of(a), MimoSpectrum.of(b),
+                                      max_lag=10_000)
 
     def test_lag_range_without_an_off_peak_lag_rejected(self):
         # with max_lag 0 the peak ratio has nothing to compare against
@@ -132,11 +143,21 @@ class TestAlignment:
         assert len(res.f_eq) == 4
 
     def test_mismatched_spectra_rejected(self):
+        # a spectrum of one tributary against a 2-mode signal
         sig = generate_wgn_mimo(2, 20_000, 40e9, 1.0, seed=63)
-        spec = np.fft.fft(sig.as_array()[:, :10_000], axis=1)
-        with pytest.raises(ValueError, match="spectra"):
-            align_by_crosscorrelation(sig, sig, max_lag=1000,
-                                      spectra=(spec, None))
+        spec = MimoSpectrum.of(MimoSignal(sig.data[:1], sig.sample_rate))
+        with pytest.raises(ValueError, match="f_in has 1, f_out has 2"):
+            align_by_crosscorrelation(spec, sig, max_lag=1000)
+
+    def test_tributary_count_mismatch_named(self):
+        # a 2-mode and a 4-mode capture once aligned on their first two
+        # rows: lag 0 and a peak ratio of about 200
+        a = generate_wgn_mimo(4, 20_000, 40e9, 1.0, seed=64)
+        b = MimoSignal(a.data[:2], a.sample_rate)
+        with pytest.raises(ValueError, match="f_in has 2, f_out has 4"):
+            align_by_crosscorrelation(b, a, max_lag=1000)
+        with pytest.raises(ValueError, match="f_in has 4, f_out has 2"):
+            align_by_crosscorrelation(a, b, max_lag=1000)
 
     def test_trim_positive_lag(self):
         sig = generate_wgn_mimo(2, 50_000, 40e9, 1.0, seed=6)
@@ -193,16 +214,17 @@ class TestEdc:
 
     def test_zero_length_identity(self):
         sig = generate_wgn_mimo(2, 4096, 60e9, 1.0, seed=8)
-        out, _ = pipeline._front_end(sig, self.CFG, LinkConfig(), 0.0)
-        assert np.allclose(out.as_array(), sig.as_array(), atol=1e-12)
+        out = pipeline._front_end(sig, self.CFG, LinkConfig(), 0.0)
+        assert np.allclose(np.fft.ifft(out.data, axis=1), sig.as_array(),
+                           atol=1e-12)
 
     def test_wrong_length_leaves_residual_phase(self):
         sig = generate_wgn_mimo(1, 8192, 60e9, 1.0, seed=9)
         spec = np.fft.fft(sig.data, axis=1)
         fiber = _dispersion_response(8192, 60e9, 17.0, 78.0, 1550.0, +1.0)
         disp = MimoSignal(np.fft.ifft(spec * fiber, axis=1), 60e9)
-        _, back = pipeline._front_end(disp, self.CFG, LinkConfig(), 60.0)
-        ratio = back[0] / spec[0]
+        back = pipeline._front_end(disp, self.CFG, LinkConfig(), 60.0)
+        ratio = back.data[0] / spec[0]
         freqs = np.fft.fftfreq(8192, d=1 / 60e9)
         expected = dispersion_phase(freqs, 17.0, 18.0, 1550.0)
         err = np.angle(ratio * np.exp(-1j * expected))
@@ -246,19 +268,18 @@ class TestFrontEnd:
         sig = generate_wgn_mimo(3, n, rate, 1.0, seed=n)
         cfg = PipelineConfig(target_rate=60e9, filter_bw=filter_bw)
         link = None if edc_km is None else self.LINK
-        out, spec = pipeline._front_end(sig, cfg, link, edc_km or 0.0)
+        spec = pipeline._front_end(sig, cfg, link, edc_km or 0.0)
+        assert isinstance(spec, MimoSpectrum)
         ref = self._reference(sig, cfg, edc_km)
-        assert out.sample_rate == ref.sample_rate == 60e9
-        a, b = out.as_array(), ref.as_array()
+        assert spec.sample_rate == ref.sample_rate == 60e9
+        a, b = np.fft.ifft(spec.data, axis=1), ref.as_array()
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
-        # the spectrum returned is that of the output
-        assert np.array_equal(np.fft.ifft(spec, axis=1), a)
 
     @pytest.mark.parametrize("rate, filter_bw, edc_km", [
         (40e9, 15e9, 156.0), (40e9, None, None), (60e9, 15e9, None),
         (60e9, None, 78.0),
-        # at the target rate with no stage: the spectrum is only inverted
+        # at the target rate with no stage: the bins are only copied
         (60e9, None, None)])
     def test_spectrum_takes_the_signal_path(self, rate, filter_bw, edc_km):
         sig = generate_wgn_mimo(2, 30_000, rate, 1.0, seed=7)
@@ -266,20 +287,20 @@ class TestFrontEnd:
         bins = spec.data.copy()
         cfg = PipelineConfig(target_rate=60e9, filter_bw=filter_bw)
         link = None if edc_km is None else self.LINK
-        out, out_spec = pipeline._front_end(spec, cfg, link, edc_km or 0.0)
+        out = pipeline._front_end(spec, cfg, link, edc_km or 0.0)
         ref = self._reference(sig, cfg, edc_km)
-        a, b = out.as_array(), ref.as_array()
+        a, b = pipeline._as_signal(out).as_array(), ref.as_array()
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
-        assert np.array_equal(np.fft.ifft(out_spec, axis=1), a)
-        # the caller's bins are never scaled in place
+        # the output's bins are its own, so inverting them in place leaves
+        # the caller's bins as they were
+        assert not np.shares_memory(out.data, spec.data)
         assert np.array_equal(spec.data, bins)
 
     def test_target_rate_without_stages_is_unchanged(self):
         sig = generate_wgn_mimo(2, 10_000, 60e9, 1.0, seed=3)
         cfg = PipelineConfig(target_rate=60e9, filter_bw=None)
-        out, spec = pipeline._front_end(sig, cfg)
-        assert out is sig and spec is None
+        assert pipeline._front_end(sig, cfg) is sig
 
     def test_filter_above_nyquist_warns(self):
         sig = generate_wgn_mimo(2, 10_000, 20e9, 1.0, seed=4)
@@ -474,6 +495,28 @@ class TestPhaseRecovery:
         resid = np.angle(out.tributaries[0].samples)
         assert np.var(resid) <= 1.5 * max(oracle_var, 1e-12)
 
+    def test_overwrite_rotates_the_field_in_place(self):
+        sig = generate_wgn_mimo(2, 30_000, 60e9, 1.0, seed=77)
+        noisy = apply_phase_noise(sig, 1e6, seed=78)
+        before = noisy.data.copy()
+        pure = phase_recovery(sig, noisy, 200)
+        assert np.array_equal(noisy.data, before)
+        # the tributary sum over the whole (M, N) arrays at once, the
+        # formula the row-by-row sum must keep
+        cross = np.sum(np.conj(sig.data) * noisy.data, axis=0)
+        phi = np.angle(pipeline._centered_moving_sum(cross, 200))
+        want = noisy.data * np.exp(-1j * phi)
+        assert (np.max(np.abs(pure.data - want))
+                <= 4 * np.finfo(float).eps * np.max(np.abs(want)))
+        got = phase_recovery(sig, noisy, 200, overwrite=True)
+        assert got is noisy
+        assert np.array_equal(noisy.data, pure.data)
+
+    def test_mode_count_mismatch_rejected(self):
+        sig = generate_wgn_mimo(2, 100, 60e9, 1.0, seed=0)
+        with pytest.raises(ValueError, match="mode count"):
+            phase_recovery(sig, MimoSignal(sig.data[:1], 60e9))
+
     def test_window_validation(self):
         sig = generate_wgn_mimo(1, 100, 60e9, 1.0, seed=0)
         with pytest.raises(ValueError):
@@ -493,6 +536,73 @@ class TestPhaseRecovery:
         assert np.array_equal(got, csum[hi] - csum[lo])
         direct = [np.sum(x[a:b]) for a, b in zip(lo, hi)]
         np.testing.assert_allclose(got, direct, rtol=0, atol=1e-9)
+
+
+class TestOneFormPerCapture:
+    """Up to the alignment the receiver holds each capture as its spectrum,
+    after it as its time signal, never both."""
+
+    def test_peak_memory_in_capture_sized_arrays(self):
+        # 2 modes, 400k samples at 40 GS/s: a capture-sized array is the
+        # (2, 600k) complex capture at the 60 GS/s target rate
+        link = LinkConfig(span_snr_db=25.0)
+        tracemalloc.start()
+        try:
+            captures = [MimoSpectrum.of(
+                generate_wgn_mimo(2, 400_000, 40e9, 1.0, seed=80))]
+            captures.append(run_link(captures[0], link, 2, seed=81))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_pipeline(captures.pop(0), captures.pop(), link,
+                         PipelineConfig(), n_recirculations=2,
+                         n_measured=100_000)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # beyond the two raw captures handed in (2/3 of an array each): the
+        # two front-end spectra and the alignment's two rows, 1.9 arrays
+        # measured; both forms of both captures through the alignment
+        # read 3.9
+        assert peak < 2.5 * (2 * 600_000 * 16)
+
+    def test_caller_spectrum_at_the_target_rate_unchanged(self):
+        # unfiltered, at the target rate and with no link the front end has
+        # nothing to do to the bins; the inverse FFT in place must not
+        # reach the caller's arrays
+        sig = generate_wgn_mimo(2, 20_000, 60e9, 1.0, seed=82)
+        out = _delay(sig, 40)
+        cfg = PipelineConfig(filter_bw=None, block_size=1024)
+        spectra = [MimoSpectrum.of(x) for x in (sig, out)]
+        bins = [s.data.copy() for s in spectra]
+        got = run_pipeline(*spectra, None, cfg)
+        for s, b in zip(spectra, bins):
+            assert np.array_equal(s.data, b)
+        want = run_pipeline(sig, out, None, cfg)
+        assert got.alignment.lag == want.alignment.lag == 40
+        assert _close(got.f_eq.data, want.f_eq.data)
+
+    def test_unequal_lengths_align_the_inverted_signals(self):
+        # filtered captures of two lengths: each front-end spectrum is
+        # inverted before a row-by-row alignment of the two signals
+        link = LinkConfig(span_snr_db=25.0, mdl_per_span=0.5,
+                          dgd_per_span=1e-11)
+        sig = generate_wgn_mimo(2, 120_000, 40e9, 1.0, seed=83)
+        out = run_link(sig, link, 2, seed=84)
+        out = MimoSignal(out.data[:, 500:100_000], out.sample_rate)
+        cfg = PipelineConfig()
+        res = run_pipeline(sig, out, None, cfg, n_measured=0)
+        f_in, f_out = (MimoSignal(np.fft.ifft(pipeline._front_end(x, cfg)
+                                              .data, axis=1), 60e9)
+                       for x in (sig, out))
+        alignment = align_by_crosscorrelation(
+            f_in, f_out, min(cfg.align_max_lag, len(f_out) // 2 - 1),
+            cfg.align_threshold)
+        f_in, f_out, start = trim_aligned(f_in, f_out, alignment.lag)
+        _, state = fde_lms_equalize(f_in, f_out, cfg, n_output=0)
+        assert res.alignment == alignment
+        assert res.trim_start_in == start
+        assert np.array_equal(res.f_in.data, f_in.data)
+        assert np.array_equal(res.channel.matrices, state.channel)
 
 
 class TestRunPipeline:
@@ -741,5 +851,5 @@ class TestQamCaptureLength:
     def test_ratio_without_a_fitting_capture_named(self):
         # 60 GS/s over 40 GS/s plus half a hertz: the exact ratio's
         # numerator exceeds any capture length
-        with pytest.raises(ValueError, match="capture_rate 40000000000.5 Hz"):
+        with pytest.raises(ConfigError, match="capture_rate 40000000000.5 Hz"):
             runner._qam_point(self._config(40e9 + 0.5, 200_000), 1, 3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 from scipy import stats
 
-from wgnlink.pipeline import PipelineConfig, _front_end
+from wgnlink.pipeline import PipelineConfig, _as_signal, _front_end
 from wgnlink.runner import generate_qam16_mimo
 from wgnlink.signals import (ComplexSignal, MimoSignal, MimoSpectrum,
                              _gaussian_response, _resample_spectrum,
@@ -26,7 +26,7 @@ def _front(sig: MimoSignal, rate: float, filter_bw=None, order=4) -> np.ndarray:
     """The receiver front end, without EDC, as an (M, N) array at `rate`."""
     cfg = PipelineConfig(target_rate=rate, filter_bw=filter_bw,
                          filter_order=order)
-    return _front_end(sig, cfg)[0].data
+    return _as_signal(_front_end(sig, cfg)).data
 
 
 class TestComplexSignal:
