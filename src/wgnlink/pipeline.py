@@ -128,12 +128,11 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
     ties break toward the smallest |lag|.  A peak-to-RMS ratio below
     `threshold` raises :class:`AlignmentError`.
 
-    A spectrum of length n is read bin for bin, so aligning two spectra of
-    one length costs a single IFFT.  A signal's rows are transformed over
-    their first n samples; a longer spectrum's rows are first inverted.
-    Captures with different tributary counts, or a `max_lag` under 1,
-    which leaves no off-peak lag to measure the ratio against, raise
-    ValueError.
+    A spectrum is read bin for bin, so aligning two spectra of one length
+    costs a single IFFT; a signal's rows are transformed over their first
+    n samples.  A spectrum longer than the other capture, captures with
+    different tributary counts, or a `max_lag` under 1, which leaves no
+    off-peak lag to measure the ratio against, raise ValueError.
     """
     if f_in.sample_rate != f_out.sample_rate:
         raise ValueError("signals must share a sample rate")
@@ -144,6 +143,11 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     n = min(len(f_in), len(f_out))
+    for name, capture in (("f_in", f_in), ("f_out", f_out)):
+        if isinstance(capture, MimoSpectrum) and len(capture) != n:
+            raise ValueError(f"{name} is a spectrum of {len(capture)} bins, "
+                             f"longer than the other capture ({n} samples); "
+                             "pass its time signal")
     if n < 2 * max_lag:
         raise ValueError("signals shorter than 2 * max_lag")
     cross = np.zeros(n, dtype=complex)
@@ -177,12 +181,9 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
 def _row_spectrum(capture: MimoSignal | MimoSpectrum, m: int,
                   n: int) -> np.ndarray:
     """The FFT of the first `n` samples of row `m` of `capture`."""
-    row = capture.data[m]
     if isinstance(capture, MimoSpectrum):
-        if len(capture) == n:
-            return row
-        row = np.fft.ifft(row)
-    return np.fft.fft(row[:n])
+        return capture.data[m]
+    return np.fft.fft(capture.data[m, :n])
 
 
 def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
@@ -365,34 +366,24 @@ def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
     return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
 
 
-def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal, window: int = 200,
-                   *, overwrite: bool = False) -> MimoSignal:
+def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
+                   window: int = 200) -> MimoSignal:
     """Data-aided common-LO phase recovery.
 
     The phase estimate at sample n is the argument of the centered
     moving-window sum of sum_m f_eq,m(n) * conj(f_in,m(n)); edges use
-    truncated windows.  The sum over tributaries is taken one row at a
-    time.  Returns f_eq rotated by the negated estimate: a new signal, or
-    with ``overwrite=True`` f_eq itself, its array rotated in place.
+    truncated windows.  Returns f_eq rotated by the negated estimate.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if len(f_in) != len(f_eq) or f_in.n_tributaries != f_eq.n_tributaries:
         raise ValueError("signals must be of equal length and mode count")
-    eq = f_eq.data
-    # conj(f_in) * f_eq in this operand order, as in the alignment
-    cross = np.zeros(len(f_eq), dtype=complex)
-    row = np.empty_like(cross)
-    for a, b in zip(f_in.data, eq):
-        np.multiply(np.conjugate(a, out=row), b, out=row)
-        cross += row
-    del row
+    # conj(f_in) * f_eq in this operand order, as in the alignment: numpy's
+    # complex multiply may round a*b and b*a differently
+    cross = np.sum(np.conj(f_in.data) * f_eq.data, axis=0)
     phi = np.angle(_centered_moving_sum(cross, window))
-    rotation = np.exp(-1j * phi)[None, :]
-    if overwrite:
-        np.multiply(eq, rotation, out=eq)
-        return f_eq
-    return MimoSignal(eq * rotation, f_eq.sample_rate)
+    return MimoSignal(f_eq.data * np.exp(-1j * phi)[None, :],
+                      f_eq.sample_rate)
 
 
 def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
@@ -436,10 +427,9 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     `f_eq` holds the first `n_measured`.  The equalizer output there is
     that of a run over the whole capture; the phase estimate is a moving
     sum over ``cfg.phase_window`` samples, so it is too, up to the last
-    bits of its complex products.  Phase recovery rotates the equalizer's
-    own output in place, once the received capture has been freed.  With
-    ``n_measured=0`` neither the output pass nor phase recovery runs and
-    `f_eq` has no samples.
+    bits of its complex products.  The received capture is freed before
+    phase recovery runs.  With ``n_measured=0`` neither the output pass
+    nor phase recovery runs and `f_eq` has no samples.
     """
     if n_measured is not None and n_measured < 0:
         raise ValueError("n_measured must be >= 0")
@@ -476,7 +466,7 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     del f_out
     if n_keep:
         f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
-                              cfg.phase_window, overwrite=True)
+                              cfg.phase_window)
         f_eq = MimoSignal(f_eq.data[:, :n_keep], rate)
     block = cfg.block_size
     channel = state.channel
