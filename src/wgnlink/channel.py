@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import MimoSignal, MimoSpectrum
+from .signals import MimoSignal, MimoSpectrum, _transform_rows
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _COUPLING_CHUNK = 16384  # bins per cache-resident pass of the coupling
@@ -240,9 +240,10 @@ def apply_channel(signal: MimoSignal, channel: MimoChannel) -> MimoSignal:
     n = len(signal)
     freqs = np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
     mats = _channel_on_grid(channel, freqs)
-    spec = np.fft.fft(signal.data, axis=1)
+    spec = _transform_rows(np.fft.fft, signal.data)
     out = np.einsum("kij,jk->ik", mats, spec)
-    return MimoSignal(np.fft.ifft(out, axis=1), signal.sample_rate)
+    return MimoSignal(_transform_rows(np.fft.ifft, out, out=out),
+                      signal.sample_rate)
 
 
 def _channel_on_grid(channel: MimoChannel, freqs: np.ndarray):
@@ -355,18 +356,21 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
     spectral = isinstance(signal, MimoSpectrum)
     rate = signal.sample_rate
     spec = (signal.data.copy() if spectral
-            else np.fft.fft(signal.data, axis=1))
-    # the loop's buffers are freed before the IFFT allocates the output, so
-    # it can reuse their memory instead of raising the peak RSS
+            else _transform_rows(np.fft.fft, signal.data))
     _recirculate(spec, rate, cfg, model, np.random.default_rng(noise_seed),
                  n_recirculations)
     if spectral and cfg.lo_linewidth == 0 and cfg.frequency_offset == 0:
         return MimoSpectrum(spec, rate)
-    out = MimoSignal(np.fft.ifft(spec, axis=1), rate)
+    # the link owns `spec` and each array the LO stages return: transform
+    # them in place
+    out = MimoSignal(_transform_rows(np.fft.ifft, spec, out=spec), rate)
     del spec
     out = apply_phase_noise(out, cfg.lo_linewidth, lo_seed)
     out = apply_frequency_offset(out, cfg.frequency_offset)
-    return MimoSpectrum.of(out) if spectral else out
+    if not spectral:
+        return out
+    return MimoSpectrum(_transform_rows(np.fft.fft, out.data, out=out.data),
+                        rate)
 
 
 def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
@@ -379,6 +383,10 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
     delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate))
                  if model is not None else None)
     noise_ratio = span_noise_power_ratio(cfg)
+    # the noise is drawn a chunk at a time into one buffer and added to the
+    # (re, im) floats of each row: the same numbers as one (M, 2N) draw
+    floats = spec.view(np.float64)
+    noise = np.empty(min(2 * _COUPLING_CHUNK, 2 * n))
     for _ in range(n_recirculations):
         spec *= disp_rot
         if model is not None:
@@ -387,6 +395,10 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
             # Parseval: mean |x|^2 = sum |X|^2 / (M N^2); white noise of
             # per-sample power s has per-bin power N s
             power = np.vdot(spec, spec).real / (m * n * n)
-            noise = noise_rng.standard_normal((m, 2 * n)).view(np.complex128)
-            noise *= np.sqrt(n * power * noise_ratio / 2.0)
-            spec += noise
+            scale = np.sqrt(n * power * noise_ratio / 2.0)
+            for row in floats:
+                for s in range(0, 2 * n, noise.size):
+                    piece = noise[:2 * n - s]
+                    noise_rng.standard_normal(out=piece)
+                    piece *= scale
+                    row[s:s + piece.size] += piece

@@ -19,6 +19,11 @@ estimate, from two solves of the same matrix; EDC is a unit-modulus scalar
 per frequency, so it commutes with the channel and is undone exactly on
 the estimate.  The equalizer output and phase recovery cover only the
 samples the caller measures.
+
+Each capture-length FFT and inverse FFT runs one row at a time
+(:func:`wgnlink.signals._transform_rows`), never over ``axis=1``: numpy's
+batched transform holds working buffers of several capture rows that
+``tracemalloc`` does not see, and they set the point's peak RSS.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .channel import (LinkConfig, MimoChannel, _check_types,
                       _dispersion_response)
 from .errors import AlignmentError
 from .signals import (MimoSignal, MimoSpectrum, _gaussian_response,
-                      _resample_spectrum)
+                      _resample_spectrum, _transform_rows)
 
 # Overlap-save blocks whose spectra are held at once; bounds the equalizer's
 # working set independently of the capture length.
@@ -158,8 +163,8 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
         np.conjugate(_row_spectrum(f_in, m, n), out=row)
         np.multiply(row, _row_spectrum(f_out, m, n), out=row)
         cross += row
-    del row  # before the inverse FFT allocates its output
-    corr = np.fft.ifft(cross)
+    del row  # before the inverse FFT takes its working memory
+    corr = np.fft.ifft(cross, out=cross)
     lags = np.concatenate([np.arange(-max_lag, 0), np.arange(0, max_lag + 1)])
     mags = np.abs(corr[lags])
     order = np.lexsort((np.abs(lags), -mags))  # smallest |lag| wins ties
@@ -231,7 +236,7 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
             and link is None):
         return sig
     n_out = _front_end_length(sig, cfg)
-    spec = sig.data if spectral else np.fft.fft(sig.data, axis=1)
+    spec = sig.data if spectral else _transform_rows(np.fft.fft, sig.data)
     spec = _resample_spectrum(spec, n_out)
     if spec is sig.data:
         spec = spec.copy()
@@ -253,7 +258,8 @@ def _as_signal(capture: MimoSignal | MimoSpectrum) -> MimoSignal:
     inverted in place, so the spectrum is gone afterwards."""
     if isinstance(capture, MimoSignal):
         return capture
-    return MimoSignal(np.fft.ifft(capture.data, axis=1, out=capture.data),
+    return MimoSignal(_transform_rows(np.fft.ifft, capture.data,
+                                      out=capture.data),
                       capture.sample_rate)
 
 

@@ -4,11 +4,15 @@ front end (:func:`wgnlink.pipeline._front_end`).
 
 Everything downstream works on :class:`ComplexSignal` (one tributary) or
 :class:`MimoSignal` (M co-timed tributaries held as one complex (M, N)
-array, so every stage transforms all modes at once).  A simulated capture
-travels from the transmitter through the link to the receiver front end as
-its :class:`MimoSpectrum` instead, so that it is transformed once.  All
-operations are pure: they return new objects and never mutate their
-inputs.
+array).  A simulated capture travels from the transmitter through the link
+to the receiver front end as its :class:`MimoSpectrum` instead, so that it
+is transformed once.  All operations are pure: they return new objects and
+never mutate their inputs.
+
+Every capture-length FFT runs one row at a time (:func:`_transform_rows`),
+never over ``axis=1`` of the (M, N) array: numpy's batched transform holds
+working buffers of several rows that ``tracemalloc`` does not see, and
+they set the peak RSS of a sweep point.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -96,7 +100,25 @@ class MimoSpectrum(_Capture):
 
     @classmethod
     def of(cls, signal: MimoSignal) -> "MimoSpectrum":
-        return cls(np.fft.fft(signal.data, axis=1), signal.sample_rate)
+        return cls(_transform_rows(np.fft.fft, signal.data),
+                   signal.sample_rate)
+
+
+def _transform_rows(transform, data: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """`transform` (``np.fft.fft`` or ``np.fft.ifft``) of each row of the
+    (M, N) array `data`, one row at a time, written into `out`: a new
+    complex array when None, `data` itself to transform in place.
+
+    A batched ``axis=1`` transform holds hidden working memory of several
+    rows; a row at a time it holds about one row's.  Each row takes the
+    same pocketfft plan, so the result is bit-identical to the batched one.
+    """
+    if out is None:
+        out = np.empty(data.shape, dtype=np.complex128)
+    for row, dst in zip(data, out):
+        transform(row, out=dst)
+    return out
 
 
 def generate_wgn(n_samples: int, sample_rate: float, mean_power: float,

@@ -321,6 +321,29 @@ class TestSpanNoise:
                                                              abs=0.1)
         assert abs(p_star_dbm) < 1.0  # default calibration peaks near 0 dBm
 
+    def test_noise_drawn_in_chunks_is_one_draw(self):
+        # each row's 2 x 40,001 floats take two full chunks of the draw
+        # buffer and a ragged one; the loop must add the numbers of one
+        # (M, 2N) draw per span, bit for bit
+        cfg = LinkConfig(span_snr_db=20.0)
+        n, rate, seed = 40_001, 40e9, 13
+        assert 2 * _COUPLING_CHUNK < 2 * n < 6 * _COUPLING_CHUNK
+        sig = generate_wgn_mimo(2, n, rate, 1.0, seed=26)
+        got = run_link(MimoSpectrum.of(sig), cfg, 2, seed=seed).data
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+        disp = _dispersion_response(n, rate, cfg.dispersion_coeff,
+                                    cfg.span_length, cfg.center_wavelength,
+                                    +1.0)
+        ratio = span_noise_power_ratio(cfg)
+        want = np.fft.fft(sig.data, axis=1)
+        for _ in range(2):
+            want *= disp
+            power = np.vdot(want, want).real / (2 * n * n)
+            noise = rng.standard_normal((2, 2 * n)).view(np.complex128)
+            noise *= np.sqrt(n * power * ratio / 2.0)
+            want += noise
+        assert np.array_equal(got, want)
+
 
 class TestLinkConfig:
     def test_odd_modes_rejected(self):

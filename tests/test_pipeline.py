@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from wgnlink import pipeline, runner
+from wgnlink import channel as channel_module
+from wgnlink import pipeline, runner, signals
 from wgnlink.channel import (SPEED_OF_LIGHT, LinkConfig, MimoChannel,
                              MultiSectionModel, _dispersion_response,
                              apply_channel, apply_phase_noise,
@@ -785,32 +786,134 @@ class TestSpectralHandOff:
                 assert a.pop(key) == pytest.approx(b.pop(key), rel=1e-9)
             assert a == b
 
-    # capture-length FFTs and inverse FFTs of one 60k-sample point: the
-    # transmitted WGN capture's FFT (or the 16QAM generator's, one per
-    # mode), the link's pair when LO noise is on, the front end's inverse
-    # per capture and the alignment's inverse
+    # capture-length rows transformed by FFT and inverse FFT in one
+    # 60k-sample, 2-mode point: the transmitted capture's rows (the WGN
+    # capture's FFT or the 16QAM generator's, one per mode), the link's
+    # inverse and forward rows when LO noise is on, the alignment's one
+    # inverse and the front end's inverse of each capture's two rows
     @pytest.mark.parametrize("kind, link, counts", [
-        ("wgn", {}, {"fft": 1, "ifft": 3}),
-        ("qam16", {}, {"fft": 2, "ifft": 3}),
-        ("wgn", {"lo_linewidth": 1e5}, {"fft": 2, "ifft": 4})],
+        ("wgn", {}, {"fft": 2, "ifft": 5}),
+        ("qam16", {}, {"fft": 2, "ifft": 5}),
+        ("wgn", {"lo_linewidth": 1e5}, {"fft": 4, "ifft": 7})],
         ids=["wgn", "qam16", "lo-noise"])
     def test_capture_length_transforms_per_point(self, monkeypatch, kind,
                                                  link, counts):
         cfg = _point_config(**link)
-        seen = {"fft": 0, "ifft": 0}
-        for name in seen:
-            def counted(a, *args, _f=getattr(np.fft, name), _name=name,
-                        **kwargs):
-                out = _f(a, *args, **kwargs)
-                if out.shape[kwargs.get("axis", -1)] >= cfg.n_samples:
-                    seen[_name] += 1
-                return out
-            monkeypatch.setattr(np.fft, name, counted)
+        seen = _count_transform_rows(monkeypatch, cfg.n_samples)
         if kind == "wgn":
             runner._wgn_point(cfg, 2, 3, True)
         else:
             runner._qam_point(cfg, 2, 3)
         assert seen == counts
+
+
+def _count_transform_rows(monkeypatch, length: int) -> dict:
+    """Wrap ``np.fft.fft`` and ``np.fft.ifft`` so that a call whose output
+    is at least `length` points long is checked to transform one 1-D row,
+    and counted, in rows, in the returned dict."""
+    seen = {"fft": 0, "ifft": 0}
+    for name in seen:
+        def counted(a, *args, _f=getattr(np.fft, name), _name=name,
+                    **kwargs):
+            out = _f(a, *args, **kwargs)
+            axis = kwargs.get("axis", -1)
+            if out.shape[axis] >= length:
+                # a batched transform holds hidden working memory of
+                # several rows
+                assert np.ndim(a) == 1, (_name, np.shape(a))
+                seen[_name] += out.size // out.shape[axis]
+            return out
+        monkeypatch.setattr(np.fft, name, counted)
+    return seen
+
+
+def _batched(transform, data, out=None):
+    """The transform over ``axis=1`` of the whole array at once."""
+    return transform(data, axis=1, out=out)
+
+
+class TestRowTransforms:
+    """Capture-length transforms run one 1-D row at a time, with results
+    bit-identical to numpy's batched ``axis=1`` transform."""
+
+    def test_stored_pair_of_two_lengths_transforms_rows(self, monkeypatch):
+        # filtered captures of two lengths: the front end's FFT of each
+        # signal, the inverses before the alignment and the alignment's
+        # row spectra
+        sig = generate_wgn_mimo(2, 40_000, 40e9, 1.0, seed=90)
+        out = _delay(sig, 25)
+        out = MimoSignal(out.data[:, :36_000], out.sample_rate)
+        seen = _count_transform_rows(monkeypatch, 36_000)
+        channel = estimate_channel(sig, out, PipelineConfig(block_size=1024))
+        # the alignment transforms the rows of both captures over their
+        # common 54k target-rate samples
+        assert seen == {"fft": 8, "ifft": 5}
+        assert channel.n_modes == 2
+
+    @pytest.fixture(params=[(2, 3001), (2, 4096), (6, 3001), (6, 4096)],
+                    ids=["2x3001", "2x4096", "6x3001", "6x4096"])
+    def capture(self, request) -> MimoSignal:
+        m, n = request.param
+        return generate_wgn_mimo(m, n, 40e9, 1.0, seed=91)
+
+    @staticmethod
+    def _rows_then_batched(monkeypatch, capture, compute):
+        """`compute()` with the row-by-row transforms, each call of the
+        capture's length or more checked to get a 1-D row, then with
+        numpy's batched ``axis=1`` transform in their place."""
+        with pytest.MonkeyPatch.context() as guard:
+            seen = _count_transform_rows(guard, len(capture))
+            rows = compute()
+        assert sum(seen.values()) > 0
+        for module in (signals, channel_module, pipeline):
+            monkeypatch.setattr(module, "_transform_rows", _batched)
+        return rows, compute()
+
+    def test_spectrum_of(self, monkeypatch, capture):
+        got, want = self._rows_then_batched(
+            monkeypatch, capture, lambda: MimoSpectrum.of(capture).data)
+        assert np.array_equal(got, want)
+
+    def test_as_signal(self, monkeypatch, capture):
+        bins = np.fft.fft(capture.data, axis=1)
+        got, want = self._rows_then_batched(
+            monkeypatch, capture, lambda: pipeline._as_signal(
+                MimoSpectrum(bins.copy(), capture.sample_rate)).data)
+        assert np.array_equal(got, want)
+
+    def test_front_end_of_a_signal(self, monkeypatch, capture):
+        link = LinkConfig(n_modes=capture.n_tributaries)
+        got, want = self._rows_then_batched(
+            monkeypatch, capture, lambda: pipeline._front_end(
+                capture, PipelineConfig(), link, 156.0).data)
+        assert np.array_equal(got, want)
+
+    def test_link_of_a_signal(self, monkeypatch, capture):
+        link = LinkConfig(n_modes=capture.n_tributaries, mdl_per_span=1.0,
+                          dgd_per_span=1e-11)
+        got, want = self._rows_then_batched(
+            monkeypatch, capture,
+            lambda: run_link(capture, link, 2, seed=92).data)
+        assert np.array_equal(got, want)
+
+    def test_link_of_a_spectrum_with_lo_noise(self, monkeypatch, capture):
+        link = LinkConfig(n_modes=capture.n_tributaries, lo_linewidth=1e5,
+                          frequency_offset=1e8)
+        spec = MimoSpectrum(np.fft.fft(capture.data, axis=1),
+                            capture.sample_rate)
+        got, want = self._rows_then_batched(
+            monkeypatch, capture,
+            lambda: run_link(spec, link, 2, seed=93).data)
+        assert np.array_equal(got, want)
+
+    def test_apply_channel(self, monkeypatch, capture):
+        chan = synthesize_mimo_channel(capture.n_tributaries, 2.0, 2e-11,
+                                       len(capture),
+                                       capture.sample_rate / len(capture),
+                                       seed=94)
+        got, want = self._rows_then_batched(
+            monkeypatch, capture, lambda: apply_channel(capture, chan).data)
+        assert np.array_equal(got, want)
 
 
 class TestQamCaptureLength:
