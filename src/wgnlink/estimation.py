@@ -2,8 +2,8 @@
 
 After the receiver's own front end and alignment (without EDC), the FDE
 solved with the transmitted and received fields in swapped roles gives a
-frequency-domain estimate of the channel itself, from the second solve of
-the covariance its forward taps come from.  Per-bin singular value
+frequency-domain estimate of the channel itself, from the covariance its
+forward taps come from, solved the other way round.  Per-bin singular value
 decomposition then yields the mode-dependent loss spectrum, and an inverse
 Fourier transform of the estimate yields the channel impulse response.
 """
@@ -58,9 +58,9 @@ def estimate_channel(f_in: MimoSignal, f_out: MimoSignal,
     """Estimate the full channel from the inverted-role equalizer solve.
 
     :func:`wgnlink.pipeline.run_pipeline` with no link, so no EDC and the
-    estimate holds the complete channel, and nothing measured, so only the
-    equalizer's covariance is accumulated: its second solve is the per-bin
-    least-squares channel ``H = R_xd R_dd^-1``.
+    estimate holds the complete channel, and nothing measured, so the
+    equalizer's covariance is accumulated and solved once, for the per-bin
+    least-squares channel ``H = R_xd R_dd^-1``; the taps are never solved.
     """
     return run_pipeline(f_in, f_out, None, cfg, n_measured=0).channel
 

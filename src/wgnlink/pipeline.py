@@ -8,17 +8,14 @@ the least-squares limit of the paper's LMS equalizer, with no training phase
 and no step size.
 
 :func:`run_pipeline` runs the chain for the sweep and, with no link and
-nothing measured, for the channel estimate of a stored pair: per capture
-one FFT (none for a capture handed over as its spectrum), a spectral
-resample and the Gaussian filter and EDC multiplies.  The alignment reads
-the two spectra and costs one inverse FFT; each spectrum is then turned
-into its time signal by one inverse FFT in place, so that a capture is
-held in one form at a time.  One accumulation of the per-bin covariance of
-the stacked block spectra then gives both the forward taps and the channel
-estimate, from two solves of the same matrix; EDC is a unit-modulus scalar
-per frequency, so it commutes with the channel and is undone exactly on
-the estimate.  The equalizer output and phase recovery cover only the
-samples the caller measures.
+nothing measured, for the channel estimate of a stored pair.  Each capture
+takes at most one FFT on its way in and is held in one form at a time: the
+alignment reads the front end's spectra, then each is inverted in place.
+The equalizer's state is one per-bin covariance of the stacked block
+spectra; the taps, the channel estimate and the residual NMSE are each
+solved from it.  EDC is a unit-modulus scalar per frequency, so it
+commutes with the channel and is undone exactly on the estimate.  The
+equalizer output and phase recovery cover only the samples measured.
 
 Each capture-length FFT and inverse FFT runs one row at a time
 (:func:`wgnlink.signals._transform_rows`), never over ``axis=1``: numpy's
@@ -28,7 +25,7 @@ batched transform holds working buffers of several capture rows that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,14 +52,36 @@ class AlignmentResult:
     peak_ratio: float   # peak magnitude over off-peak RMS
 
 
-@dataclass
+@dataclass(frozen=True)
 class EqualizerState:
-    """Per-bin solutions of one equalizer covariance: the forward taps and
-    the channel estimate."""
+    """The per-bin covariance ``[[R_xx, R_xd], [R_dx, R_dd]]`` of the
+    stacked ``[X; D]`` block spectra over the whole capture; the taps, the
+    channel estimate and the residual NMSE are solved from it on each read."""
 
-    taps: np.ndarray          # (block_size, M, M) complex, FFT ordering
-    channel: np.ndarray       # (block_size, M, M) complex, FFT ordering
-    error_trace: list = field(default_factory=list)  # per-block NMSE, dB
+    covariance: np.ndarray    # (block_size, 2M, 2M) complex, FFT ordering
+
+    def _r(self, i: int, j: int) -> np.ndarray:
+        """Block (i, j) of the covariance, with 0 for X and 1 for D."""
+        m = self.covariance.shape[1] // 2
+        return self.covariance[:, i * m:(i + 1) * m, j * m:(j + 1) * m]
+
+    @property
+    def taps(self) -> np.ndarray:
+        """Forward taps ``W = R_dx R_xx^-1`` per bin, (block_size, M, M)."""
+        return _wiener(self._r(0, 0), self._r(1, 0))
+
+    @property
+    def channel(self) -> np.ndarray:
+        """Channel estimate ``R_xd R_dd^-1`` per bin: the roles inverted."""
+        return _wiener(self._r(1, 1), self._r(0, 1))
+
+    @property
+    def residual_nmse_db(self) -> float:
+        """``sum_k tr(R_dd - W R_xd) / sum_k tr(R_dd)`` in dB, floored at
+        -300 dB: the taps' error over the whole capture."""
+        ref = np.trace(self._r(1, 1), axis1=1, axis2=2).real.sum()
+        err = ref - np.einsum("kij,kji->", self.taps, self._r(0, 1)).real
+        return float(10 * np.log10(max(err / ref if ref > 0 else 0, 1e-30)))
 
 
 @dataclass(frozen=True)
@@ -131,7 +150,8 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
     in one row buffer, and inverted with one IFFT; the winning lag
     maximizes the correlation magnitude over ``[-max_lag, max_lag]``, and
     ties break toward the smallest |lag|.  A peak-to-RMS ratio below
-    `threshold` raises :class:`AlignmentError`.
+    `threshold` raises :class:`AlignmentError`; a capture with no power
+    gives an all-zero correlation, whose ratio is 0.
 
     A spectrum is read bin for bin, so aligning two spectra of one length
     costs a single IFFT; a signal's rows are transformed over their first
@@ -165,19 +185,17 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
         cross += row
     del row  # before the inverse FFT takes its working memory
     corr = np.fft.ifft(cross, out=cross)
-    lags = np.concatenate([np.arange(-max_lag, 0), np.arange(0, max_lag + 1)])
+    lags = np.arange(-max_lag, max_lag + 1)
     mags = np.abs(corr[lags])
-    order = np.lexsort((np.abs(lags), -mags))  # smallest |lag| wins ties
-    best = order[0]
+    best = np.lexsort((np.abs(lags), -mags))[0]  # smallest |lag| wins ties
     peak = mags[best]
-    rest = np.delete(mags, best)
-    rms = np.sqrt(np.mean(rest ** 2))
-    ratio = peak / rms if rms > 0 else np.inf
+    rms = np.sqrt(np.mean(np.delete(mags, best) ** 2))
+    ratio = peak / rms if rms > 0 else np.inf if peak > 0 else 0.0
     if ratio < threshold:
         raise AlignmentError(
-            f"correlation peak ratio {ratio:.2f} below threshold {threshold}; "
-            "the captures may be unrelated, or a frequency offset or phase "
-            "drift decorrelates them")
+            f"alignment: correlation peak ratio {ratio:.2f} below threshold "
+            f"{threshold}; the captures may be unrelated or hold no power, "
+            "or a frequency offset or phase drift decorrelates them")
     lag = int(lags[best])
     return AlignmentResult(lag=lag, phase=float(np.angle(corr[lag])),
                            peak_ratio=float(ratio))
@@ -271,25 +289,18 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
 
     The capture is cut into overlap-save blocks of ``cfg.block_size``
     samples at a hop of half a block, after a leading half-block of zeros.
-    Per frequency bin k the taps are the least-squares (Wiener) solution
-    ``W[k] = R_dx[k] R_xx[k]^-1`` over all blocks, with ``R_xx = sum X X^H``
-    of the input (`f_out`) spectra and ``R_dx = sum D X^H`` against the
-    reference (`f_in`) spectra.  This is the limit the paper's LMS, with its
-    step halved on every pass, converges toward; ``cfg.lms_step`` and
-    ``cfg.lms_passes`` have no effect on it.
+    The stacked ``[X; D]`` spectra of the input (`f_out`) and reference
+    (`f_in`) blocks are summed per bin into the returned
+    :class:`EqualizerState`.  Its taps ``W[k] = R_dx[k] R_xx[k]^-1`` are
+    the least-squares limit that the paper's LMS, with its step halved on
+    every pass, converges toward (``cfg.lms_step`` and ``cfg.lms_passes``
+    have no effect); its channel ``H[k] = R_xd[k] R_dd[k]^-1`` (the roles
+    inverted) maps the reference onto the input.
 
-    The same accumulation gives the whole covariance of the stacked
-    ``[X; D]`` spectra, and its second solve ``H[k] = R_xd[k] R_dd[k]^-1``
-    (the equalizer with the roles inverted) is the estimate of the channel
-    that maps the reference onto the input; it is the state's `channel`.
-
-    The equalized field comes from a frozen-tap overlap-save pass over the
-    first `n_output` samples (the whole capture when None), and
-    ``error_trace`` holds its NMSE per block of those samples.  The
-    covariance always spans the whole capture, and the output samples do
-    not depend on `n_output`.  With ``n_output=0`` the pass is skipped: the
-    field has no samples and the trace is empty.  A negative `n_output`
-    raises ValueError.
+    A frozen-tap overlap-save pass over the first `n_output` samples (all
+    when None) gives the equalized field.  It reads only `f_out` and the
+    taps, and its samples do not depend on `n_output`; ``n_output=0`` skips
+    it and the forward solve.  A negative `n_output` raises ValueError.
     """
     if f_in.n_tributaries != f_out.n_tributaries:
         raise ValueError("tributary count mismatch")
@@ -313,11 +324,9 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     for first, stop in chunks:
         spec = _block_spectra((f_out.data, f_in.data), first, stop, hop)
         corr += spec @ np.conj(spec.transpose(0, 2, 1))
-    taps = _wiener(corr[:, :m, :m], corr[:, m:, :m])
-    channel = _wiener(corr[:, m:, m:], corr[:, :m, m:])
-
-    trace: list[float] = []
+    state = EqualizerState(corr)
     out = np.empty((m, n_output), dtype=complex)
+    taps = state.taps if n_output else None
     # whole chunks, as over the full capture, so that the samples kept are
     # those of the full pass
     for first, stop in chunks:
@@ -327,17 +336,8 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
         # overlap-save keeps the second half of each block
         y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
         seg = slice(first * hop, min(stop * hop, n_output))
-        y = y.transpose(1, 2, 0).reshape(m, -1)[:, :seg.stop - seg.start]
-        out[:, seg] = y
-        d = f_in.data[:, seg]
-        starts = np.arange(0, y.shape[1], hop)
-        err = np.add.reduceat(np.sum(np.abs(d - y) ** 2, axis=0), starts)
-        ref = np.add.reduceat(np.sum(np.abs(d) ** 2, axis=0), starts)
-        nmse = np.divide(err, ref, out=np.zeros_like(err), where=ref > 0)
-        trace.extend(10 * np.log10(np.maximum(nmse, 1e-30)))
-
-    state = EqualizerState(taps=taps, channel=channel,
-                           error_trace=[float(v) for v in trace])
+        y = y.transpose(1, 2, 0).reshape(m, -1)
+        out[:, seg] = y[:, :seg.stop - seg.start]
     return MimoSignal(out, f_in.sample_rate), state
 
 
@@ -421,8 +421,7 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     at the target rate leaves no off-peak lag and raises ValueError before
     any transform.
 
-    The one equalizer call gives the forward taps and, from the same
-    covariance over the whole capture, the channel seen from the
+    The one equalizer call's state gives the channel seen from the
     transmitted to the EDC-compensated received capture; the result's
     `channel` is that estimate times the fiber response of `edc_km` on its
     block grid, the exact inverse of the EDC multiply there.
@@ -434,8 +433,8 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     that of a run over the whole capture; the phase estimate is a moving
     sum over ``cfg.phase_window`` samples, so it is too, up to the last
     bits of its complex products.  The received capture is freed before
-    phase recovery runs.  With ``n_measured=0`` neither the output pass
-    nor phase recovery runs and `f_eq` has no samples.
+    phase recovery runs.  With ``n_measured=0`` neither the forward solve,
+    the output pass nor phase recovery runs and `f_eq` has no samples.
     """
     if n_measured is not None and n_measured < 0:
         raise ValueError("n_measured must be >= 0")
@@ -477,9 +476,9 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     block = cfg.block_size
     channel = state.channel
     if link is not None:
-        channel = channel * _dispersion_response(
-            block, rate, link.dispersion_coeff, edc_km,
-            link.center_wavelength, +1.0)[:, None, None]
+        channel *= _dispersion_response(block, rate, link.dispersion_coeff,
+                                        edc_km, link.center_wavelength,
+                                        +1.0)[:, None, None]
     return PipelineResult(f_in=f_in, f_eq=f_eq, state=state,
                           alignment=alignment, trim_start_in=start_in,
                           channel=MimoChannel(channel, rate / block))

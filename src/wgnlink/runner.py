@@ -241,7 +241,7 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
     # any per-point failure, including MemoryError or a BrokenProcessPool
     # from a killed worker, is recorded so the finished points are written
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = [pool.submit(_run_task, cfg, kind, t) for t in tasks]
             for task, fut in zip(tasks, futures):
                 try:

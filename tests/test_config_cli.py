@@ -1,5 +1,6 @@
 """Tests for config parsing, the CLI verbs, and experiment output contracts."""
 
+import concurrent.futures
 import json
 import logging
 import multiprocessing
@@ -16,7 +17,7 @@ from wgnlink import cli, runner
 from wgnlink.channel import LinkConfig
 from wgnlink.config import ExperimentConfig, validate_config
 from wgnlink.errors import ConfigError
-from wgnlink.signals import generate_wgn_mimo, write_signal
+from wgnlink.signals import MimoSignal, generate_wgn_mimo, write_signal
 
 MINIMAL = """
 sweep:
@@ -420,6 +421,57 @@ class TestCliVerbs:
                            str(fi), "--out", str(tmp_path / "char")])
         assert rc == 2
         assert "a capture of 1 samples is too short to align" in caplog.text
+
+    def test_characterize_zero_power_capture_exit_2(self, tmp_path, caplog):
+        # a received capture of zeros fails the alignment, which names why,
+        # instead of a singular channel solve
+        fi, fo = tmp_path / "in.bin", tmp_path / "zeros.bin"
+        sig = generate_wgn_mimo(2, 40_000, 60e9, 1.0, seed=7)
+        with open(fi, "wb") as f:
+            write_signal(f, sig)
+        with open(fo, "wb") as f:
+            write_signal(f, MimoSignal(np.zeros_like(sig.data), 60e9))
+        cfg = _write(tmp_path, "pipeline: {filter_bw: null}\n")
+        with caplog.at_level(logging.ERROR, logger="wgnlink.cli"):
+            rc = cli.main(["characterize", "--input", str(fi), "--output",
+                           str(fo), "--out", str(tmp_path / "char"),
+                           "--config", cfg])
+        assert rc == 2
+        assert ("characterization failed: alignment: correlation peak ratio "
+                "0.00" in caplog.text)
+        assert "hold no power" in caplog.text
+        assert "Singular" not in caplog.text
+
+    def test_jobs_capped_at_the_point_count(self, tmp_path, monkeypatch):
+        # a fake pool records its size and runs each point in this process:
+        # no worker starts, whatever --jobs asks for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(runner, "_wgn_point",
+                            lambda cfg, value, seed, characterize:
+                            {"rows": []})
+        text = "sweep:\n  recirculations: [1, 2]\nseeds: [3]\n"
+        rc = cli.main(["simulate", "--config", _write(tmp_path, text),
+                       "--out", str(tmp_path / "o"), "--no-plots",
+                       "--jobs", str(10 ** 6)])
+        assert rc == 0
+        assert sizes == [2]
 
     def test_runtime_failure_exit_2(self, tmp_path):
         # impossible span SNR makes the pipeline alignment fail

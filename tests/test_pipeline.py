@@ -1,6 +1,8 @@
 """Tests for alignment, EDC, FDE equalization, and phase recovery."""
 
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +77,19 @@ class TestAlignment:
         b = generate_wgn_mimo(2, 1_000_000, 40e9, 1.0, seed=5)
         with pytest.raises(AlignmentError, match="may be unrelated"):
             align_by_crosscorrelation(a, b, max_lag=10_000)
+
+    def test_zero_power_capture_named(self):
+        # an all-zero correlation reads ratio 0, not inf: the alignment
+        # fails and says why, before the channel solve meets a singular
+        # covariance
+        sig = generate_wgn_mimo(2, 20_000, 60e9, 1.0, seed=6)
+        zeros = MimoSignal(np.zeros_like(sig.data), 60e9)
+        for a, b in ((sig, zeros), (zeros, sig), (zeros, zeros)):
+            with pytest.raises(AlignmentError, match="peak ratio 0.00 .*"
+                               "may be unrelated or hold no power"):
+                align_by_crosscorrelation(a, b, max_lag=100)
+        with pytest.raises(AlignmentError, match="peak ratio 0.00"):
+            estimate_channel(sig, zeros, PipelineConfig(filter_bw=None))
 
     # (modes, lag at the 40 GS/s capture rate); the front end resamples to
     # 60 GS/s, so the aligned lag is 1.5 times larger
@@ -319,6 +334,14 @@ class TestFdeLms:
         cfg = PipelineConfig()
         f_eq, state = fde_lms_equalize(sig, sig, cfg)
         assert _nmse_db(f_eq.as_array(), sig.as_array()) < -40
+        # the diagonal load leaves -90 dB; a reference with no power reads
+        # the -300 dB floor, without a warning
+        zeros = MimoSignal(np.zeros_like(sig.data), sig.sample_rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state.residual_nmse_db < -40
+            _, silent = fde_lms_equalize(zeros, sig, cfg)
+            assert silent.residual_nmse_db == -300.0
 
     def test_static_rotation_taps(self):
         theta = np.pi / 6
@@ -359,7 +382,8 @@ class TestFdeLms:
         f_eq, state = fde_lms_equalize(sig, out, cfg)
         assert np.max(np.abs(state.taps - ref.taps)) < 1e-12
         assert np.max(np.abs(f_eq.as_array() - f_ref.as_array())) < 1e-12
-        assert state.error_trace == pytest.approx(ref.error_trace, abs=1e-9)
+        assert state.residual_nmse_db == pytest.approx(ref.residual_nmse_db,
+                                                       abs=1e-9)
 
     def test_one_block_six_modes_finite(self):
         # two overlap-save blocks cannot determine six modes per bin: the
@@ -368,24 +392,34 @@ class TestFdeLms:
         out = generate_wgn_mimo(6, 4096, 60e9, 1.0, seed=34)
         f_eq, state = fde_lms_equalize(sig, out, PipelineConfig())
         assert np.all(np.isfinite(state.taps))
-        assert len(state.error_trace) == 2
+        assert np.isfinite(state.residual_nmse_db)
         assert len(f_eq) == 4096
 
-    def test_error_trace_settles(self):
-        # after the convergence window the trace is monotone within 0.5 dB
-        # (settled at the additive-noise floor)
+    # (samples, block size, margin in dB): 0.0002 and 0.083 dB measured
+    @pytest.mark.parametrize("n, block, margin", [(400_000, 4096, 0.05),
+                                                  (20_000, 256, 0.15)])
+    def test_residual_nmse_matches_the_output_pass(self, n, block, margin):
+        # the covariance's closed-form NMSE against the output pass's NMSE
+        # over the whole capture; they differ only at the block edges
         from wgnlink.channel import add_awgn
-        sig = generate_wgn_mimo(2, 400_000, 60e9, 1.0, seed=17)
-        ch = synthesize_mimo_channel(2, 1.0, 1e-10, 4096, 60e9 / 4096, seed=18)
+        sig = generate_wgn_mimo(2, n, 60e9, 1.0, seed=17)
+        ch = synthesize_mimo_channel(2, 1.0, 1e-10, block, 60e9 / block,
+                                     seed=18)
         out = add_awgn(apply_channel(sig, ch), 20.0, seed=32)
-        cfg = PipelineConfig(filter_bw=None, lms_step=0.4)
-        _, state = fde_lms_equalize(sig, out, cfg)
-        trace = np.array(state.error_trace)
-        tail = trace[len(trace) // 2:]
-        # smooth over 10 blocks to separate the trend from per-block
-        # statistical scatter, then require monotone within 0.5 dB
-        smooth = np.convolve(tail, np.ones(10) / 10, mode="valid")
-        assert np.max(np.diff(smooth)) < 0.5
+        cfg = PipelineConfig(filter_bw=None, block_size=block)
+        f_eq, state = fde_lms_equalize(sig, out, cfg)
+        measured = _nmse_db(f_eq.as_array(), sig.as_array())
+        assert abs(state.residual_nmse_db - measured) < margin
+        # the additive noise alone puts the floor at -20 dB
+        assert -20.5 < state.residual_nmse_db < -15.5
+
+    def test_state_holds_only_the_covariance(self):
+        sig = generate_wgn_mimo(2, 20_000, 60e9, 1.0, seed=35)
+        _, state = fde_lms_equalize(sig, sig, PipelineConfig(block_size=256))
+        assert [f.name for f in dataclasses.fields(state)] == ["covariance"]
+        assert state.covariance.shape == (256, 4, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.covariance = None
 
     def test_length_mismatch_rejected(self):
         a = generate_wgn_mimo(2, 10_000, 60e9, 1.0, seed=19)
@@ -424,11 +458,8 @@ class TestMeasuredWindow:
         assert np.array_equal(part.data, full.data[:, :n])
         assert np.array_equal(state.taps, ref.taps)
         assert np.array_equal(state.channel, ref.channel)
-        # one NMSE per block of the window; only the last, partial one
-        # covers fewer samples than the full pass's
-        assert len(state.error_trace) == -(-n // 128)
-        assert state.error_trace[:-1] == ref.error_trace[:len(
-            state.error_trace) - 1]
+        # the NMSE is the covariance's, over the whole capture either way
+        assert state.residual_nmse_db == ref.residual_nmse_db
 
     @pytest.mark.parametrize("n", [1, 9_999, 40_000, 10 ** 9])
     def test_pipeline_window_is_the_full_output_cut(self, n):
@@ -668,9 +699,23 @@ class TestRunPipeline:
                                           "align_by_crosscorrelation"]
         assert est.matrices.shape == (4096, 2, 2)
         res = run_pipeline(sig, out, None, PipelineConfig(), n_measured=0)
-        assert len(res.f_eq) == 0 and res.state.error_trace == []
+        # nothing measured, yet the taps' NMSE is there, from the covariance
+        assert len(res.f_eq) == 0 and np.isfinite(res.state.residual_nmse_db)
         assert np.array_equal(res.channel.matrices, est.matrices)
         assert res.channel.bin_spacing == est.bin_spacing
+
+    def test_one_solve_per_derived_value(self, monkeypatch):
+        # the channel estimate alone solves only for the channel; a measured
+        # run solves for the taps too, each once
+        calls = _count_calls(monkeypatch, [], pipeline, "_wiener")
+        link = LinkConfig(span_snr_db=25.0)
+        sig = generate_wgn_mimo(2, 60_000, 40e9, 1.0, seed=34)
+        out = run_link(sig, link, 1, seed=35)
+        estimate_channel(sig, out, PipelineConfig())
+        assert calls == ["_wiener"]
+        calls.clear()
+        run_pipeline(sig, out, link, PipelineConfig(), n_measured=1_000)
+        assert calls == ["_wiener", "_wiener"]
 
     def test_channel_against_the_coupled_dispersive_link(self):
         # 20 loops of dispersion and coupling; the truth is the span model
