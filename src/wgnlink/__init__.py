@@ -7,6 +7,9 @@ roles inverted, a full linear characterization of the channel (MDL
 spectra, impulse responses).
 """
 
+# before the submodule imports: the runner records it in each manifest
+__version__ = "0.1.0"
+
 from .channel import (LinkConfig, MimoChannel, MultiSectionModel, add_awgn,
                       apply_channel, apply_frequency_offset, apply_phase_noise,
                       run_link, span_noise_power_ratio,
@@ -26,7 +29,5 @@ from .runner import (characterize_captures, generate_qam16_mimo,
                      run_experiment, run_reference_16qam, write_plots)
 from .signals import (ComplexSignal, MimoSignal, MimoSpectrum, generate_wgn,
                       generate_wgn_mimo, read_signal, write_signal)
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

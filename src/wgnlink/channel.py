@@ -7,7 +7,10 @@ amplifier noise is additive Gaussian per span, and nonlinear interference
 is a cubic-in-power additive Gaussian term.  Both noises are white, so
 :func:`run_link` injects them per frequency bin at the Parseval-scaled
 power, and a link given a spectrum returns one without a transform,
-whatever its loop count.  A split-step solver is out of scope by design.
+whatever its loop count.  Without MDL each span is unitary per bin, and
+circular white noise stays white under a unitary map, so such a link
+draws the noise of all its loops at once; a link with MDL adds it loop by
+loop.  A split-step solver is out of scope by design.
 """
 
 from __future__ import annotations
@@ -336,6 +339,16 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
     Parseval) sets.  LO phase noise and frequency offset are applied once
     at the receiver, in the time domain.
 
+    With ``mdl_per_span > 0`` each loop draws its noise at ``r =
+    span_noise_power_ratio(cfg)`` times the power measured in that loop.
+    Without MDL every span is unitary per bin and white noise stays white
+    under it, so the L = `n_recirculations` loops fold into one pass: the
+    dispersion of L spans in one multiply, the coupling (DGD only) L
+    times, then one draw at ``g`` times the power measured there, with
+    ``g = r * sum((1 + r)**l for l < L)``.  That is ``(1 + r)**L - 1``,
+    the loops' expected noise, and exactly ``r`` at L = 1, where both
+    paths give the same numbers.
+
     A :class:`MimoSignal` is FFT'd once and returned as a signal after one
     inverse FFT.  A :class:`MimoSpectrum` is left unchanged and the result
     is a spectrum: without LO phase noise and frequency offset the link
@@ -375,27 +388,33 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
 
 def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
                  model, noise_rng, n_recirculations: int) -> None:
-    """The span loop of :func:`run_link`, in place on an (M, N) spectrum."""
+    """The span loop of :func:`run_link`, in place on an (M, N) spectrum:
+    one pass per loop with MDL, else one pass of all the spans with one
+    noise draw at gain ``g`` (see :func:`run_link`)."""
     m, n = spec.shape
+    passes, spans = ((1, n_recirculations) if cfg.mdl_per_span == 0
+                     else (n_recirculations, 1))
     disp_rot = _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
-                                    cfg.span_length, cfg.center_wavelength,
-                                    +1.0)
+                                    spans * cfg.span_length,
+                                    cfg.center_wavelength, +1.0)
     delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate))
                  if model is not None else None)
     noise_ratio = span_noise_power_ratio(cfg)
+    gain = noise_ratio * sum((1.0 + noise_ratio) ** k for k in range(spans))
     # the noise is drawn a chunk at a time into one buffer and added to the
     # (re, im) floats of each row: the same numbers as one (M, 2N) draw
     floats = spec.view(np.float64)
     noise = np.empty(min(2 * _COUPLING_CHUNK, 2 * n))
-    for _ in range(n_recirculations):
+    for _ in range(passes):
         spec *= disp_rot
         if model is not None:
-            model.apply_spectrum(spec, delay_rot)
+            for _ in range(spans):
+                model.apply_spectrum(spec, delay_rot)
         if noise_ratio > 0:
             # Parseval: mean |x|^2 = sum |X|^2 / (M N^2); white noise of
             # per-sample power s has per-bin power N s
             power = np.vdot(spec, spec).real / (m * n * n)
-            scale = np.sqrt(n * power * noise_ratio / 2.0)
+            scale = np.sqrt(n * power * gain / 2.0)
             for row in floats:
                 for s in range(0, 2 * n, noise.size):
                     piece = noise[:2 * n - s]

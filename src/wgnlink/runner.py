@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import math
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import svgplot
+from . import __version__, svgplot
 from .channel import MimoChannel, run_link
 from .config import ExperimentConfig
 from .errors import ConfigError
@@ -267,6 +268,8 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
         "files": sorted(written),
         "errors": sorted(errors, key=lambda e: (str(e["sweep_value"]),
                                                 e["seed"])),
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "wgnlink": __version__},
     }
     with open(out_dir / f"manifest{suffix}.json", "w") as f:
         json.dump(manifest, f, indent=2, default=str)

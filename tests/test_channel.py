@@ -20,6 +20,34 @@ def _nmse_db(est, ref):
                          / np.sum(np.abs(ref) ** 2))
 
 
+def _loop_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
+                    seed: int) -> np.ndarray:
+    """The link's spectrum loop by loop, whatever its MDL: per loop one span
+    of dispersion, the coupling model of the link's seed (if any), then one
+    (M, 2N) noise draw at the span ratio times the power measured there."""
+    m, n = sig.data.shape
+    model_seed, noise_seed, _ = np.random.SeedSequence(seed).spawn(3)
+    rng = np.random.default_rng(noise_seed)
+    disp = _dispersion_response(n, sig.sample_rate, cfg.dispersion_coeff,
+                                cfg.span_length, cfg.center_wavelength, +1.0)
+    model = None
+    if cfg.mdl_per_span > 0 or cfg.dgd_per_span > 0:
+        model = MultiSectionModel(m, cfg.mdl_per_span, cfg.dgd_per_span,
+                                  model_seed, cfg.n_sections)
+        rot = model.delay_rotation(np.fft.fftfreq(n, d=1 / sig.sample_rate))
+    ratio = span_noise_power_ratio(cfg)
+    want = np.fft.fft(sig.data, axis=1)
+    for _ in range(n_rec):
+        want *= disp
+        if model is not None:
+            model.apply_spectrum(want, rot)
+        power = np.vdot(want, want).real / (m * n * n)
+        noise = rng.standard_normal((m, 2 * n)).view(np.complex128)
+        noise *= np.sqrt(n * power * ratio / 2.0)
+        want += noise
+    return want
+
+
 def _disperse(sig: MimoSignal, cfg: LinkConfig) -> MimoSignal:
     """One span of the fiber's dispersion, as a spectral multiply."""
     rot = _dispersion_response(len(sig), sig.sample_rate, cfg.dispersion_coeff,
@@ -228,7 +256,11 @@ class TestRunLink:
                         np.fft.fftfreq(clean.shape[1], d=1 / 40e9),
                         17.0, 78.0, 1550.0))[None, :], axis=1)
             powers.append(np.mean(np.abs(out.as_array() - clean) ** 2))
-        assert powers[1] / powers[0] == pytest.approx(4.0, rel=0.02)
+        # loop l adds r times the power it measures, which the earlier
+        # loops' noise has raised to (1 + r)^l: geometric, not linear
+        r = span_noise_power_ratio(cfg)
+        assert powers[1] / powers[0] == pytest.approx(((1 + r) ** 4 - 1) / r,
+                                                      rel=0.01)
 
     def test_noiseless_link_edc_invertible(self):
         # zero noise / MDL / DGD: EDC alone inverts the whole link
@@ -251,21 +283,23 @@ class TestRunLink:
     def test_noiseless_coupled_link_matches_materialized_channel(self):
         # the spectral loop with its once-built DGD rotation against the
         # per-span time-domain chain: dispersion, then the sampled matrices;
-        # n spans two full coupling chunks and a partial one
-        cfg = LinkConfig(span_snr_db=float("inf"), nlin_coeff=0.0,
-                         mdl_per_span=2.0, dgd_per_span=5e-11)
+        # n spans two full coupling chunks and a partial one.  With MDL the
+        # link runs span by span; DGD alone takes the one-pass path, the
+        # dispersion of all three spans in one multiply
         n, rate, seed = 2 * _COUPLING_CHUNK + 7232, 40e9, 11
         sig = generate_wgn_mimo(2, n, rate, 1.0, seed=22)
-        out = run_link(sig, cfg, 3, seed=seed)
         model_seed = np.random.SeedSequence(seed).spawn(3)[0]
-        channel = MultiSectionModel(2, cfg.mdl_per_span, cfg.dgd_per_span,
-                                    model_seed, cfg.n_sections).sample(
-                                        n, rate / n)
-        ref = sig
-        for _ in range(3):
-            ref = apply_channel(_disperse(ref, cfg), channel)
-        np.testing.assert_allclose(out.as_array(), ref.as_array(), rtol=0,
-                                   atol=1e-10)
+        for mdl in (2.0, 0.0):
+            cfg = LinkConfig(span_snr_db=float("inf"), nlin_coeff=0.0,
+                             mdl_per_span=mdl, dgd_per_span=5e-11)
+            out = run_link(sig, cfg, 3, seed=seed)
+            channel = MultiSectionModel(2, mdl, cfg.dgd_per_span, model_seed,
+                                        cfg.n_sections).sample(n, rate / n)
+            ref = sig
+            for _ in range(3):
+                ref = apply_channel(_disperse(ref, cfg), channel)
+            np.testing.assert_allclose(out.as_array(), ref.as_array(),
+                                       rtol=0, atol=1e-10)
 
     def test_span_noise_power_and_whiteness(self):
         cfg = LinkConfig(span_snr_db=20.0, nlin_coeff=0.0)
@@ -323,26 +357,58 @@ class TestSpanNoise:
 
     def test_noise_drawn_in_chunks_is_one_draw(self):
         # each row's 2 x 40,001 floats take two full chunks of the draw
-        # buffer and a ragged one; the loop must add the numbers of one
-        # (M, 2N) draw per span, bit for bit
-        cfg = LinkConfig(span_snr_db=20.0)
+        # buffer and a ragged one; a link with MDL, which adds its noise
+        # loop by loop, must add the numbers of one (M, 2N) draw per span,
+        # bit for bit
+        cfg = LinkConfig(span_snr_db=20.0, mdl_per_span=0.5)
         n, rate, seed = 40_001, 40e9, 13
         assert 2 * _COUPLING_CHUNK < 2 * n < 6 * _COUPLING_CHUNK
         sig = generate_wgn_mimo(2, n, rate, 1.0, seed=26)
         got = run_link(MimoSpectrum.of(sig), cfg, 2, seed=seed).data
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
-        disp = _dispersion_response(n, rate, cfg.dispersion_coeff,
-                                    cfg.span_length, cfg.center_wavelength,
-                                    +1.0)
-        ratio = span_noise_power_ratio(cfg)
-        want = np.fft.fft(sig.data, axis=1)
-        for _ in range(2):
-            want *= disp
-            power = np.vdot(want, want).real / (2 * n * n)
-            noise = rng.standard_normal((2, 2 * n)).view(np.complex128)
-            noise *= np.sqrt(n * power * ratio / 2.0)
-            want += noise
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, _loop_reference(sig, cfg, 2, seed))
+
+    @pytest.mark.parametrize("dgd", [0.0, 1e-11], ids=["plain", "dgd"])
+    def test_one_loop_without_mdl_is_the_loop(self, dgd):
+        # one loop of the one-draw path: the dispersion of one span and the
+        # loop's gain r, so the same numbers as the loop
+        cfg = LinkConfig(span_snr_db=20.0, dgd_per_span=dgd)
+        sig = generate_wgn_mimo(2, 40_001, 40e9, 1.0, seed=27)
+        got = run_link(MimoSpectrum.of(sig), cfg, 1, seed=14).data
+        assert np.array_equal(got, _loop_reference(sig, cfg, 1, 14))
+
+    @pytest.mark.parametrize("n_rec", [5, 20])
+    @pytest.mark.parametrize("dgd", [0.0, 1e-11], ids=["plain", "dgd"])
+    def test_one_draw_noise_matches_the_loop(self, n_rec, dgd):
+        # output noise power per bin, summed over 32 seeds and both
+        # tributaries and read in 16 bands of 256 bins: each band holds
+        # 16,384 exponential terms, so one draw over the loop is 1 +- 1.1%
+        # per band; bound 5%.  The loops draw from other seeds, so the two
+        # sides are independent.  Both totals, 262,144 terms each, match
+        # (1 + r)^L - 1 within 1% (0.2% expected)
+        cfg = LinkConfig(span_snr_db=20.0, nlin_coeff=0.0, dgd_per_span=dgd)
+        quiet = LinkConfig(span_snr_db=float("inf"), nlin_coeff=0.0,
+                           dgd_per_span=dgd)
+        n, rate, seeds = 4096, 40e9, range(32)
+        sig = generate_wgn_mimo(2, n, rate, 1.0, seed=28)
+        spec = MimoSpectrum.of(sig)
+
+        def noise_power(out, seed):  # per bin, summed over the tributaries
+            clean = run_link(spec, quiet, n_rec, seed).data
+            return np.sum(np.abs(out - clean) ** 2, axis=0)
+
+        one = sum(noise_power(run_link(spec, cfg, n_rec, s).data, s)
+                  for s in seeds)
+        loop = sum(noise_power(_loop_reference(sig, cfg, n_rec, 1000 + s),
+                               1000 + s) for s in seeds)
+        bands = one.reshape(16, -1).sum(1) / loop.reshape(16, -1).sum(1)
+        assert np.all(np.abs(bands - 1) < 0.05), bands
+        r = span_noise_power_ratio(cfg)
+        # the noise of each seed carries (1 + r)^L - 1 times the power of
+        # the spans' unitary output, which is the input's
+        expect = (np.vdot(spec.data, spec.data).real * len(seeds)
+                  * ((1 + r) ** n_rec - 1))
+        assert one.sum() == pytest.approx(expect, rel=0.01)
+        assert loop.sum() == pytest.approx(expect, rel=0.01)
 
 
 class TestLinkConfig:

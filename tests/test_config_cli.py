@@ -531,6 +531,28 @@ class TestOutputContracts:
             outs.append((out / "mi_results.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("verb, suffix", [("simulate", ""),
+                                              ("reference-16qam", "_qam16")],
+                             ids=["simulate", "reference-16qam"])
+    def test_manifest_records_versions(self, tmp_path, monkeypatch, verb,
+                                       suffix):
+        cfg_path = _write(tmp_path, MINIMAL)
+        outs = []
+        for version in (wgnlink.__version__, "0.0.0+other"):
+            monkeypatch.setattr(runner, "__version__", version)
+            out = tmp_path / version
+            assert cli.main([verb, "--config", cfg_path, "--out", str(out),
+                             "--no-plots"]) == 0
+            manifest = json.loads(
+                (out / f"manifest{suffix}.json").read_text())
+            assert manifest["versions"] == {
+                "python": sys.version.split()[0], "numpy": np.__version__,
+                "wgnlink": version}
+            outs.append({p.name: p.read_bytes()
+                         for p in sorted(out.glob("*.csv"))})
+        # the versions reach the manifest only
+        assert outs[0] and outs[0] == outs[1]
+
     @FORK_ONLY
     def test_jobs_do_not_change_csv_bytes(self, tmp_path):
         cfg_path = _write(tmp_path, COUPLED_SWEEP)
@@ -573,7 +595,8 @@ class TestOutputContracts:
                    for line in lines)
         # the log only: the outputs do not carry progress or times
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest) == ["config", "errors", "files", "kind"]
+        assert sorted(manifest) == ["config", "errors", "files", "kind",
+                                    "versions"]
 
     def test_mi_clamp_is_logged(self, tmp_path, caplog):
         text = MINIMAL + "n_rings: 1\nlink:\n  span_snr_db: 30.0\n"
