@@ -10,7 +10,8 @@ and no step size.
 :func:`run_pipeline` runs the chain for the sweep and, with no link and
 nothing measured, for the channel estimate of a stored pair.  Each capture
 takes at most one FFT on its way in and is held in one form at a time: the
-alignment reads the front end's spectra, then each is inverted in place.
+front end's spectrum is inverted in place, and the alignment correlates
+only a prefix of each time signal, a few times ``align_max_lag`` long.
 The equalizer's state is one per-bin covariance of the stacked block
 spectra; the taps, the channel estimate and the residual NMSE are each
 solved from it.  EDC is a unit-modulus scalar per frequency, so it
@@ -137,27 +138,28 @@ class PipelineResult:
     channel: MimoChannel  # full channel estimate, EDC undone, block grid
 
 
-def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
-                              f_out: MimoSignal | MimoSpectrum,
+def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
                               max_lag: int, threshold: float = 10.0
                               ) -> AlignmentResult:
-    """Locate the delay of f_out relative to f_in by FFT cross-correlation.
+    """Locate the delay of f_out relative to f_in by FFT cross-correlation
+    of a prefix of both captures.
 
-    Either capture may be a :class:`MimoSignal` or its
-    :class:`MimoSpectrum`.  The per-tributary cross-spectra
-    ``F_out,m conj(F_in,m)`` over the first ``n = min(len(f_in),
-    len(f_out))`` samples are summed (common-LO phase), one row at a time
-    in one row buffer, and inverted with one IFFT; the winning lag
-    maximizes the correlation magnitude over ``[-max_lag, max_lag]``, and
-    ties break toward the smallest |lag|.  A peak-to-RMS ratio below
-    `threshold` raises :class:`AlignmentError`; a capture with no power
-    gives an all-zero correlation, whose ratio is 0.
+    Only the first ``P = min(n, 4 * max_lag)`` samples of each capture are
+    read, ``n = min(len(f_in), len(f_out))``.  Each prefix row is
+    zero-padded to ``P + max_lag`` samples before its FFT, so the
+    correlation over ``[-max_lag, max_lag]`` is linear: no sample wraps
+    around into a lag, and the transforms stay ``5 * max_lag`` long at most,
+    whatever `n`.  The per-tributary cross-spectra ``F_out,m conj(F_in,m)``
+    are summed (common-LO phase) and inverted with one IFFT; the winning
+    lag maximizes the correlation magnitude, and ties break toward the
+    smallest |lag|.  A peak-to-RMS ratio below `threshold` raises
+    :class:`AlignmentError`; a capture with no power gives an all-zero
+    correlation, whose ratio is 0.
 
-    A spectrum is read bin for bin, so aligning two spectra of one length
-    costs a single IFFT; a signal's rows are transformed over their first
-    n samples.  A spectrum longer than the other capture, captures with
-    different tributary counts, or a `max_lag` under 1, which leaves no
-    off-peak lag to measure the ratio against, raise ValueError.
+    Captures with different tributary counts, captures shorter than
+    ``2 * max_lag``, or a `max_lag` under 1, which leaves no off-peak lag to
+    measure the ratio against, raise ValueError; a :class:`MimoSpectrum`
+    raises TypeError.
     """
     if f_in.sample_rate != f_out.sample_rate:
         raise ValueError("signals must share a sample rate")
@@ -165,25 +167,27 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
         raise ValueError(f"tributary counts differ: f_in has "
                          f"{f_in.n_tributaries}, f_out has "
                          f"{f_out.n_tributaries}")
+    for name, capture in (("f_in", f_in), ("f_out", f_out)):
+        if isinstance(capture, MimoSpectrum):
+            raise TypeError(f"{name} is a spectrum; pass its time signal")
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     n = min(len(f_in), len(f_out))
-    for name, capture in (("f_in", f_in), ("f_out", f_out)):
-        if isinstance(capture, MimoSpectrum) and len(capture) != n:
-            raise ValueError(f"{name} is a spectrum of {len(capture)} bins, "
-                             f"longer than the other capture ({n} samples); "
-                             "pass its time signal")
     if n < 2 * max_lag:
         raise ValueError("signals shorter than 2 * max_lag")
-    cross = np.zeros(n, dtype=complex)
-    # conj(F_in) * F_out in this operand order: numpy's complex multiply
-    # may round a*b and b*a differently
-    row = np.empty(n, dtype=complex)
+    prefix = min(n, 4 * max_lag)
+    size = prefix + max_lag
+    # one buffer each for the sum and a row's two spectra
+    cross = np.zeros(size, dtype=complex)
+    row, row_out = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
     for m in range(f_in.n_tributaries):
-        np.conjugate(_row_spectrum(f_in, m, n), out=row)
-        np.multiply(row, _row_spectrum(f_out, m, n), out=row)
+        # conj(F_in) * F_out in this operand order: numpy's complex
+        # multiply may round a*b and b*a differently
+        np.conjugate(np.fft.fft(f_in.data[m, :prefix], size, out=row),
+                     out=row)
+        row *= np.fft.fft(f_out.data[m, :prefix], size, out=row_out)
         cross += row
-    del row  # before the inverse FFT takes its working memory
+    del row, row_out  # before the inverse FFT takes its working memory
     corr = np.fft.ifft(cross, out=cross)
     lags = np.arange(-max_lag, max_lag + 1)
     mags = np.abs(corr[lags])
@@ -199,14 +203,6 @@ def align_by_crosscorrelation(f_in: MimoSignal | MimoSpectrum,
     lag = int(lags[best])
     return AlignmentResult(lag=lag, phase=float(np.angle(corr[lag])),
                            peak_ratio=float(ratio))
-
-
-def _row_spectrum(capture: MimoSignal | MimoSpectrum, m: int,
-                  n: int) -> np.ndarray:
-    """The FFT of the first `n` samples of row `m` of `capture`."""
-    if isinstance(capture, MimoSpectrum):
-        return capture.data[m]
-    return np.fft.fft(capture.data[m, :n])
 
 
 def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
@@ -386,7 +382,11 @@ def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
         raise ValueError("signals must be of equal length and mode count")
     # conj(f_in) * f_eq in this operand order, as in the alignment: numpy's
     # complex multiply may round a*b and b*a differently
-    cross = np.sum(np.conj(f_in.data) * f_eq.data, axis=0)
+    # summed row by row, which is the sum over axis 0 bit for bit, without
+    # a capture-sized product of all rows
+    cross = np.conj(f_in.data[0]) * f_eq.data[0]
+    for m in range(1, f_in.n_tributaries):
+        cross += np.conj(f_in.data[m]) * f_eq.data[m]
     phi = np.angle(_centered_moving_sum(cross, window))
     return MimoSignal(f_eq.data * np.exp(-1j * phi)[None, :],
                       f_eq.sample_rate)
@@ -412,14 +412,13 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     one also takes EDC of ``edc_km = n_recirculations * span_length`` of
     its fiber.  ``link=None`` (a stored pair whose link is unknown) means
     no EDC.  A caller that passes a capture it does not keep lets it be
-    freed once the front end has consumed it.  The pair is aligned from the
-    front end's spectra over a lag range cut to the shorter capture; only
-    then is each spectrum inverted in place into the time signal that is
-    trimmed and equalized, so no capture is held as spectrum and signal at
-    once.  Spectra of two lengths are inverted before the alignment, which
-    then transforms the signals row by row.  A capture under four samples
-    at the target rate leaves no off-peak lag and raises ValueError before
-    any transform.
+    freed once the front end has consumed it.  Each front-end spectrum is
+    inverted in place into its time signal, so no capture is held as
+    spectrum and signal at once.  The two signals are aligned on a prefix
+    of each (:func:`align_by_crosscorrelation`) over a lag range cut to the
+    shorter capture, then trimmed and equalized.  A capture under four
+    samples at the target rate leaves no off-peak lag and raises ValueError
+    before any transform.
 
     The one equalizer call's state gives the channel seen from the
     transmitted to the EDC-compensated received capture; the result's
@@ -456,14 +455,12 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     f_in = _front_end(captures.pop(0), cfg, gauss=gauss)
     f_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
     del gauss
-    if n_in != n_rx:
-        # spectra of two lengths cannot be read bin for bin: align the
-        # signals row by row
-        f_in, f_out = _as_signal(f_in), _as_signal(f_out)
+    # inverted after both front ends: inverting the first spectrum before
+    # the second front end ran raised a 16QAM point's peak RSS by 15 MB
+    f_in, f_out = _as_signal(f_in), _as_signal(f_out)
     alignment = align_by_crosscorrelation(
         f_in, f_out, min(cfg.align_max_lag, n // 2 - 1), cfg.align_threshold)
-    f_in, f_out, start_in = trim_aligned(_as_signal(f_in), _as_signal(f_out),
-                                         alignment.lag)
+    f_in, f_out, start_in = trim_aligned(f_in, f_out, alignment.lag)
     n_keep = len(f_in) if n_measured is None else min(n_measured, len(f_in))
     n_eq = min(n_keep + cfg.phase_window, len(f_in)) if n_keep else 0
     f_eq, state = fde_lms_equalize(f_in, f_out, cfg, n_output=n_eq)

@@ -66,7 +66,7 @@ def _wgn_point(cfg: ExperimentConfig, value, seed: int,
         log.warning("sweep value %s seed %s tributary %d: MI at the "
                     "clamp log2(64 * n_rings) = %.2f bits (n_rings=%d)",
                     value, seed, m, cap, cfg.n_rings)
-    out = {"rows": rows}
+    out = {"rows": rows, "alignment": result.alignment}
     if characterize:
         out["characterization"] = _characterize(result.channel,
                                                 cfg.pipeline.filter_bw)
@@ -206,7 +206,7 @@ def _qam_point(cfg: ExperimentConfig, value, seed: int) -> dict:
     rows = _tributary_rows(
         cfg, "qam16", value, seed, pairs,
         lambda ref, eq: estimate_mi_discrete(ref.samples, eq, pts))
-    return {"rows": rows}
+    return {"rows": rows, "alignment": result.alignment}
 
 
 def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
@@ -219,7 +219,7 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
             characterize = kind == "wgn" and i == 0
             tasks.append((value, seed, characterize))
 
-    rows, errors, characterized = [], [], {}
+    rows, errors, alignments, characterized = [], [], [], {}
     started, done = time.monotonic(), 0
 
     def handle(task, outcome):
@@ -232,6 +232,9 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
                            "error": str(outcome) or type(outcome).__name__})
         else:
             rows.extend(outcome["rows"])
+            a = outcome["alignment"]
+            alignments.append({"sweep_value": value, "seed": seed,
+                               "lag": a.lag, "peak_ratio": a.peak_ratio})
             if "characterization" in outcome:
                 characterized[value] = outcome["characterization"]
         done += 1
@@ -262,12 +265,17 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
     for value, (mdl, ir) in sorted(characterized.items(),
                                    key=lambda kv: float(kv[0])):
         written += _write_characterization(out_dir, _tag(value), mdl, ir)
+
+    def by_point(entries):
+        return sorted(entries, key=lambda e: (str(e["sweep_value"]),
+                                              e["seed"]))
+
     manifest = {
         "kind": kind,
         "config": dataclasses.asdict(cfg),
         "files": sorted(written),
-        "errors": sorted(errors, key=lambda e: (str(e["sweep_value"]),
-                                                e["seed"])),
+        "errors": by_point(errors),
+        "alignment": by_point(alignments),
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "wgnlink": __version__},
     }
@@ -336,23 +344,23 @@ def _write_characterization(out_dir: Path, tag: str, mdl: MdlSpectrum,
     """Write ``mdl_<tag>.csv`` (valid bins only) and ``impulse_<tag>.csv``;
     returns their names."""
     names = [f"mdl_{tag}.csv", f"impulse_{tag}.csv"]
-    with open(out_dir / names[0], "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["frequency_hz", "mdl_db"])
-        for fr, m in zip(mdl.frequencies[mdl.valid], mdl.mdl_db[mdl.valid]):
-            writer.writerow([_fmt(float(fr)), _fmt(float(m))])
     m = ir.taps.shape[1]
-    with open(out_dir / names[1], "w", newline="") as f:
-        writer = csv.writer(f)
-        header = ["time_s"] + [f"power_db_{i}{j}" for i in range(m)
-                               for j in range(m)]
-        writer.writerow(header
-                        + [f"# dynamic_range_db={ir.dynamic_range_db:.2f}"])
-        power_db = 10.0 * np.log10(np.maximum(np.abs(ir.taps) ** 2, 1e-30))
-        for k, t in enumerate(ir.delays):
-            writer.writerow([_fmt(float(t))]
-                            + [_fmt(float(power_db[k, i, j]))
-                               for i in range(m) for j in range(m)])
+    power_db = 10.0 * np.log10(np.maximum(np.abs(ir.taps) ** 2, 1e-30))
+    header = (["time_s"] + [f"power_db_{i}{j}" for i in range(m)
+                            for j in range(m)]
+              + [f"# dynamic_range_db={ir.dynamic_range_db:.2f}"])
+    tables = [(["frequency_hz", "mdl_db"],
+               np.column_stack([mdl.frequencies[mdl.valid],
+                                mdl.mdl_db[mdl.valid]])),
+              (header, np.column_stack([ir.delays,
+                                        power_db.reshape(len(ir.delays),
+                                                         -1)]))]
+    for name, (head, table) in zip(names, tables):
+        with open(out_dir / name, "w", newline="") as f:
+            csv.writer(f).writerow(head)
+            # one format per row, as _fmt writes each float
+            row = ",".join(["%.10g"] * table.shape[1]) + "\r\n"
+            f.write("".join(row % tuple(r) for r in table.tolist()))
     return names
 
 
@@ -444,14 +452,12 @@ def _plot_mdl(out_dir: Path, csv_path: Path) -> None:
 
 
 def _plot_impulse(out_dir: Path, csv_path: Path) -> None:
-    times, total = [], []
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
         next(reader)
-        for row in reader:
-            times.append(float(row[0]) * 1e9)
-            powers = np.array([float(v) for v in row[1:]])
-            total.append(float(10 * np.log10(np.sum(10 ** (powers / 10)))))
+        table = np.array(list(reader), dtype=float)
+    times = (table[:, 0] * 1e9).tolist()
+    total = 10 * np.log10(np.sum(10 ** (table[:, 1:] / 10), axis=1))
     svgplot.line_plot(str(out_dir / (csv_path.stem + ".svg")),
-                      [svgplot.Series(times, total, markers=False)],
+                      [svgplot.Series(times, total.tolist(), markers=False)],
                       "Impulse response", "delay (ns)", "power (dB)")

@@ -17,6 +17,7 @@ from wgnlink import cli, runner
 from wgnlink.channel import LinkConfig
 from wgnlink.config import ExperimentConfig, validate_config
 from wgnlink.errors import ConfigError
+from wgnlink.pipeline import AlignmentResult
 from wgnlink.signals import MimoSignal, generate_wgn_mimo, write_signal
 
 MINIMAL = """
@@ -463,9 +464,9 @@ class TestCliVerbs:
                 return fut
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+        point = {"rows": [], "alignment": AlignmentResult(0, 0.0, 1.0)}
         monkeypatch.setattr(runner, "_wgn_point",
-                            lambda cfg, value, seed, characterize:
-                            {"rows": []})
+                            lambda cfg, value, seed, characterize: point)
         text = "sweep:\n  recirculations: [1, 2]\nseeds: [3]\n"
         rc = cli.main(["simulate", "--config", _write(tmp_path, text),
                        "--out", str(tmp_path / "o"), "--no-plots",
@@ -569,6 +570,31 @@ class TestOutputContracts:
                                    "mi_results.csv"]
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("verb, suffix", [("simulate", ""),
+                                              ("reference-16qam", "_qam16")],
+                             ids=["simulate", "reference-16qam"])
+    def test_manifest_records_each_alignment(self, tmp_path, verb, suffix):
+        # one entry per point, sorted as the errors are; --jobs 2 writes
+        # the same entries as --jobs 1, and no CSV byte changes with them
+        cfg_path = _write(tmp_path, COUPLED_SWEEP)
+        entries, outs = [], []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main([verb, "--config", cfg_path, "--out", str(out),
+                             "--no-plots", "--jobs", str(jobs)]) == 0
+            manifest = json.loads(
+                (out / f"manifest{suffix}.json").read_text())
+            entries.append(manifest["alignment"])
+            outs.append({p.name: p.read_bytes()
+                         for p in sorted(out.glob("*.csv"))})
+        assert entries[0] == entries[1]
+        assert outs[0] == outs[1]
+        assert [(e["sweep_value"], e["seed"]) for e in entries[0]] == [
+            (1, 3), (1, 4), (2, 3), (2, 4)]
+        assert all(sorted(e) == ["lag", "peak_ratio", "seed", "sweep_value"]
+                   and isinstance(e["lag"], int) and abs(e["lag"]) <= 2
+                   and e["peak_ratio"] > 10 for e in entries[0])
+
     def test_characterized_point_keeps_its_rows(self, tmp_path):
         cfg = validate_config(_write(tmp_path, COUPLED_SWEEP))
         plain = runner._wgn_point(cfg, 2, 3, False)
@@ -595,8 +621,8 @@ class TestOutputContracts:
                    for line in lines)
         # the log only: the outputs do not carry progress or times
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest) == ["config", "errors", "files", "kind",
-                                    "versions"]
+        assert sorted(manifest) == ["alignment", "config", "errors",
+                                    "files", "kind", "versions"]
 
     def test_mi_clamp_is_logged(self, tmp_path, caplog):
         text = MINIMAL + "n_rings: 1\nlink:\n  span_snr_db: 30.0\n"

@@ -35,6 +35,17 @@ def _delay(sig: MimoSignal, lag: int) -> MimoSignal:
     return MimoSignal(np.roll(sig.as_array(), lag, axis=1), sig.sample_rate)
 
 
+def _full_length_lag(f_in: MimoSignal, f_out: MimoSignal,
+                     max_lag: int) -> int:
+    """The lag of the largest circular cross-correlation over the two
+    captures' common length, within [-max_lag, max_lag]."""
+    n = min(len(f_in), len(f_out))
+    cross = sum(np.conj(np.fft.fft(a[:n])) * np.fft.fft(b[:n])
+                for a, b in zip(f_in.data, f_out.data))
+    lags = np.arange(-max_lag, max_lag + 1)
+    return int(lags[np.argmax(np.abs(np.fft.ifft(cross))[lags])])
+
+
 def _count_calls(monkeypatch, calls: list, module, *names) -> list:
     """Wrap `names` in `module` so that each call appends its name to
     `calls`, which is returned."""
@@ -96,55 +107,104 @@ class TestAlignment:
     @pytest.mark.parametrize("m, lag", [(2, 1000), (2, -778), (6, 322),
                                         (6, -46)])
     def test_front_end_spectra_give_the_signals_alignment(self, m, lag):
+        # the front end's spectra, inverted in place, align as the full
+        # length does, with the phase of the linear correlation over the
+        # prefix at the lag
         sig = generate_wgn_mimo(m, 60_000, 40e9, 1.0, seed=40 + m)
         noise = generate_wgn_mimo(m, 60_000, 40e9, 0.1, seed=50 + m)
         out = MimoSignal(_delay(sig, lag).as_array() + noise.as_array(), 40e9)
         cfg = PipelineConfig()
-        spec_in, spec_out = (pipeline._front_end(s, cfg) for s in (sig, out))
-        f_in, f_out = (MimoSignal(np.fft.ifft(s.data, axis=1), s.sample_rate)
-                       for s in (spec_in, spec_out))
-        ref = align_by_crosscorrelation(f_in, f_out, max_lag=5000)
-        got = align_by_crosscorrelation(spec_in, spec_out, max_lag=5000)
-        assert got.lag == ref.lag == round(1.5 * lag)
-        assert got.peak_ratio == pytest.approx(ref.peak_ratio, rel=1e-9)
-        assert got.phase == pytest.approx(ref.phase, abs=1e-9)
-        # the peak's phase is that of the circular correlation at the lag
-        a, b = f_in.as_array(), np.roll(f_out.as_array(), -got.lag, axis=1)
+        f_in, f_out = (pipeline._as_signal(pipeline._front_end(s, cfg))
+                       for s in (sig, out))
+        got = align_by_crosscorrelation(f_in, f_out, max_lag=5000)
+        assert got.lag == _full_length_lag(f_in, f_out, 5000) \
+            == round(1.5 * lag)
+        p = 20_000
+        a, b = f_in.data[:, :p], f_out.data[:, :p]
+        a, b = ((a[:, :p - got.lag], b[:, got.lag:]) if got.lag >= 0
+                else (a[:, -got.lag:], b[:, :p + got.lag]))
         assert got.phase == pytest.approx(
             np.angle(np.sum(b * np.conj(a))), abs=1e-9)
-        # a signal and a spectrum mix
-        mixed = align_by_crosscorrelation(f_in, spec_out, max_lag=5000)
-        assert mixed.lag == got.lag
-        assert mixed.peak_ratio == pytest.approx(got.peak_ratio, rel=1e-9)
 
-    def test_unequal_lengths_take_only_the_shorter_spectrum(self):
-        # a spectrum is read bin for bin over the shorter length: the
-        # shorter capture's spectrum against the longer signal aligns as the
-        # two signals do, and a spectrum longer than the other capture is
-        # rejected
+    def test_unequal_lengths_read_only_the_prefix(self):
+        # the first 4 * max_lag samples of each capture are all that is
+        # read: the longer capture's extra samples and everything past the
+        # prefix leave the result unchanged
         sig = generate_wgn_mimo(2, 100_000, 40e9, 1.0, seed=60)
         longer = MimoSignal(
             np.concatenate([_delay(sig, 300).as_array(),
                             sig.as_array()[:, :500]], axis=1), 40e9)
-        got = align_by_crosscorrelation(MimoSpectrum.of(sig), longer,
-                                        max_lag=5000)
-        ref = align_by_crosscorrelation(sig, longer, max_lag=5000)
-        assert got.lag == ref.lag == 300
-        assert got.peak_ratio == pytest.approx(ref.peak_ratio, rel=1e-9)
-        assert got.phase == pytest.approx(ref.phase, abs=1e-9)
-        for f_in in (sig, MimoSpectrum.of(sig)):
-            with pytest.raises(ValueError, match="f_out is a spectrum of "
-                               "100500 bins, longer than the other capture "
-                               r"\(100000 samples\)"):
-                align_by_crosscorrelation(f_in, MimoSpectrum.of(longer),
-                                          max_lag=5000)
+        got = align_by_crosscorrelation(sig, longer, max_lag=5000)
+        assert got.lag == 300
+        cut = [MimoSignal(x.data.copy(), 40e9) for x in (sig, longer)]
+        for x in cut:
+            x.data[:, 20_000:] = 0
+        assert align_by_crosscorrelation(*cut, max_lag=5000) == got
 
-    def test_unrelated_captures_rejected_from_spectra(self):
-        a = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=61)
-        b = generate_wgn_mimo(2, 200_000, 40e9, 1.0, seed=62)
-        with pytest.raises(AlignmentError, match="may be unrelated"):
-            align_by_crosscorrelation(MimoSpectrum.of(a), MimoSpectrum.of(b),
-                                      max_lag=10_000)
+    @pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+    def test_lag_at_the_edge_of_the_range(self, sign):
+        sig = generate_wgn_mimo(2, 50_000, 40e9, 1.0, seed=65)
+        noise = generate_wgn_mimo(2, 50_000, 40e9, 0.3, seed=66)
+        out = MimoSignal(_delay(sig, sign * 2000).data + noise.data, 40e9)
+        res = align_by_crosscorrelation(sig, out, max_lag=2000)
+        assert res.lag == sign * 2000
+
+    # links of 20 loops with MDL and DGD, the received capture delayed by
+    # 0, +3,702 and -4,500 samples at the target rate within a 6,000-sample
+    # lag range: the prefix finds the lag of the full-length correlation
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("link", [
+        {"span_snr_db": 22.0}, {"span_snr_db": 12.0},
+        {"span_snr_db": 22.0, "lo_linewidth": 1e6},
+        {"span_snr_db": 22.0, "lo_linewidth": 1e5}],
+        ids=["22dB", "12dB", "lo-1MHz", "lo-100kHz"])
+    def test_prefix_agrees_with_the_full_length(self, link, seed):
+        link = LinkConfig(mdl_per_span=0.5, dgd_per_span=1e-11, **link)
+        cfg = PipelineConfig(align_max_lag=6000)
+        sig = generate_wgn_mimo(2, 60_000, 40e9, 1.0, seed=100 + seed)
+        rx = run_link(sig, link, 20, seed=200 + seed)
+        f_in = pipeline._as_signal(pipeline._front_end(sig, cfg))
+        for shift in (0, 2468, -3000):
+            f_out = pipeline._as_signal(pipeline._front_end(
+                _delay(rx, shift), cfg, link, 20 * link.span_length))
+            res = align_by_crosscorrelation(f_in, f_out, 6000,
+                                            cfg.align_threshold)
+            assert res.lag == _full_length_lag(f_in, f_out, 6000)
+            # the coupled link's strongest path sits a few samples off
+            assert abs(res.lag - 1.5 * shift) <= 5
+
+    @pytest.mark.parametrize("n", [100_000, 400_000])
+    def test_transforms_bounded_by_the_lag_range(self, monkeypatch, n):
+        # the prefix's transforms are 5 * max_lag long, so the alignment's
+        # working memory does not grow with the capture
+        sig = generate_wgn_mimo(2, n, 40e9, 1.0, seed=67)
+        out = _delay(sig, 123)
+        sizes = []
+        for name in ("fft", "ifft"):
+            def sized(a, *args, _f=getattr(np.fft, name), **kwargs):
+                res = _f(a, *args, **kwargs)
+                sizes.append(res.shape[-1])
+                return res
+            monkeypatch.setattr(np.fft, name, sized)
+        tracemalloc.start()
+        try:
+            res = align_by_crosscorrelation(sig, out, max_lag=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.lag == 123
+        assert sizes and max(sizes) <= 5 * 2000
+        # the sum, one row's two spectra and the lag window
+        assert peak < 5 * (5 * 2000 * 16)
+
+    def test_spectra_rejected(self):
+        # the alignment reads time signals only; a spectrum is named
+        sig = generate_wgn_mimo(2, 20_000, 40e9, 1.0, seed=61)
+        spec = MimoSpectrum.of(sig)
+        with pytest.raises(TypeError, match="f_in is a spectrum"):
+            align_by_crosscorrelation(spec, sig, max_lag=1000)
+        with pytest.raises(TypeError, match="f_out is a spectrum"):
+            align_by_crosscorrelation(sig, spec, max_lag=1000)
 
     def test_lag_range_without_an_off_peak_lag_rejected(self):
         # with max_lag 0 the peak ratio has nothing to compare against
@@ -507,6 +567,17 @@ class TestPhaseRecovery:
         resid = np.angle(np.sum(out.as_array() * np.conj(sig.as_array())))
         assert abs(resid) < 1e-6
 
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_rows_summed_as_the_axis_sum(self, m):
+        # the cross product is summed row by row; the estimate is that of
+        # the sum over axis 0 bit for bit
+        sig = generate_wgn_mimo(m, 30_001, 60e9, 1.0, seed=24)
+        noisy = apply_phase_noise(sig, 1e6, seed=25)
+        cross = np.sum(np.conj(sig.data) * noisy.data, axis=0)
+        phi = np.angle(pipeline._centered_moving_sum(cross, 200))
+        want = noisy.data * np.exp(-1j * phi)[None, :]
+        assert np.array_equal(phase_recovery(sig, noisy, 200).data, want)
+
     def test_mean_phase_zero_after_recovery(self):
         sig = generate_wgn_mimo(2, 200_000, 60e9, 1.0, seed=22)
         noisy = apply_phase_noise(sig, 50e3, seed=23)
@@ -557,8 +628,8 @@ class TestPhaseRecovery:
 
 
 class TestOneFormPerCapture:
-    """Up to the alignment the receiver holds each capture as its spectrum,
-    after it as its time signal, never both."""
+    """The receiver holds each capture as its front-end spectrum until it
+    inverts it in place, then as its time signal, never both."""
 
     def test_peak_memory_in_capture_sized_arrays(self):
         # 2 modes, 400k samples at 40 GS/s: a capture-sized array is the
@@ -578,9 +649,8 @@ class TestOneFormPerCapture:
         finally:
             tracemalloc.stop()
         # beyond the two raw captures handed in (2/3 of an array each): the
-        # two front-end spectra and the alignment's two rows, 1.9 arrays
-        # measured; both forms of both captures through the alignment
-        # read 3.9
+        # two front-end captures, 1.7 arrays measured; both forms of both
+        # captures through the alignment read 3.9
         assert peak < 2.5 * (2 * 600_000 * 16)
 
     def test_caller_spectrum_at_the_target_rate_unchanged(self):
@@ -601,7 +671,7 @@ class TestOneFormPerCapture:
 
     def test_unequal_lengths_align_the_inverted_signals(self):
         # filtered captures of two lengths: each front-end spectrum is
-        # inverted before a row-by-row alignment of the two signals
+        # inverted in place, then the two signals are aligned on a prefix
         link = LinkConfig(span_snr_db=25.0, mdl_per_span=0.5,
                           dgd_per_span=1e-11)
         sig = generate_wgn_mimo(2, 120_000, 40e9, 1.0, seed=83)
@@ -834,12 +904,14 @@ class TestSpectralHandOff:
     # capture-length rows transformed by FFT and inverse FFT in one
     # 60k-sample, 2-mode point: the transmitted capture's rows (the WGN
     # capture's FFT or the 16QAM generator's, one per mode), the link's
-    # inverse and forward rows when LO noise is on, the alignment's one
-    # inverse and the front end's inverse of each capture's two rows
+    # inverse and forward rows when LO noise is on, the front end's inverse
+    # of each capture's two rows, and the alignment's four forward rows and
+    # one inverse.  A capture this short is its own prefix, so the
+    # alignment's rows are the 90k target-rate samples plus the lag range.
     @pytest.mark.parametrize("kind, link, counts", [
-        ("wgn", {}, {"fft": 2, "ifft": 5}),
-        ("qam16", {}, {"fft": 2, "ifft": 5}),
-        ("wgn", {"lo_linewidth": 1e5}, {"fft": 4, "ifft": 7})],
+        ("wgn", {}, {"fft": 6, "ifft": 5}),
+        ("qam16", {}, {"fft": 6, "ifft": 5}),
+        ("wgn", {"lo_linewidth": 1e5}, {"fft": 8, "ifft": 7})],
         ids=["wgn", "qam16", "lo-noise"])
     def test_capture_length_transforms_per_point(self, monkeypatch, kind,
                                                  link, counts):
@@ -883,15 +955,15 @@ class TestRowTransforms:
 
     def test_stored_pair_of_two_lengths_transforms_rows(self, monkeypatch):
         # filtered captures of two lengths: the front end's FFT of each
-        # signal, the inverses before the alignment and the alignment's
-        # row spectra
+        # signal, its inverse, and the alignment's prefix rows
         sig = generate_wgn_mimo(2, 40_000, 40e9, 1.0, seed=90)
         out = _delay(sig, 25)
         out = MimoSignal(out.data[:, :36_000], out.sample_rate)
         seen = _count_transform_rows(monkeypatch, 36_000)
         channel = estimate_channel(sig, out, PipelineConfig(block_size=1024))
         # the alignment transforms the rows of both captures over their
-        # common 54k target-rate samples
+        # common 54k target-rate samples (a prefix no shorter than the
+        # capture), zero-padded by the lag range
         assert seen == {"fft": 8, "ifft": 5}
         assert channel.n_modes == 2
 
