@@ -276,7 +276,9 @@ def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
     if math.isinf(snr_db) and snr_db > 0:
         return signal
     data = signal.data
-    sig_power = float(np.mean(np.abs(data) ** 2))
+    # measured in float64 whatever the capture's dtype
+    sig_power = float(np.mean(np.abs(data.astype(np.complex128,
+                                                 copy=False)) ** 2))
     if sig_power <= 0:
         raise ValueError("signal power must be positive to set an SNR")
     noise_power = sig_power / 10.0 ** (snr_db / 10.0)

@@ -9,6 +9,12 @@ to the receiver front end as its :class:`MimoSpectrum` instead, so that it
 is transformed once.  All operations are pure: they return new objects and
 never mutate their inputs.
 
+The capture file stores float64 samples; a stored capture loads as
+complex64, half the memory of the file's payload.  Simulated captures,
+every spectrum and every transform are complex128, and a complex64 row
+takes the complex128 forward FFT when its output is complex128, so a
+complex64 capture gives the numbers of its complex128 upcast.
+
 Every capture-length FFT runs one row at a time (:func:`_transform_rows`),
 never over ``axis=1`` of the (M, N) array: numpy's batched transform holds
 working buffers of several rows that ``tracemalloc`` does not see, and
@@ -28,6 +34,8 @@ import numpy as np
 _MAGIC = b"WGNC"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQd")  # magic, version, M, Ns, sample_rate
+# samples per read or write of a capture file: a 4 MB complex128 buffer
+_IO_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,14 +61,20 @@ class ComplexSignal:
 
 @dataclass(frozen=True)
 class _Capture:
-    """One finite complex128 (M, N) array, row m for tributary m, and the
-    sample rate of the capture it holds."""
+    """One finite complex (M, N) array, row m for tributary m, and the
+    sample rate of the capture it holds.  The array is complex128 unless
+    its dtype is one the subclass keeps (`_kept_dtypes`); any other dtype
+    is cast to complex128."""
 
     data: np.ndarray
     sample_rate: float
 
+    _kept_dtypes = ()
+
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
+        data = np.asarray(self.data)
+        if data.dtype not in self._kept_dtypes:
+            data = data.astype(np.complex128, copy=False)
         object.__setattr__(self, "data", data)
         if data.ndim != 2 or data.shape[0] < 1:
             raise ValueError("data must be an (M, N) array with M >= 1")
@@ -79,12 +93,17 @@ class _Capture:
 
 @dataclass(frozen=True)
 class MimoSignal(_Capture):
-    """M co-timed tributaries sharing one sample rate, as one complex128
-    (M, N) array: row m is tributary m."""
+    """M co-timed tributaries sharing one sample rate, as one complex
+    (M, N) array: row m is tributary m.  complex64 data (a stored capture,
+    see :func:`read_signal`) is kept as given; any other dtype is cast to
+    complex128."""
+
+    _kept_dtypes = (np.complex64,)
 
     @property
     def tributaries(self) -> tuple[ComplexSignal, ...]:
-        """One :class:`ComplexSignal` per row, each a view of `data`."""
+        """One :class:`ComplexSignal` per row, each a view of complex128
+        `data` (a complex128 copy of a complex64 row)."""
         return tuple(ComplexSignal(row, self.sample_rate)
                      for row in self.data)
 
@@ -95,8 +114,10 @@ class MimoSignal(_Capture):
 
 @dataclass(frozen=True)
 class MimoSpectrum(_Capture):
-    """The (M, N) FFT, row by row, of a :class:`MimoSignal` capture, with
-    the sample rate of that capture; bins follow FFT ordering."""
+    """The complex128 (M, N) FFT, row by row, of a :class:`MimoSignal`
+    capture, with the sample rate of that capture; bins follow FFT
+    ordering.  Always complex128: the link views the bins as float64
+    (re, im) pairs."""
 
     @classmethod
     def of(cls, signal: MimoSignal) -> "MimoSpectrum":
@@ -113,6 +134,9 @@ def _transform_rows(transform, data: np.ndarray,
     A batched ``axis=1`` transform holds hidden working memory of several
     rows; a row at a time it holds about one row's.  Each row takes the
     same pocketfft plan, so the result is bit-identical to the batched one.
+    The output is complex128, so a complex64 row takes the complex128
+    forward transform; its inverse would scale by a float32 ``1/N``, so
+    only complex128 data is inverted.
     """
     if out is None:
         out = np.empty(data.shape, dtype=np.complex128)
@@ -197,17 +221,26 @@ def _gaussian_response(n: int, sample_rate: float, bandwidth_3db: float,
 
 
 def write_signal(f: BinaryIO, signal: MimoSignal) -> None:
-    """Write the flat binary capture format (see module docs / README)."""
+    """Write the flat binary capture format (see module docs / README):
+    the header, then each row as interleaved little-endian float64
+    (re, im) pairs, the <c16 layout.  The payload is written from the array
+    a bounded piece at a time, never copied whole."""
     m, ns = signal.data.shape
     f.write(_HEADER.pack(_MAGIC, _VERSION, m, ns, signal.sample_rate))
-    # interleaved little-endian float64 (re, im) pairs are the <c16 layout
-    f.write(signal.data.astype("<c16", copy=False).tobytes())
+    for row in signal.data:
+        for s in range(0, ns, _IO_SAMPLES):
+            piece = np.ascontiguousarray(row[s:s + _IO_SAMPLES], dtype="<c16")
+            f.write(piece.view(np.uint8))
 
 
 def read_signal(f: BinaryIO) -> MimoSignal:
-    """Read the format of :func:`write_signal` from a seekable file; samples
-    are a read-only view.  A payload the header declares larger than the
-    rest of the file raises ValueError before anything is allocated."""
+    """Read the format of :func:`write_signal` from a seekable file into a
+    read-only complex64 :class:`MimoSignal`.
+
+    A payload the header declares larger than the rest of the file raises
+    ValueError before anything is allocated, and so does a read that
+    returns fewer bytes than asked.  A NaN or Inf sample, or a finite one
+    beyond complex64 range, raises ValueError naming that cause."""
     raw = f.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise ValueError("truncated signal file header")
@@ -220,5 +253,30 @@ def read_signal(f: BinaryIO) -> MimoSignal:
     if size > f.seek(0, os.SEEK_END) - start:
         raise ValueError("truncated signal payload")
     f.seek(start)
-    return MimoSignal(np.frombuffer(f.read(size), dtype="<c16")
-                      .reshape(m, ns), rate)
+    data = _read_payload(f, m, ns)
+    data.flags.writeable = False
+    return MimoSignal(data, rate)
+
+
+def _read_payload(f: BinaryIO, m: int, ns: int) -> np.ndarray:
+    """The (M, N) float64 payload as complex64, read a bounded piece at a
+    time into one complex128 buffer and cast, so never held whole."""
+    data = np.empty((m, ns), dtype=np.complex64)
+    flat = data.reshape(-1)
+    buf = np.empty(min(flat.size, _IO_SAMPLES), dtype="<c16")
+    for s in range(0, flat.size, _IO_SAMPLES):
+        piece = buf[:flat.size - s]
+        if f.readinto(piece.view(np.uint8)) != piece.nbytes:
+            raise ValueError("truncated signal payload")
+        dst = flat[s:s + piece.size]
+        # a finite sample beyond complex64 range casts to inf: told apart
+        # from a NaN or Inf in the file below
+        with np.errstate(over="ignore"):
+            dst[...] = piece
+        if not np.isfinite(dst).all():
+            raise ValueError("samples contain NaN or Inf"
+                             if not np.isfinite(piece).all() else
+                             "samples beyond complex64 range (a real or "
+                             "imaginary part above "
+                             f"{np.finfo(np.float32).max:.4g})")
+    return data

@@ -402,6 +402,21 @@ class TestCliVerbs:
         assert rc == 2
         assert "cannot read captures: truncated signal payload" in caplog.text
 
+    def test_characterize_sample_beyond_complex64_exit_2(self, tmp_path,
+                                                         caplog):
+        # finite in the file's float64, not as the complex64 it loads as
+        data = generate_wgn_mimo(2, 40_000, 60e9, 1.0, seed=7).data.copy()
+        data[0, 123] = 1e39
+        fi = tmp_path / "huge.bin"
+        with open(fi, "wb") as f:
+            write_signal(f, MimoSignal(data, 60e9))
+        with caplog.at_level(logging.ERROR, logger="wgnlink.cli"):
+            rc = cli.main(["characterize", "--input", str(fi), "--output",
+                           str(fi), "--out", str(tmp_path / "char")])
+        assert rc == 2
+        assert ("cannot read captures: samples beyond complex64 range"
+                in caplog.text)
+
     def test_characterize_mode_count_mismatch_exit_2(self, tmp_path):
         fi, fo = tmp_path / "in.bin", tmp_path / "out.bin"
         with open(fi, "wb") as f:

@@ -2,6 +2,8 @@
 and filter response, and the capture format."""
 
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +12,15 @@ from hypothesis import strategies as st
 from scipy import signal as sp_signal
 from scipy import stats
 
-from wgnlink.pipeline import PipelineConfig, _as_signal, _front_end
+from wgnlink import signals
+from wgnlink.channel import (LinkConfig, add_awgn, apply_channel,
+                             apply_frequency_offset, apply_phase_noise,
+                             run_link, synthesize_mimo_channel)
+from wgnlink.estimation import estimate_channel
+from wgnlink.pipeline import (PipelineConfig, _as_signal, _front_end,
+                              run_pipeline)
 from wgnlink.runner import generate_qam16_mimo
-from wgnlink.signals import (ComplexSignal, MimoSignal, MimoSpectrum,
+from wgnlink.signals import (_HEADER, ComplexSignal, MimoSignal, MimoSpectrum,
                              _gaussian_response, _resample_spectrum,
                              generate_wgn, generate_wgn_mimo, read_signal,
                              write_signal)
@@ -76,6 +84,18 @@ class TestMimoSignal:
         sig = generate_wgn_mimo(2, 100, 40e9, 1.0, seed=1)
         assert sig.as_array() is sig.data
 
+    def test_complex64_kept_as_given(self):
+        data = np.arange(8, dtype=np.complex64).reshape(2, 4)
+        assert MimoSignal(data, 10.0).data is data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex128,
+                                       ">c8"])
+    def test_other_dtypes_cast_to_complex128(self, dtype):
+        data = np.arange(8).reshape(2, 4).astype(dtype)
+        sig = MimoSignal(data, 10.0)
+        assert sig.data.dtype == np.complex128
+        assert np.array_equal(sig.data, data)
+
 
 class TestMimoSpectrum:
     def test_of_a_signal(self):
@@ -84,6 +104,13 @@ class TestMimoSpectrum:
         assert (spec.n_tributaries, len(spec)) == (3, 1000)
         assert spec.sample_rate == 40e9
         assert np.array_equal(spec.data, np.fft.fft(sig.data, axis=1))
+
+    def test_complex64_data_held_as_complex128(self):
+        # the link views the bins as float64 (re, im) pairs
+        data = generate_wgn_mimo(2, 100, 40e9, 1.0, seed=2).data
+        spec = MimoSpectrum(data.astype(np.complex64), 40e9)
+        assert spec.data.dtype == np.complex128
+        assert np.array_equal(spec.data, data.astype(np.complex64))
 
     @pytest.mark.parametrize("data, rate, match", [
         (np.zeros(4, dtype=complex), 1.0, "M, N"),
@@ -266,8 +293,47 @@ class TestGaussianFilter:
             PipelineConfig(filter_order=0)
 
 
+def _capture_bytes(sig: MimoSignal) -> bytes:
+    """The capture file of `sig` as the format defines it: the header, then
+    the whole (M, N) array as interleaved little-endian float64 pairs."""
+    m, ns = sig.data.shape
+    return (_HEADER.pack(b"WGNC", 1, m, ns, sig.sample_rate)
+            + sig.data.astype("<c16").tobytes())
+
+
+class _ShortRaw(io.RawIOBase):
+    """A raw stream over `data` whose end, as `seek` reports it, lies
+    `missing` bytes past the last byte `readinto` delivers."""
+
+    def __init__(self, data: bytes, missing: int):
+        self._data, self._missing, self._pos = data, missing, 0
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return True
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        base = {io.SEEK_SET: 0, io.SEEK_CUR: self._pos,
+                io.SEEK_END: len(self._data) + self._missing}[whence]
+        self._pos = base + offset
+        return self._pos
+
+    def tell(self):
+        return self._pos
+
+    def readinto(self, b):
+        b = memoryview(b).cast("B")
+        chunk = self._data[self._pos:self._pos + len(b)]
+        b[:len(chunk)] = chunk
+        self._pos += len(chunk)
+        return len(chunk)
+
+
 class TestBinaryFormat:
     def test_round_trip(self):
+        # a stored capture loads as complex64: the float64 samples rounded
         sig = generate_wgn_mimo(3, 1000, 40e9, 1.0, seed=8)
         buf = io.BytesIO()
         write_signal(buf, sig)
@@ -275,7 +341,113 @@ class TestBinaryFormat:
         back = read_signal(buf)
         assert back.n_tributaries == 3
         assert back.sample_rate == 40e9
-        assert np.array_equal(back.as_array(), sig.as_array())
+        assert back.data.dtype == np.complex64
+        assert np.array_equal(back.as_array(), sig.data.astype(np.complex64))
+
+    def test_complex64_round_trip_is_exact(self):
+        sig = MimoSignal(generate_wgn_mimo(3, 1000, 40e9, 1.0, seed=8)
+                         .data.astype(np.complex64), 40e9)
+        buf = io.BytesIO()
+        write_signal(buf, sig)
+        buf.seek(0)
+        back = read_signal(buf)
+        assert back.data.dtype == np.complex64
+        assert np.array_equal(back.data, sig.data)
+
+    def test_empty_capture_round_trip(self):
+        buf = io.BytesIO()
+        write_signal(buf, MimoSignal(np.zeros((2, 0)), 40e9))
+        buf.seek(0)
+        assert read_signal(buf).data.shape == (2, 0)
+
+    def test_read_is_read_only(self):
+        buf = io.BytesIO()
+        write_signal(buf, generate_wgn_mimo(2, 100, 40e9, 1.0, seed=8))
+        buf.seek(0)
+        back = read_signal(buf)
+        assert not back.data.flags.writeable
+        with pytest.raises(ValueError):
+            back.data[0, 0] = 0
+
+    @pytest.mark.parametrize("piece", [7, 100, signals._IO_SAMPLES])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_layout_in_pieces(self, monkeypatch, piece, dtype):
+        # pieces that split rows, span rows and hold the whole payload; a
+        # trimmed view's rows are not contiguous with each other
+        monkeypatch.setattr(signals, "_IO_SAMPLES", piece)
+        data = generate_wgn_mimo(3, 300, 40e9, 1.0, seed=8).data
+        sig = MimoSignal(data.astype(dtype)[:, 20:270], 40e9)
+        buf = io.BytesIO()
+        write_signal(buf, sig)
+        assert buf.getvalue() == _capture_bytes(sig)
+        buf.seek(0)
+        assert np.array_equal(read_signal(buf).data,
+                              sig.data.astype(np.complex64))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_write_holds_at_most_one_row(self, tmp_path, dtype):
+        sig = MimoSignal(np.ones((2, 1_000_000), dtype=dtype), 40e9)
+        with open(tmp_path / "cap.bin", "wb") as f:
+            tracemalloc.start()
+            try:
+                write_signal(f, sig)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1_000_000 * 16
+
+    def test_read_holds_the_array_and_one_buffer(self, tmp_path):
+        path = tmp_path / "cap.bin"
+        with open(path, "wb") as f:
+            write_signal(f, MimoSignal(np.ones((2, 1_000_000)), 40e9))
+        with open(path, "rb") as f:
+            tracemalloc.start()
+            try:
+                back = read_signal(f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert back.data.dtype == np.complex64
+        # the 16 MB complex64 array and a 4 MB read buffer, with 1 MB for
+        # the per-piece checks; the complex128 payload is 32 MB
+        assert peak < 2 * 1_000_000 * 8 + signals._IO_SAMPLES * 16 + 2 ** 20
+
+    def test_short_read_is_a_truncated_payload(self):
+        # the file's end as seek reports it passes the size check, and the
+        # read delivers 8 bytes fewer than asked
+        data = _capture_bytes(generate_wgn_mimo(2, 100, 40e9, 1.0, seed=8))
+        with pytest.raises(ValueError, match="truncated signal payload"):
+            read_signal(_ShortRaw(data[:-8], 8))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_nan_or_inf_sample_rejected(self, value):
+        sig = generate_wgn_mimo(2, 100, 40e9, 1.0, seed=8)
+        data = bytearray(_capture_bytes(sig))
+        data[-8:] = np.float64(value).tobytes()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            read_signal(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("value", [1e39, -1e39j])
+    def test_sample_beyond_complex64_range_rejected(self, value):
+        # finite in the file's float64, infinite as complex64: named as
+        # such, and without an overflow warning
+        data = generate_wgn_mimo(2, 100, 40e9, 1.0, seed=8).data.copy()
+        data[1, 50] = value
+        buf = io.BytesIO()
+        write_signal(buf, MimoSignal(data, 40e9))
+        buf.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beyond complex64 range"):
+                read_signal(buf)
+
+    def test_largest_complex64_value_accepted(self):
+        data = np.ones((1, 10), dtype=complex)
+        data[0, 3] = np.finfo(np.float32).max
+        buf = io.BytesIO()
+        write_signal(buf, MimoSignal(data, 40e9))
+        buf.seek(0)
+        assert np.array_equal(read_signal(buf).data, data)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -307,3 +479,63 @@ class TestBinaryFormat:
     def test_truncated_header(self):
         with pytest.raises(ValueError):
             read_signal(io.BytesIO(b"WG"))
+
+
+class TestComplex64Capture:
+    """A complex64 capture gives every public function the outputs of its
+    complex128 upcast: each transform and product runs in complex128."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        """A stored transmit/receive pair, loaded as complex64, and its
+        complex128 upcast."""
+        tx = generate_wgn_mimo(2, 60_000, 60e9, 1.0, seed=90)
+        rx = run_link(tx, LinkConfig(span_snr_db=30.0, mdl_per_span=0.5),
+                      2, seed=91)
+        loaded = []
+        for sig in (tx, rx):
+            buf = io.BytesIO()
+            write_signal(buf, sig)
+            buf.seek(0)
+            loaded.append(read_signal(buf))
+        return [(s, MimoSignal(s.data.astype(np.complex128), s.sample_rate))
+                for s in loaded]
+
+    @pytest.mark.parametrize("apply", [
+        lambda s: run_link(s, LinkConfig(mdl_per_span=0.5, lo_linewidth=1e5,
+                                         frequency_offset=1e6), 2, seed=3),
+        lambda s: run_link(s, LinkConfig(dgd_per_span=1e-11), 3, seed=3),
+        lambda s: apply_channel(s, synthesize_mimo_channel(
+            2, 3.0, 1e-10, 4096, 60e9 / 4096, seed=4)),
+        lambda s: add_awgn(s, 20.0, seed=5),
+        lambda s: apply_phase_noise(s, 1e5, seed=6),
+        lambda s: apply_frequency_offset(s, 1e6),
+        MimoSpectrum.of,
+    ], ids=["link-mdl-lo", "link-dgd", "channel", "awgn", "phase-noise",
+            "frequency-offset", "spectrum"])
+    def test_transforms(self, pair, apply):
+        narrow, wide = pair[0]
+        got, want = apply(narrow), apply(wide)
+        assert got.data.dtype == want.data.dtype == np.complex128
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("filter_bw", [None, 15e9], ids=["pass", "gauss"])
+    def test_receiver(self, pair, filter_bw):
+        # the pass-through front end hands the complex64 captures on to the
+        # alignment and the equalizer as they are
+        cfg = PipelineConfig(filter_bw=filter_bw, align_max_lag=5_000)
+        (tx, tx_wide), (rx, rx_wide) = pair
+        got = run_pipeline(tx, rx, None, cfg)
+        want = run_pipeline(tx_wide, rx_wide, None, cfg)
+        assert np.array_equal(got.state.covariance, want.state.covariance)
+        assert np.array_equal(got.f_eq.data, want.f_eq.data)
+        assert got.alignment == want.alignment
+        assert np.array_equal(estimate_channel(tx, rx, cfg).matrices,
+                              estimate_channel(tx_wide, rx_wide, cfg).matrices)
+
+    def test_written_bytes(self, pair):
+        narrow, wide = pair[1]
+        bufs = [io.BytesIO(), io.BytesIO()]
+        write_signal(bufs[0], narrow)
+        write_signal(bufs[1], wide)
+        assert bufs[0].getvalue() == bufs[1].getvalue()
