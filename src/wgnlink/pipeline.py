@@ -40,6 +40,9 @@ from .signals import (MimoSignal, MimoSpectrum, _gaussian_response,
 # Overlap-save blocks whose spectra are held at once; bounds the equalizer's
 # working set independently of the capture length.
 _CHUNK_BLOCKS = 16
+# Samples per piece of phase recovery's in-place pass: its temporaries are
+# this long, not capture-sized.
+_PHASE_PIECE = 1 << 16
 # Diagonal load on the per-bin input covariance, relative to the mean
 # per-bin, per-mode input power: keeps the taps finite when a short capture
 # has fewer blocks than modes.
@@ -368,31 +371,73 @@ def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
     return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
 
 
-def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal,
-                   window: int = 200) -> MimoSignal:
+def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal, window: int = 200,
+                   *, out: Optional[np.ndarray] = None) -> MimoSignal:
     """Data-aided common-LO phase recovery.
 
     The phase estimate at sample n is the argument of the centered
     moving-window sum of sum_m f_eq,m(n) * conj(f_in,m(n)); edges use
-    truncated windows.  Returns f_eq rotated by the negated estimate.
+    truncated windows.  Returns f_eq rotated by the negated estimate, in a
+    new array, or in `out` when given: a writable complex128 array of f_eq's
+    shape, which may be ``f_eq.data`` itself to rotate f_eq in place.
+
+    The samples are rotated a piece of at most ``_PHASE_PIECE`` at a time,
+    with no capture-sized temporary, and bit for bit as a pass over the
+    whole arrays: each piece's running sum is one ``np.add.accumulate``
+    that starts from the carried sum, the same sequential addition as the
+    ``np.cumsum`` of :func:`_centered_moving_sum`, and each sample's cross
+    product is read before that sample is rotated.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     if len(f_in) != len(f_eq) or f_in.n_tributaries != f_eq.n_tributaries:
         raise ValueError("signals must be of equal length and mode count")
-    # conj(f_in) * f_eq in this operand order, as in the alignment: numpy's
-    # complex multiply may round a*b and b*a differently
-    # summed row by row, which is the sum over axis 0 bit for bit, without
-    # a capture-sized product of all rows
-    cross = np.conj(f_in.data[0]) * f_eq.data[0]
-    for m in range(1, f_in.n_tributaries):
-        cross += np.conj(f_in.data[m]) * f_eq.data[m]
-    phi = np.angle(_centered_moving_sum(cross, window))
-    return MimoSignal(f_eq.data * np.exp(-1j * phi)[None, :],
-                      f_eq.sample_rate)
+    if out is None:
+        out = np.array(f_eq.data, dtype=complex)
+    elif out.shape != f_eq.data.shape or out.dtype != np.complex128:
+        raise ValueError("out must be a complex128 array of f_eq's shape")
+    elif out is not f_eq.data:
+        out[...] = f_eq.data
+    ref, n = f_in.data, out.shape[1]
+    # _centered_moving_sum's zero padding: `lead` zeros before the cross
+    # product, and the window sum at i is csum[i + window] - csum[i]
+    lead = (window - 1) // 2 + 1
+    # csum[a - 1 .. b + window) for the piece a..b-1
+    csum = np.zeros(window + _PHASE_PIECE + 1, dtype=complex)
+
+    def cross(t0: int, dst: np.ndarray) -> None:
+        """The padded cross product from its sample t0 on into `dst`."""
+        dst[:] = 0
+        lo, hi = max(t0, 0), min(t0 + len(dst), n)
+        if hi <= lo:
+            return
+        part = dst[lo - t0:hi - t0]
+        # conj(f_in) * f_eq in this operand order, as in the alignment:
+        # numpy's complex multiply may round a*b and b*a differently
+        np.multiply(np.conj(ref[0, lo:hi]), out[0, lo:hi], out=part)
+        for m in range(1, len(out)):
+            part += np.conj(ref[m, lo:hi]) * out[m, lo:hi]
+
+    head = csum[:window + 1]
+    cross(-lead, head[1:])
+    np.add.accumulate(head, out=head)
+    for a in range(0, n, _PHASE_PIECE):
+        size = min(_PHASE_PIECE, n - a)
+        new = csum[window:window + size + 1]
+        cross(a + window - lead, new[1:])
+        np.add.accumulate(new, out=new)
+        moving = csum[window + 1:window + size + 1] - csum[1:size + 1]
+        # a new product, as the whole-array pass made it: numpy rounds an
+        # in-place complex multiply of a one-sample piece differently
+        rotated = out[:, a:a + size] * np.exp(-1j * np.angle(moving))[None, :]
+        out[:, a:a + size] = rotated
+        csum[:window + 1] = csum[size:size + window + 1]
+    return MimoSignal(out, f_eq.sample_rate)
 
 
 def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
+    """The centered moving sum of the whole array `x`, truncated at the
+    edges: the reference that :func:`phase_recovery` reproduces piecewise."""
     half_lo = (window - 1) // 2
     # window sum at n: csum of the zero-padded x at n + window minus at n
     csum = np.cumsum(np.pad(x, (half_lo + 1, window - 1 - half_lo)))
@@ -467,8 +512,9 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     # the received capture is freed before phase recovery runs
     del f_out
     if n_keep:
+        # the equalizer's output is this function's own: rotated in place
         f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
-                              cfg.phase_window)
+                              cfg.phase_window, out=f_eq.data)
         f_eq = MimoSignal(f_eq.data[:, :n_keep], rate)
     block = cfg.block_size
     channel = state.channel

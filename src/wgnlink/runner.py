@@ -31,7 +31,7 @@ from .metrics import (build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .signals import (ComplexSignal, MimoSignal, MimoSpectrum,
-                      _resample_spectrum, generate_wgn_mimo)
+                      _resampled_bins, _transform_rows, generate_wgn_mimo)
 
 log = logging.getLogger(__name__)
 
@@ -124,12 +124,16 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
     exactly; matched filtering is subsumed by the data-aided equalizer.
 
     The waveform is sampled at `sample_rate` (default ``baud *
-    oversampling``): the shaped spectrum is cut or zero-padded onto that
-    rate's grid before the one inverse FFT, which equals resampling the
-    waveform afterwards.  With ``spectrum=True`` that inverse FFT is skipped
-    and the waveform comes as its :class:`MimoSpectrum`.  A rate whose
-    Nyquist frequency is below the occupied band ``(1 + rolloff) * baud /
-    2`` raises ValueError.
+    oversampling``): the shaped spectrum of the symbols zero-stuffed to
+    ``n = n_symbols * oversampling`` samples is cut or zero-padded onto
+    that rate's grid (:func:`wgnlink.signals._resample_spectrum`), which
+    equals resampling the waveform afterwards.  That n-point spectrum is
+    never built: it is the symbols' own FFT repeated `oversampling` times,
+    so each kept bin is gathered from that FFT and weighted by the raised
+    cosine.  One in-place inverse FFT per row gives the waveform; with
+    ``spectrum=True`` it is skipped and the waveform comes as its
+    :class:`MimoSpectrum`.  A rate whose Nyquist frequency is below the
+    occupied band ``(1 + rolloff) * baud / 2`` raises ValueError.
     """
     rate = baud * oversampling
     if sample_rate is None:
@@ -139,26 +143,31 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
                          f"{(1 + rolloff) * baud:g} Hz wide 16QAM band")
     rng = np.random.default_rng(seed)
     pts = qam16_constellation(mean_power)
-    n = n_symbols * oversampling
-    n_out = int(round(n * sample_rate / rate))
-    f = np.fft.fftfreq(n, d=1.0 / rate)
-    beta = rolloff
-    af = np.abs(f)
-    h = np.zeros(n)
-    h[af <= (1 - beta) * baud / 2] = 1.0
-    ramp = (af > (1 - beta) * baud / 2) & (af <= (1 + beta) * baud / 2)
-    h[ramp] = 0.5 * (1 + np.cos(np.pi / (beta * baud)
-                                * (af[ramp] - (1 - beta) * baud / 2)))
     symbols = np.empty((n_modes, n_symbols), dtype=complex)
-    wave = np.empty((n_modes, n_out), dtype=complex)
-    finish = (lambda row: row) if spectrum else np.fft.ifft
     for m in range(n_modes):
         symbols[m] = pts[rng.integers(0, 16, n_symbols)]
-        stuffed = np.zeros(n, dtype=complex)
-        stuffed[::oversampling] = symbols[m]
-        wave[m] = finish(_resample_spectrum(np.fft.fft(stuffed) * h, n_out))
-    kind = MimoSpectrum if spectrum else MimoSignal
-    return kind(wave, sample_rate), symbols
+    n = n_symbols * oversampling
+    n_out = int(round(n * sample_rate / rate))
+    sym_fft = _transform_rows(np.fft.fft, symbols)
+    step = 1.0 / (n * (1.0 / rate))  # as np.fft.fftfreq(n, 1 / rate)
+    edge = (1 - rolloff) * baud / 2
+
+    def shaped(a: int, b: int) -> np.ndarray:
+        """Bins a..b-1 of the stuffed sequence's shaped n-point FFT."""
+        k = np.arange(a, b)
+        af = np.abs(np.where(k < (n + 1) // 2, k, k - n) * step)
+        h = np.zeros(b - a)
+        h[af <= edge] = 1.0
+        ramp = (af > edge) & (af <= (1 + rolloff) * baud / 2)
+        h[ramp] = 0.5 * (1 + np.cos(np.pi / (rolloff * baud)
+                                    * (af[ramp] - edge)))
+        return sym_fft[:, k % n_symbols] * h
+
+    wave = _resampled_bins(shaped, (n_modes,), n, n_out)
+    if spectrum:
+        return MimoSpectrum(wave, sample_rate), symbols
+    return (MimoSignal(_transform_rows(np.fft.ifft, wave, out=wave),
+                       sample_rate), symbols)
 
 
 def _qam_capture_length(cfg: ExperimentConfig) -> int:

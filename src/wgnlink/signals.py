@@ -135,9 +135,14 @@ def _transform_rows(transform, data: np.ndarray,
     rows; a row at a time it holds about one row's.  Each row takes the
     same pocketfft plan, so the result is bit-identical to the batched one.
     The output is complex128, so a complex64 row takes the complex128
-    forward transform; its inverse would scale by a float32 ``1/N``, so
-    only complex128 data is inverted.
+    forward transform.  Its inverse would scale by a float32 ``1/N``, about
+    1e-7 off the inverse of its complex128 upcast, so inverting complex64
+    data raises TypeError.
     """
+    if transform is np.fft.ifft and data.dtype == np.complex64:
+        raise TypeError("complex64 rows are not inverted: np.fft.ifft "
+                        "scales complex64 input by a float32 1/N; upcast "
+                        "them to complex128 first")
     if out is None:
         out = np.empty(data.shape, dtype=np.complex128)
     for row, dst in zip(data, out):
@@ -186,15 +191,25 @@ def _resample_spectrum(spec: np.ndarray, n_out: int) -> np.ndarray:
     n = spec.shape[-1]
     if n_out == n:
         return spec
+    return _resampled_bins(lambda a, b: spec[..., a:b], spec.shape[:-1], n,
+                           n_out)
+
+
+def _resampled_bins(bins, lead: tuple, n: int, n_out: int) -> np.ndarray:
+    """The new ``lead + (n_out,)`` array that :func:`_resample_spectrum`
+    makes of an n-bin spectrum, from a spectrum that need not be held
+    whole: ``bins(a, b)`` returns its bins ``a..b-1`` (last axis), and only
+    the bins the resampler keeps are asked for.  With ``n_out == n`` every
+    bin is kept as it is."""
     m = min(n, n_out)
     m2 = m // 2 + 1
-    out = np.zeros(spec.shape[:-1] + (n_out,), dtype=complex)
-    out[..., :m2] = spec[..., :m2]
+    out = np.zeros(lead + (n_out,), dtype=complex)
+    out[..., :m2] = bins(0, m2)
     if m2 < m:
-        out[..., m2 - m:] = spec[..., m2 - m:]
-    if m % 2 == 0:
+        out[..., m2 - m:] = bins(n + m2 - m, n)
+    if m % 2 == 0 and n_out != n:
         if n_out < n:
-            out[..., -(m // 2)] += spec[..., -(m // 2)]
+            out[..., -(m // 2)] += bins(n - m // 2, n - m // 2 + 1)[..., 0]
         else:
             out[..., m // 2] /= 2
             out[..., n_out - m // 2] = out[..., m // 2]

@@ -129,7 +129,81 @@ class TestEstimateMi:
             estimate_mi(a, b, rings)
 
 
+def _mi_discrete_oracle(symbols, received, points):
+    """The mismatched-decoding bound of ``estimate_mi_discrete`` evaluated
+    directly: the distances to every point, then a log-sum-exp shifted by
+    each sample's largest exponent."""
+    x, y = np.asarray(symbols), np.asarray(received)
+    y = y / (np.vdot(x, y) / np.vdot(x, x))
+    err = np.abs(y - x) ** 2
+    s = max(np.mean(err), 1e-10 * np.mean(np.abs(points) ** 2))
+    d = (err[:, None] - np.abs(y[:, None] - points[None, :]) ** 2) / s
+    peak = d.max(axis=1)
+    lse = peak + np.log(np.exp(d - peak[:, None]).sum(axis=1))
+    cap = np.log2(len(points))
+    return float(np.clip(cap - np.mean(lse) / np.log(2.0), 0.0, cap)), d
+
+
+def _off_grid_points():
+    """16QAM rotated and perturbed off its grid, at unit mean power."""
+    rng = np.random.default_rng(17)
+    pts = (qam16_constellation() * np.exp(0.1j)
+           + 0.05 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+    return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+
+
+_CONSTELLATIONS = {"16qam": qam16_constellation(),
+                   "8psk": np.exp(2j * np.pi * np.arange(8) / 8),
+                   "off-grid": _off_grid_points()}
+
+
 class TestEstimateMiDiscrete:
+    @pytest.mark.parametrize("snr_db", [-5, 0, 10, 20, 30, 40])
+    @pytest.mark.parametrize("name", list(_CONSTELLATIONS))
+    def test_matches_the_log_sum_exp_oracle(self, name, snr_db):
+        pts = _CONSTELLATIONS[name]
+        rng = np.random.default_rng(snr_db + 50)
+        sym = pts[rng.integers(0, len(pts), 60_000)]
+        nv = np.mean(np.abs(pts) ** 2) * 10 ** (-snr_db / 10)
+        noise = np.sqrt(nv / 2) * (rng.standard_normal(len(sym))
+                                   + 1j * rng.standard_normal(len(sym)))
+        # a common complex gain, which the fit removes
+        y = 0.7 * np.exp(0.3j) * (sym + noise)
+        mi = estimate_mi_discrete(sym, ComplexSignal(y, 30e9), pts)
+        assert mi == pytest.approx(_mi_discrete_oracle(sym, y, pts)[0],
+                                   rel=0, abs=1e-12)
+
+    # overflow: near-zero noise and one sample moved most of the way to a
+    # neighbouring point; underflow: one symbol far off the constellation
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, noise_var", [("overflow", 1e-10),
+                                                 ("underflow", 0.1)])
+    def test_chunk_out_of_range_takes_the_shifted_form(self, case,
+                                                       noise_var):
+        pts = qam16_constellation()
+        rng = np.random.default_rng(18)
+        sym = pts[rng.integers(0, 16, 20_000)]
+        y = sym + np.sqrt(noise_var / 2) * (
+            rng.standard_normal(len(sym)) + 1j * rng.standard_normal(len(sym)))
+        j = 12_345
+        if case == "overflow":
+            near = pts[np.argsort(np.abs(pts - sym[j]))[1]]
+            y[j] = sym[j] + 0.6 * (near - sym[j])
+        else:
+            y[j] += 8 + 8j - sym[j]
+            sym[j] = 8 + 8j
+        want, d = _mi_discrete_oracle(sym, y, pts)
+        # the case is what it claims: exp of sample j's exponents leaves
+        # float64 range (the largest float64 is e^709.8, the smallest
+        # subnormal e^-744.4)
+        if case == "overflow":
+            assert d[j].max() > 710
+        else:
+            assert d[j].max() < -745
+        mi = estimate_mi_discrete(sym, ComplexSignal(y, 30e9), pts)
+        assert 0 < want < 4
+        assert mi == pytest.approx(want, rel=0, abs=1e-12)
+
     def test_noiseless_16qam_is_4_bits(self):
         pts = qam16_constellation()
         rng = np.random.default_rng(9)

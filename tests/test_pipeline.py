@@ -606,6 +606,53 @@ class TestPhaseRecovery:
         with pytest.raises(ValueError, match="mode count"):
             phase_recovery(sig, MimoSignal(sig.data[:1], 60e9))
 
+    # pieces of 1, 7 and 64 samples against one pass over the whole arrays:
+    # lengths below, at and above a piece, and windows below and above them
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    @pytest.mark.parametrize("m, n, window", [
+        (1, 1, 1), (1, 2, 5), (2, 9, 4), (1, 130, 1), (2, 131, 200),
+        (3, 1001, 201), (2, 1001, 5000)])
+    def test_pieces_are_the_whole_pass(self, monkeypatch, piece, m, n,
+                                       window):
+        rng = np.random.default_rng(n + window)
+        ref, eq = (MimoSignal(rng.standard_normal((m, n))
+                              + 1j * rng.standard_normal((m, n)), 60e9)
+                   for _ in range(2))
+        kept = eq.data.copy()
+        cross = np.sum(np.conj(ref.data) * eq.data, axis=0)
+        phi = np.angle(pipeline._centered_moving_sum(cross, window))
+        want = eq.data * np.exp(-1j * phi)[None, :]
+        monkeypatch.setattr(pipeline, "_PHASE_PIECE", piece)
+        assert np.array_equal(phase_recovery(ref, eq, window).data, want)
+        assert np.array_equal(eq.data, kept)
+        out = np.empty_like(kept)
+        got = phase_recovery(ref, eq, window, out=out)
+        assert got.data is out and np.array_equal(out, want)
+        got = phase_recovery(ref, eq, window, out=eq.data)
+        assert got.data is eq.data and np.array_equal(eq.data, want)
+
+    @pytest.mark.parametrize("out", [np.empty((2, 99), dtype=complex),
+                                     np.empty((2, 100), dtype=np.complex64)],
+                             ids=["shape", "dtype"])
+    def test_out_of_another_shape_or_dtype_rejected(self, out):
+        sig = generate_wgn_mimo(2, 100, 60e9, 1.0, seed=0)
+        with pytest.raises(ValueError, match="out must be"):
+            phase_recovery(sig, sig, out=out)
+
+    def test_in_place_holds_no_capture_sized_array(self):
+        # 2 x 1M samples: a capture-sized complex array is 32 MB, one row
+        # 16 MB
+        sig = generate_wgn_mimo(2, 1_000_000, 60e9, 1.0, seed=26)
+        eq = MimoSignal(sig.data * np.exp(0.5j), sig.sample_rate)
+        tracemalloc.start()
+        try:
+            phase_recovery(sig, eq, 200, out=eq.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert np.allclose(eq.data, sig.data, rtol=0, atol=1e-9)
+
     def test_window_validation(self):
         sig = generate_wgn_mimo(1, 100, 60e9, 1.0, seed=0)
         with pytest.raises(ValueError):
@@ -902,15 +949,16 @@ class TestSpectralHandOff:
             assert a == b
 
     # capture-length rows transformed by FFT and inverse FFT in one
-    # 60k-sample, 2-mode point: the transmitted capture's rows (the WGN
-    # capture's FFT or the 16QAM generator's, one per mode), the link's
-    # inverse and forward rows when LO noise is on, the front end's inverse
-    # of each capture's two rows, and the alignment's four forward rows and
-    # one inverse.  A capture this short is its own prefix, so the
-    # alignment's rows are the 90k target-rate samples plus the lag range.
+    # 60k-sample, 2-mode point: the WGN capture's FFT, one row per mode, the
+    # link's inverse and forward rows when LO noise is on, the front end's
+    # inverse of each capture's two rows, and the alignment's four forward
+    # rows and one inverse.  The 16QAM generator transforms its 45k-symbol
+    # rows, shorter than the capture.  A capture this short is its own
+    # prefix, so the alignment's rows are the 90k target-rate samples plus
+    # the lag range.
     @pytest.mark.parametrize("kind, link, counts", [
         ("wgn", {}, {"fft": 6, "ifft": 5}),
-        ("qam16", {}, {"fft": 6, "ifft": 5}),
+        ("qam16", {}, {"fft": 4, "ifft": 5}),
         ("wgn", {"lo_linewidth": 1e5}, {"fft": 8, "ifft": 7})],
         ids=["wgn", "qam16", "lo-noise"])
     def test_capture_length_transforms_per_point(self, monkeypatch, kind,

@@ -17,6 +17,7 @@ from wgnlink.channel import (LinkConfig, add_awgn, apply_channel,
                              apply_frequency_offset, apply_phase_noise,
                              run_link, synthesize_mimo_channel)
 from wgnlink.estimation import estimate_channel
+from wgnlink.metrics import qam16_constellation
 from wgnlink.pipeline import (PipelineConfig, _as_signal, _front_end,
                               run_pipeline)
 from wgnlink.runner import generate_qam16_mimo
@@ -95,6 +96,21 @@ class TestMimoSignal:
         sig = MimoSignal(data, 10.0)
         assert sig.data.dtype == np.complex128
         assert np.array_equal(sig.data, data)
+
+
+class TestTransformRows:
+    def test_complex64_rows_not_inverted(self):
+        data = generate_wgn_mimo(2, 1000, 40e9, 1.0, seed=3).data
+        low = data.astype(np.complex64)
+        # the forward transform takes the complex128 FFT of the upcast
+        assert np.array_equal(signals._transform_rows(np.fft.fft, low),
+                              np.fft.fft(low.astype(complex), axis=1))
+        # the inverse would scale by a float32 1/N
+        for out in (None, np.empty(data.shape, dtype=complex)):
+            with pytest.raises(TypeError, match="float32 1/N"):
+                signals._transform_rows(np.fft.ifft, low, out=out)
+        assert np.array_equal(signals._transform_rows(np.fft.ifft, data),
+                              np.fft.ifft(data, axis=1))
 
 
 class TestMimoSpectrum:
@@ -223,6 +239,32 @@ class TestResample:
         assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def _stuffed_qam16(n_modes, n_symbols, baud, mean_power, seed, osr,
+                   rolloff, sample_rate, spectrum):
+    """The 16QAM waveform, or its spectrum, built as the zero-stuffed
+    symbols' n-point FFT times the raised cosine on the n-point grid, cut or
+    zero-padded onto the output grid by ``_resample_spectrum``."""
+    rate = baud * osr
+    rng = np.random.default_rng(seed)
+    pts = qam16_constellation(mean_power)
+    n = n_symbols * osr
+    n_out = int(round(n * sample_rate / rate))
+    af = np.abs(np.fft.fftfreq(n, d=1.0 / rate))
+    lo, hi = (1 - rolloff) * baud / 2, (1 + rolloff) * baud / 2
+    h = np.where(af <= lo, 1.0, 0.0)
+    ramp = (af > lo) & (af <= hi)
+    h[ramp] = 0.5 * (1 + np.cos(np.pi / (rolloff * baud) * (af[ramp] - lo)))
+    symbols = np.empty((n_modes, n_symbols), dtype=complex)
+    wave = np.empty((n_modes, n_out), dtype=complex)
+    for m in range(n_modes):
+        symbols[m] = pts[rng.integers(0, 16, n_symbols)]
+        stuffed = np.zeros(n, dtype=complex)
+        stuffed[::osr] = symbols[m]
+        row = _resample_spectrum(np.fft.fft(stuffed) * h, n_out)
+        wave[m] = row if spectrum else np.fft.ifft(row)
+    return wave, symbols
+
+
 class TestQam16Waveform:
     # (symbols, sample rate): down to the capture rate, identity, up; the
     # odd symbol count gives an odd output length
@@ -251,6 +293,29 @@ class TestQam16Waveform:
         # the waveform is the inverse FFT of each row, bit for bit
         assert all(np.array_equal(np.fft.ifft(row), w)
                    for row, w in zip(spec.data, wave.data))
+
+    # oversampling 2 and 3, odd and even symbol counts, and rates below,
+    # equal to and above baud * oversampling: the cut (with the even
+    # Nyquist bin merged), the identity and the zero-pad (with it split)
+    @pytest.mark.parametrize("spectrum", [False, True],
+                             ids=["signal", "spectrum"])
+    @pytest.mark.parametrize("rate_ratio", [0.6, 1.0, 1.5])
+    @pytest.mark.parametrize("n_sym", [3000, 3001])
+    @pytest.mark.parametrize("osr", [2, 3])
+    def test_matches_the_stuffed_spectrum(self, osr, n_sym, rate_ratio,
+                                          spectrum):
+        baud = 30e9
+        rate = baud * osr * rate_ratio
+        got, sym = generate_qam16_mimo(2, n_sym, baud, 1.0, seed=6,
+                                       oversampling=osr, sample_rate=rate,
+                                       spectrum=spectrum)
+        want, sym_o = _stuffed_qam16(2, n_sym, baud, 1.0, 6, osr, 0.1, rate,
+                                     spectrum)
+        assert type(got) is (MimoSpectrum if spectrum else MimoSignal)
+        assert got.sample_rate == rate
+        assert np.array_equal(sym, sym_o)
+        assert got.data.shape == want.shape
+        assert np.max(np.abs(got.data - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_rate_below_band_rejected(self):
         # a 30 GBd, 0.1-rolloff band is 33 GHz wide
