@@ -116,7 +116,8 @@ def _check_types(cfg) -> None:
     does not hold its annotated type: an ``int`` field an integer, a
     ``float`` field any real number (or None where the annotation is
     Optional), any other field an instance of its type.  A bool is no
-    number."""
+    number.  A NaN or infinite ``float`` field raises ValueError, except
+    ``span_snr_db = inf``, the noiseless link."""
     for name, kind in typing.get_type_hints(type(cfg)).items():
         v = getattr(cfg, name)
         if v is None and kind == Optional[float]:
@@ -124,6 +125,9 @@ def _check_types(cfg) -> None:
         want, noun = _FIELD_TYPES.get(kind, (kind, f"a {kind.__name__}"))
         if isinstance(v, bool) != (kind is bool) or not isinstance(v, want):
             raise TypeError(f"{name} must be {noun}, got {v!r}")
+        if (want is Real and not -math.inf < v < math.inf
+                and (name, v) != ("span_snr_db", math.inf)):
+            raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,
@@ -245,8 +249,8 @@ def apply_channel(signal: MimoSignal, channel: MimoChannel) -> MimoSignal:
     mats = _channel_on_grid(channel, freqs)
     spec = _transform_rows(np.fft.fft, signal.data)
     out = np.einsum("kij,jk->ik", mats, spec)
-    return MimoSignal(_transform_rows(np.fft.ifft, out, out=out),
-                      signal.sample_rate)
+    return MimoSignal._built(_transform_rows(np.fft.ifft, out, out=out),
+                             signal.sample_rate)
 
 
 def _channel_on_grid(channel: MimoChannel, freqs: np.ndarray):
@@ -271,9 +275,11 @@ def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
 
     Noise power is the tributary-averaged signal power divided by the linear
     SNR, measured over the full captured band.  ``snr_db = inf`` returns the
-    signal unchanged.
+    signal unchanged; NaN or -inf raises ValueError.
     """
-    if math.isinf(snr_db) and snr_db > 0:
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
+    if snr_db == math.inf:
         return signal
     data = signal.data
     # measured in float64 whatever the capture's dtype
@@ -285,7 +291,7 @@ def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
     rng = np.random.default_rng(seed)
     noise = np.sqrt(noise_power / 2.0) * (
         rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
-    return MimoSignal(data + noise, signal.sample_rate)
+    return MimoSignal._built(data + noise, signal.sample_rate)
 
 
 def apply_phase_noise(signal: MimoSignal, linewidth: float,
@@ -293,27 +299,27 @@ def apply_phase_noise(signal: MimoSignal, linewidth: float,
     """Common-LO Wiener phase noise: increments have variance
     2 pi * linewidth / sample_rate; the same trajectory multiplies every
     tributary."""
-    if linewidth < 0:
-        raise ValueError("linewidth must be >= 0")
+    if not 0 <= linewidth < math.inf:
+        raise ValueError(f"linewidth must be finite and >= 0: {linewidth!r}")
     if linewidth == 0:
         return signal
     n = len(signal)
     rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 * np.pi * linewidth / signal.sample_rate)
     phase = np.cumsum(std * rng.standard_normal(n))
-    return MimoSignal(signal.data * np.exp(1j * phase)[None, :],
-                      signal.sample_rate)
+    return MimoSignal._built(signal.data * np.exp(1j * phase)[None, :],
+                             signal.sample_rate)
 
 
 def apply_frequency_offset(signal: MimoSignal, offset: float) -> MimoSignal:
     """Multiply all tributaries by exp(j 2 pi offset n / sample_rate)."""
-    if abs(offset) >= signal.sample_rate / 2:
-        raise ValueError("frequency offset beyond Nyquist")
+    if not abs(offset) < signal.sample_rate / 2:
+        raise ValueError(f"offset must be below Nyquist, got {offset!r} Hz")
     if offset == 0:
         return signal
     n = np.arange(len(signal))
     rot = np.exp(2j * np.pi * offset * n / signal.sample_rate)
-    return MimoSignal(signal.data * rot[None, :], signal.sample_rate)
+    return MimoSignal._built(signal.data * rot[None, :], signal.sample_rate)
 
 
 def span_noise_power_ratio(cfg: LinkConfig) -> float:
@@ -324,7 +330,7 @@ def span_noise_power_ratio(cfg: LinkConfig) -> float:
     eta P^3) and peaks at P = (N_ase / 2 eta)^(1/4).
     """
     p_mw = 10.0 ** (cfg.launch_power_dbm / 10.0)
-    n_ase = 0.0 if math.isinf(cfg.span_snr_db) else 10.0 ** (-cfg.span_snr_db / 10.0)
+    n_ase = 10.0 ** (-cfg.span_snr_db / 10.0)  # 0.0 at span_snr_db = inf
     n_nl = cfg.nlin_coeff * p_mw ** 3
     return (n_ase + n_nl) / p_mw
 
@@ -375,17 +381,17 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
     _recirculate(spec, rate, cfg, model, np.random.default_rng(noise_seed),
                  n_recirculations)
     if spectral and cfg.lo_linewidth == 0 and cfg.frequency_offset == 0:
-        return MimoSpectrum(spec, rate)
+        return MimoSpectrum._built(spec, rate)
     # the link owns `spec` and each array the LO stages return: transform
     # them in place
-    out = MimoSignal(_transform_rows(np.fft.ifft, spec, out=spec), rate)
+    out = MimoSignal._built(_transform_rows(np.fft.ifft, spec, out=spec), rate)
     del spec
     out = apply_phase_noise(out, cfg.lo_linewidth, lo_seed)
     out = apply_frequency_offset(out, cfg.frequency_offset)
     if not spectral:
         return out
-    return MimoSpectrum(_transform_rows(np.fft.fft, out.data, out=out.data),
-                        rate)
+    return MimoSpectrum._built(_transform_rows(np.fft.fft, out.data,
+                                               out=out.data), rate)
 
 
 def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
@@ -401,8 +407,12 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
                                     cfg.center_wavelength, +1.0)
     delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate))
                  if model is not None else None)
-    noise_ratio = span_noise_power_ratio(cfg)
-    gain = noise_ratio * sum((1.0 + noise_ratio) ** k for k in range(spans))
+    try:
+        noise_ratio = span_noise_power_ratio(cfg)
+        gain = noise_ratio * sum((1.0 + noise_ratio) ** k
+                                 for k in range(spans))
+    except OverflowError:  # raised below, as the noise scale's overflow
+        noise_ratio = gain = math.inf
     # the noise is drawn a chunk at a time into one buffer and added to the
     # (re, im) floats of each row: the same numbers as one (M, 2N) draw
     floats = spec.view(np.float64)
@@ -413,10 +423,15 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
             for _ in range(spans):
                 model.apply_spectrum(spec, delay_rot)
         if noise_ratio > 0:
-            # Parseval: mean |x|^2 = sum |X|^2 / (M N^2); white noise of
-            # per-sample power s has per-bin power N s
-            power = np.vdot(spec, spec).real / (m * n * n)
+            # Parseval: mean |x|^2 = sum |X|^2 / (M N^2), per-bin noise power
+            # N s for per-sample s; in floats an overflow is inf, no warning
+            power = float(np.vdot(spec, spec).real) / (m * n * n)
             scale = np.sqrt(n * power * gain / 2.0)
+            if not math.isfinite(scale):
+                raise ValueError(f"link noise overflows: launch_power_dbm "
+                                 f"{cfg.launch_power_dbm:g}, nlin_coeff "
+                                 f"{cfg.nlin_coeff:g}, "
+                                 f"{n_recirculations} loops")
             for row in floats:
                 for s in range(0, 2 * n, noise.size):
                     piece = noise[:2 * n - s]

@@ -79,7 +79,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-        if not 0 < self.capture_rate < math.inf:
+        if self.capture_rate <= 0:
             raise ConfigError(f"capture_rate must be a positive number, "
                               f"got {self.capture_rate!r}")
         if abs(self.link.frequency_offset) >= self.capture_rate / 2:

@@ -218,9 +218,10 @@ def trim_aligned(f_in: MimoSignal, f_out: MimoSignal,
     start_in, start_out = max(-lag, 0), max(lag, 0)
     n = max(min(len(f_in) - start_in, len(f_out) - start_out), 0)
     # basic slices: views of the captures, not copies
-    return (MimoSignal(f_in.data[:, start_in:start_in + n], f_in.sample_rate),
-            MimoSignal(f_out.data[:, start_out:start_out + n],
-                       f_out.sample_rate),
+    return (MimoSignal._built(f_in.data[:, start_in:start_in + n],
+                              f_in.sample_rate),
+            MimoSignal._built(f_out.data[:, start_out:start_out + n],
+                              f_out.sample_rate),
             start_in)
 
 
@@ -267,7 +268,7 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
     if link is not None:
         spec *= _dispersion_response(n_out, rate, link.dispersion_coeff,
                                      edc_km, link.center_wavelength, -1.0)
-    return MimoSpectrum(spec, rate)
+    return MimoSpectrum._built(spec, rate)
 
 
 def _as_signal(capture: MimoSignal | MimoSpectrum) -> MimoSignal:
@@ -275,9 +276,9 @@ def _as_signal(capture: MimoSignal | MimoSpectrum) -> MimoSignal:
     inverted in place, so the spectrum is gone afterwards."""
     if isinstance(capture, MimoSignal):
         return capture
-    return MimoSignal(_transform_rows(np.fft.ifft, capture.data,
-                                      out=capture.data),
-                      capture.sample_rate)
+    return MimoSignal._built(_transform_rows(np.fft.ifft, capture.data,
+                                             out=capture.data),
+                             capture.sample_rate)
 
 
 def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
@@ -337,7 +338,7 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
         seg = slice(first * hop, min(stop * hop, n_output))
         y = y.transpose(1, 2, 0).reshape(m, -1)
         out[:, seg] = y[:, :seg.stop - seg.start]
-    return MimoSignal(out, f_in.sample_rate), state
+    return MimoSignal._built(out, f_in.sample_rate), state
 
 
 def _wiener(r_in: np.ndarray, r_cross: np.ndarray) -> np.ndarray:
@@ -432,7 +433,7 @@ def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal, window: int = 200,
         rotated = out[:, a:a + size] * np.exp(-1j * np.angle(moving))[None, :]
         out[:, a:a + size] = rotated
         csum[:window + 1] = csum[size:size + window + 1]
-    return MimoSignal(out, f_eq.sample_rate)
+    return MimoSignal._built(out, f_eq.sample_rate)
 
 
 def _centered_moving_sum(x: np.ndarray, window: int) -> np.ndarray:
@@ -513,9 +514,9 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     del f_out
     if n_keep:
         # the equalizer's output is this function's own: rotated in place
-        f_eq = phase_recovery(MimoSignal(f_in.data[:, :n_eq], rate), f_eq,
-                              cfg.phase_window, out=f_eq.data)
-        f_eq = MimoSignal(f_eq.data[:, :n_keep], rate)
+        f_eq = phase_recovery(MimoSignal._built(f_in.data[:, :n_eq], rate),
+                              f_eq, cfg.phase_window, out=f_eq.data)
+        f_eq = MimoSignal._built(f_eq.data[:, :n_keep], rate)
     block = cfg.block_size
     channel = state.channel
     if link is not None:

@@ -135,6 +135,8 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
     :class:`MimoSpectrum`.  A rate whose Nyquist frequency is below the
     occupied band ``(1 + rolloff) * baud / 2`` raises ValueError.
     """
+    if not 0 < mean_power < math.inf:
+        raise ValueError(f"mean_power must be finite and > 0: {mean_power!r}")
     rate = baud * oversampling
     if sample_rate is None:
         sample_rate = rate
@@ -165,9 +167,9 @@ def generate_qam16_mimo(n_modes: int, n_symbols: int, baud: float,
 
     wave = _resampled_bins(shaped, (n_modes,), n, n_out)
     if spectrum:
-        return MimoSpectrum(wave, sample_rate), symbols
-    return (MimoSignal(_transform_rows(np.fft.ifft, wave, out=wave),
-                       sample_rate), symbols)
+        return MimoSpectrum._built(wave, sample_rate), symbols
+    return (MimoSignal._built(_transform_rows(np.fft.ifft, wave, out=wave),
+                              sample_rate), symbols)
 
 
 def _qam_capture_length(cfg: ExperimentConfig) -> int:

@@ -7,7 +7,10 @@ Everything downstream works on :class:`ComplexSignal` (one tributary) or
 array).  A simulated capture travels from the transmitter through the link
 to the receiver front end as its :class:`MimoSpectrum` instead, so that it
 is transformed once.  All operations are pure: they return new objects and
-never mutate their inputs.
+never mutate their inputs.  NaN and Inf are caught where samples enter (the
+public constructors, :func:`read_signal` a piece at a time); library stages
+wrap what they compute from checked captures without a re-scan, and config
+fields and public functions' scalars are checked where they are given.
 
 The capture file stores float64 samples; a stored capture loads as
 complex64, half the memory of the file's payload.  Simulated captures,
@@ -83,6 +86,13 @@ class _Capture:
         if not np.isfinite(data).all():
             raise ValueError("samples contain NaN or Inf")
 
+    @classmethod
+    def _built(cls, data: np.ndarray, sample_rate: float):
+        """`data` as it is: no cast, no shape, rate or finiteness check."""
+        capture = object.__new__(cls)
+        vars(capture).update(data=data, sample_rate=sample_rate)
+        return capture
+
     @property
     def n_tributaries(self) -> int:
         return self.data.shape[0]
@@ -121,8 +131,8 @@ class MimoSpectrum(_Capture):
 
     @classmethod
     def of(cls, signal: MimoSignal) -> "MimoSpectrum":
-        return cls(_transform_rows(np.fft.fft, signal.data),
-                   signal.sample_rate)
+        return cls._built(_transform_rows(np.fft.fft, signal.data),
+                          signal.sample_rate)
 
 
 def _transform_rows(transform, data: np.ndarray,
@@ -264,13 +274,15 @@ def read_signal(f: BinaryIO) -> MimoSignal:
         raise ValueError("not a wgnlink capture file")
     if version != _VERSION:
         raise ValueError(f"unsupported capture version {version}")
+    if m < 1 or not 0 < rate < np.inf:
+        raise ValueError(f"bad capture header: M={m}, sample_rate={rate!r}")
     size, start = m * ns * 16, f.tell()
     if size > f.seek(0, os.SEEK_END) - start:
         raise ValueError("truncated signal payload")
     f.seek(start)
     data = _read_payload(f, m, ns)
     data.flags.writeable = False
-    return MimoSignal(data, rate)
+    return MimoSignal._built(data, rate)
 
 
 def _read_payload(f: BinaryIO, m: int, ns: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the linear MIMO channel model and recirculating-loop simulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,24 @@ class TestFrequencyOffset:
             apply_frequency_offset(sig, 0.6e9)
 
 
+class TestScalarArguments:
+    @pytest.mark.parametrize("call, name", [
+        (lambda s: add_awgn(s, math.nan, seed=1), "snr_db"),
+        (lambda s: add_awgn(s, -math.inf, seed=1), "snr_db"),
+        (lambda s: apply_phase_noise(s, math.nan, seed=1), "linewidth"),
+        (lambda s: apply_phase_noise(s, math.inf, seed=1), "linewidth"),
+        (lambda s: apply_frequency_offset(s, math.nan), "offset"),
+    ], ids=["awgn-nan", "awgn-minus-inf", "phase-nan", "phase-inf",
+            "offset-nan"])
+    def test_rejected_by_name(self, call, name):
+        # named where the scalar enters, with no numpy warning on the way
+        sig = generate_wgn_mimo(2, 100, 1e9, 1.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=name):
+                call(sig)
+
+
 class TestRunLink:
     def test_noise_accumulates_linearly(self):
         cfg = LinkConfig(span_snr_db=20.0, nlin_coeff=0.0)
@@ -409,6 +428,29 @@ class TestSpanNoise:
                   * ((1 + r) ** n_rec - 1))
         assert one.sum() == pytest.approx(expect, rel=0.01)
         assert loop.sum() == pytest.approx(expect, rel=0.01)
+
+
+class TestNoiseOverflow:
+    # at 100 dBm the span noise ratio is about 3e17: over 20 loops the
+    # one-draw gain leaves float64, and with MDL a later loop's power does
+    @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["one-draw", "mdl"])
+    def test_named_by_power_coefficient_and_loops(self, mdl):
+        cfg = LinkConfig(launch_power_dbm=100.0, mdl_per_span=mdl)
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, 4096, 40e9, 1.0, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"launch_power_dbm 100, "
+                               r"nlin_coeff 0\.00315, 20 loops"):
+                run_link(spec, cfg, 20, seed=1)
+
+    @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["one-draw", "mdl"])
+    def test_below_the_overflow_stays_finite(self, mdl):
+        cfg = LinkConfig(launch_power_dbm=100.0, mdl_per_span=mdl)
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, 4096, 40e9, 1.0, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_link(spec, cfg, 5, seed=1)
+        assert np.isfinite(out.data).all()
 
 
 class TestLinkConfig:

@@ -192,6 +192,17 @@ class TestCliVerbs:
                      id="link-n_sections-0-coupled"),
         ("link", "frequency_offset", "25.0e9"),
         ("link", "frequency_offset", "-20.0e9"),
+        # a float field must be finite; span_snr_db may only be +inf
+        ("link", "span_snr_db", ".nan"),
+        ("link", "span_snr_db", "-.inf"),
+        ("link", "launch_power_dbm", ".inf"),
+        ("link", "lo_linewidth", ".nan"),
+        ("link", "dispersion_coeff", ".nan"),
+        ("link", "span_length", ".inf"),
+        ("link", "frequency_offset", ".nan"),
+        ("pipeline", "align_threshold", ".nan"),
+        ("pipeline", "filter_bw", ".inf"),
+        ("pipeline", "lms_step", ".nan"),
     ])
     def test_bad_section_value_is_exit_1(self, tmp_path, section, key,
                                          value):
@@ -199,8 +210,14 @@ class TestCliVerbs:
         with pytest.raises(ConfigError, match=key):
             validate_config(cfg)
         assert cli.main(["validate", "--config", cfg]) == 1
-        assert cli.main(["simulate", "--config", cfg, "--out",
-                         str(tmp_path / "o"), "--no-plots"]) == 1
+        for verb in ("simulate", "reference-16qam"):
+            assert cli.main([verb, "--config", cfg, "--out",
+                             str(tmp_path / "o"), "--no-plots"]) == 1
+
+    def test_noiseless_span_snr_is_valid(self, tmp_path):
+        cfg = _write(tmp_path, "link:\n  span_snr_db: .inf\n" + MINIMAL)
+        assert validate_config(cfg).link.span_snr_db == float("inf")
+        assert cli.main(["validate", "--config", cfg]) == 0
 
     @pytest.mark.parametrize("sweep, key", [
         ("recirculations: [1.5]", "sweep.recirculations"),
@@ -239,6 +256,8 @@ class TestCliVerbs:
         ("outputs: 5", "outputs"),
         ("emit_plots: 'no'", "emit_plots"),
         ("capture_rate: 0", "capture_rate"),
+        ("capture_rate: .nan", "capture_rate"),
+        ("capture_rate: .inf", "capture_rate"),
         ("n_rings: 0", "n_rings"),
         ("mi_max_symbols: 0", "mi_max_symbols"),
         ("n_samples: 4000.5", "n_samples"),
@@ -251,7 +270,7 @@ class TestCliVerbs:
         ("sweep: {recirculations: [2, 1, 2]}", "sweep.recirculations"),
     ], ids=["removed-mean-power", "scalar-link", "list-link",
             "list-pipeline", "number-outputs", "string-emit-plots",
-            "zero-rate", "zero-rings",
+            "zero-rate", "nan-rate", "inf-rate", "zero-rings",
             "zero-mi-symbols", "fractional-samples", "fractional-seed",
             "bool-seed", "text-seed", "negative-seed", "repeated-seed",
             "repeated-power", "repeated-loops"])
@@ -498,6 +517,21 @@ class TestCliVerbs:
         assert rc == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["errors"]
+
+    @pytest.mark.parametrize("mdl", ["0.0", "0.5"], ids=["one-draw", "mdl"])
+    def test_link_noise_overflow_in_manifest(self, tmp_path, mdl):
+        # the link's float64 overflow is named in the point's error
+        text = (f"link:\n  launch_power_dbm: 100\n  mdl_per_span: {mdl}\n"
+                "sweep:\n  recirculations: [20]\nseeds: [3]\n"
+                "n_samples: 40000\n")
+        out = tmp_path / "results"
+        rc = cli.main(["simulate", "--config", _write(tmp_path, text),
+                       "--out", str(out), "--no-plots"])
+        assert rc == 2
+        errors = json.loads((out / "manifest.json").read_text())["errors"]
+        assert [e["error"] for e in errors] == [
+            "link noise overflows: launch_power_dbm 100, nlin_coeff 0.00315, "
+            "20 loops"]
 
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
     def test_failed_point_keeps_finished_points(self, tmp_path, monkeypatch,

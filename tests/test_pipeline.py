@@ -1107,3 +1107,54 @@ class TestQamCaptureLength:
         # numerator exceeds any capture length
         with pytest.raises(ConfigError, match="capture_rate 40000000000.5 Hz"):
             runner._qam_point(self._config(40e9 + 0.5, 200_000), 1, 3)
+
+
+class TestCapturesCheckedOnce:
+    """A capture is scanned for NaN and Inf once, where it enters the
+    library; no stage re-scans a capture it computed from checked ones."""
+
+    @staticmethod
+    def _count_scans(monkeypatch, size: int) -> list:
+        """Record each ``np.isfinite`` call on `size` elements or more."""
+        calls, isfinite = [], np.isfinite
+
+        def counting(x, *args, **kwargs):
+            if np.size(x) >= size:
+                calls.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind, scans", [("wgn", 1), ("qam16", 0)])
+    def test_sweep_point(self, monkeypatch, kind, scans):
+        # the WGN point's one scan is its generated capture's entry check
+        cfg = ExperimentConfig(link=LinkConfig(span_snr_db=20.0),
+                               n_samples=60_000, mi_max_symbols=10_000,
+                               emit_plots=False)
+        calls = self._count_scans(monkeypatch,
+                                  cfg.link.n_modes * cfg.n_samples)
+        if kind == "wgn":
+            runner._wgn_point(cfg, 1, 3, characterize=True)
+        else:
+            runner._qam_point(cfg, 1, 3)
+        assert len(calls) == scans, calls
+
+    def test_stored_pair(self, monkeypatch, tmp_path):
+        # larger than one read piece: read_signal checks the pieces only
+        n = 200_000
+        assert 2 * n > signals._IO_SAMPLES
+        tx = generate_wgn_mimo(2, n, 60e9, 1.0, seed=5)
+        rx = run_link(tx, LinkConfig(span_snr_db=25.0), 1, seed=6)
+        for name, sig in (("tx.bin", tx), ("rx.bin", rx)):
+            with open(tmp_path / name, "wb") as f:
+                signals.write_signal(f, sig)
+        calls = self._count_scans(monkeypatch, 2 * n)
+        pair = []
+        for name in ("tx.bin", "rx.bin"):
+            with open(tmp_path / name, "rb") as f:
+                pair.append(signals.read_signal(f))
+        runner.characterize_captures(*pair, PipelineConfig(),
+                                     tmp_path / "char", emit_plots=False)
+        assert (tmp_path / "char" / "mdl_capture.csv").exists()
+        assert calls == []

@@ -282,6 +282,12 @@ class TestQam16Waveform:
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_mean_power_rejected(self, power):
+        # named before any symbol is drawn, not passed on as NaN samples
+        with pytest.raises(ValueError, match="mean_power"):
+            generate_qam16_mimo(2, 100, 30e9, power, seed=5)
+
     @pytest.mark.parametrize("rate", [40e9, 60e9])
     def test_spectrum_is_the_waveforms_fft(self, rate):
         wave, sym = generate_qam16_mimo(2, 3001, 30e9, 1.0, seed=5,
@@ -513,6 +519,13 @@ class TestBinaryFormat:
         write_signal(buf, MimoSignal(data, 40e9))
         buf.seek(0)
         assert np.array_equal(read_signal(buf).data, data)
+
+    @pytest.mark.parametrize("m, rate", [(0, 40e9), (2, 0.0), (2, -40e9),
+                                         (2, np.nan), (2, np.inf)])
+    def test_bad_header_rejected(self, m, rate):
+        raw = _HEADER.pack(signals._MAGIC, signals._VERSION, m, 4, rate)
+        with pytest.raises(ValueError, match="bad capture header"):
+            read_signal(io.BytesIO(raw + bytes(m * 4 * 16)))
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
