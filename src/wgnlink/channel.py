@@ -95,6 +95,9 @@ class LinkConfig:
             raise ValueError("center_wavelength must be positive")
         if self.n_modes < 2 or self.n_modes % 2:
             raise ValueError("n_modes must be even and >= 2")
+        if not 0 < _from_db(self.launch_power_dbm) < math.inf:
+            raise ValueError(f"launch_power_dbm must give a finite, nonzero "
+                             f"power in mW, got {self.launch_power_dbm!r}")
         if self.mdl_per_span < 0:
             raise ValueError("mdl_per_span must be >= 0")
         if self.lo_linewidth < 0:
@@ -275,19 +278,23 @@ def add_awgn(signal: MimoSignal, snr_db: float, seed: int) -> MimoSignal:
 
     Noise power is the tributary-averaged signal power divided by the linear
     SNR, measured over the full captured band.  ``snr_db = inf`` returns the
-    signal unchanged; NaN or -inf raises ValueError.
+    signal unchanged; any other value whose linear SNR is 0 or not finite
+    (NaN, -inf, or beyond float64 range, such as -4000 or 4000) raises
+    ValueError.
     """
-    if not snr_db > -math.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
     if snr_db == math.inf:
         return signal
+    snr = _from_db(snr_db)
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr_db must be +inf or give a finite, nonzero "
+                         f"linear SNR, got {snr_db!r}")
     data = signal.data
     # measured in float64 whatever the capture's dtype
     sig_power = float(np.mean(np.abs(data.astype(np.complex128,
                                                  copy=False)) ** 2))
     if sig_power <= 0:
         raise ValueError("signal power must be positive to set an SNR")
-    noise_power = sig_power / 10.0 ** (snr_db / 10.0)
+    noise_power = sig_power / snr
     rng = np.random.default_rng(seed)
     noise = np.sqrt(noise_power / 2.0) * (
         rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape))
@@ -320,6 +327,14 @@ def apply_frequency_offset(signal: MimoSignal, offset: float) -> MimoSignal:
     n = np.arange(len(signal))
     rot = np.exp(2j * np.pi * offset * n / signal.sample_rate)
     return MimoSignal._built(signal.data * rot[None, :], signal.sample_rate)
+
+
+def _from_db(db: float) -> float:
+    """``10 ** (db / 10)``, inf where that overflows float64."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def span_noise_power_ratio(cfg: LinkConfig) -> float:

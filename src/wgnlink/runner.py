@@ -7,8 +7,10 @@ writing so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -224,51 +226,37 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
     """Run all (sweep value, seed) jobs; returns a process exit code."""
     out_dir = Path(cfg.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for value in cfg.sweep_values:
-        for i, seed in enumerate(cfg.seeds):
-            characterize = kind == "wgn" and i == 0
-            tasks.append((value, seed, characterize))
-
+    tasks = [(value, seed, kind == "wgn" and i == 0)
+             for value in cfg.sweep_values for i, seed in enumerate(cfg.seeds)]
     rows, errors, alignments, characterized = [], [], [], {}
-    started, done = time.monotonic(), 0
-
-    def handle(task, outcome):
-        nonlocal done
-        value, seed, _ = task
-        if isinstance(outcome, Exception):
-            log.error("sweep point %s seed %s failed: %r", value, seed,
-                      outcome, exc_info=outcome)
-            errors.append({"sweep_value": value, "seed": seed,
-                           "error": str(outcome) or type(outcome).__name__})
-        else:
-            rows.extend(outcome["rows"])
-            a = outcome["alignment"]
-            alignments.append({"sweep_value": value, "seed": seed,
-                               "lag": a.lag, "peak_ratio": a.peak_ratio})
-            if "characterization" in outcome:
-                characterized[value] = outcome["characterization"]
-        done += 1
-        log.info("sweep: %d of %d points done, %d left, %.1f s elapsed",
-                 done, len(tasks), len(tasks) - done,
-                 time.monotonic() - started)
-
-    # any per-point failure, including MemoryError or a BrokenProcessPool
+    started = time.monotonic()
+    # one call per task: its pooled future's result (every future is
+    # submitted before the first is awaited) or the task run in-process.
+    # Any per-point failure, including MemoryError or a BrokenProcessPool
     # from a killed worker, is recorded so the finished points are written
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [pool.submit(_run_task, cfg, kind, t) for t in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    handle(task, fut.result())
-                except Exception as exc:
-                    handle(task, exc)
-    else:
-        for task in tasks:
+    with (ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) if jobs > 1
+          else contextlib.nullcontext()) as pool:
+        calls = [pool.submit(_run_task, cfg, kind, t).result if jobs > 1
+                 else functools.partial(_run_task, cfg, kind, t)
+                 for t in tasks]
+        for done, ((value, seed, _), call) in enumerate(zip(tasks, calls), 1):
             try:
-                handle(task, _run_task(cfg, kind, task))
+                outcome = call()
             except Exception as exc:
-                handle(task, exc)
+                log.error("sweep point %s seed %s failed: %r", value, seed,
+                          exc, exc_info=exc)
+                errors.append({"sweep_value": value, "seed": seed,
+                               "error": str(exc) or type(exc).__name__})
+            else:
+                rows.extend(outcome["rows"])
+                a = outcome["alignment"]
+                alignments.append({"sweep_value": value, "seed": seed,
+                                   "lag": a.lag, "peak_ratio": a.peak_ratio})
+                if "characterization" in outcome:
+                    characterized[value] = outcome["characterization"]
+            log.info("sweep: %d of %d points done, %d left, %.1f s elapsed",
+                     done, len(tasks), len(tasks) - done,
+                     time.monotonic() - started)
 
     suffix = "" if kind == "wgn" else f"_{kind}"
     _write_mi_csv(out_dir / f"mi_results{suffix}.csv", rows)
@@ -277,16 +265,12 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
                                    key=lambda kv: float(kv[0])):
         written += _write_characterization(out_dir, _tag(value), mdl, ir)
 
-    def by_point(entries):
-        return sorted(entries, key=lambda e: (str(e["sweep_value"]),
-                                              e["seed"]))
-
     manifest = {
         "kind": kind,
         "config": dataclasses.asdict(cfg),
         "files": sorted(written),
-        "errors": by_point(errors),
-        "alignment": by_point(alignments),
+        "errors": sorted(errors, key=_point_order),
+        "alignment": sorted(alignments, key=_point_order),
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "wgnlink": __version__},
     }
@@ -340,9 +324,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _point_order(entry: dict) -> tuple:
+    """Sort key of a row or manifest entry: numeric sweep value, then seed."""
+    return float(entry["sweep_value"]), entry["seed"]
+
+
 def _write_mi_csv(path: Path, rows: list[dict]) -> None:
-    rows = sorted(rows, key=lambda r: (float(r["sweep_value"]), r["seed"],
-                                       r["tributary"]))
+    rows = sorted(rows, key=lambda r: (*_point_order(r), r["tributary"]))
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MI_COLUMNS)
@@ -375,11 +363,6 @@ def _write_characterization(out_dir: Path, tag: str, mdl: MdlSpectrum,
     return names
 
 
-def _read_mi_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def write_plots(out_dir: str | Path) -> None:
     """Regenerate every SVG plot from the CSV files alone."""
     out_dir = Path(out_dir)
@@ -387,7 +370,8 @@ def write_plots(out_dir: str | Path) -> None:
     for name in ("mi_results.csv", "mi_results_qam16.csv"):
         p = out_dir / name
         if p.exists():
-            rows.extend(_read_mi_csv(p))
+            with open(p, newline="") as f:
+                rows.extend(csv.DictReader(f))
     if rows:
         _plot_mi(out_dir, rows)
     for p in sorted(out_dir.glob("mdl_*.csv")):
@@ -396,47 +380,36 @@ def write_plots(out_dir: str | Path) -> None:
         _plot_impulse(out_dir, p)
 
 
-def _mean_series(rows, x_key):
-    """Mean bits/symbol over seeds and tributaries, per sweep point."""
-    acc = {}
+def _means(rows: list[dict], key: str, columns: list[str]) -> list[tuple]:
+    """Per value of column `key`, ascending: that value, then the mean of
+    each of `columns` over its rows (every seed and tributary)."""
+    groups = {}
     for r in rows:
-        x = float(r[x_key])
-        acc.setdefault(x, []).append(float(r["bits_per_symbol"]))
-    xs = sorted(acc)
-    return xs, [float(np.mean(acc[x])) for x in xs]
+        groups.setdefault(float(r[key]), []).append(r)
+    return [(x, *(float(np.mean([float(r[c]) for r in groups[x]]))
+                  for c in columns)) for x in sorted(groups)]
 
 
 def _plot_mi(out_dir: Path, rows: list[dict]) -> None:
-    axis = rows[0]["sweep_axis"]
-    by_signal = {}
-    for r in rows:
-        by_signal.setdefault(r["signal"], []).append(r)
     x_key, xlabel, fname = {
         "recirculations": ("distance_km", "distance (km)", "mi_vs_distance"),
         "launch_power_dbm": ("launch_power_dbm", "launch power (dBm)",
                              "mi_vs_power"),
         "snr_db": ("sweep_value", "span SNR (dB)", "mi_vs_span_snr"),
-    }[axis]
+    }[rows[0]["sweep_axis"]]
     series = []
-    for signal, sig_rows in sorted(by_signal.items()):
-        xs, ys = _mean_series(sig_rows, x_key)
-        series.append(svgplot.Series(xs, ys, label=signal.upper()))
+    for signal in sorted({r["signal"] for r in rows}):
+        means = _means([r for r in rows if r["signal"] == signal], x_key,
+                       ["bits_per_symbol"])
+        series.append(svgplot.Series(*zip(*means), label=signal.upper()))
     svgplot.line_plot(str(out_dir / f"{fname}.svg"), series,
                       "Mutual information", xlabel, "MI (bits/symbol)")
 
     # measured-SNR view with the Shannon curve overlaid
-    snr_acc = {}
-    for r in rows:
-        if r["signal"] != "wgn":
-            continue
-        key = (float(r["sweep_value"]))
-        snr_acc.setdefault(key, [[], []])
-        snr_acc[key][0].append(float(r["snr_db"]))
-        snr_acc[key][1].append(float(r["bits_per_symbol"]))
-    if snr_acc:
-        pts = sorted((np.mean(v[0]), np.mean(v[1])) for v in snr_acc.values())
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
+    wgn = [r for r in rows if r["signal"] == "wgn"]
+    if wgn:
+        xs, ys = zip(*sorted(m[1:] for m in _means(
+            wgn, "sweep_value", ["snr_db", "bits_per_symbol"])))
         lo, hi = min(xs), max(xs)
         ref_x = list(np.linspace(lo, hi, 50)) if hi > lo else [lo]
         ref_y = [float(np.log2(1 + 10 ** (s / 10))) for s in ref_x]
@@ -449,24 +422,27 @@ def _plot_mi(out_dir: Path, rows: list[dict]) -> None:
             "MI (bits/symbol)")
 
 
-def _plot_mdl(out_dir: Path, csv_path: Path) -> None:
-    freqs, mdl = [], []
+def _read_table(csv_path: Path) -> np.ndarray:
+    """The numbers of a characterization CSV: one row per line below the
+    header, one column per header field that is not a ``#`` note.  A
+    header-only file (an MDL spectrum with no valid bin) gives no rows."""
     with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            freqs.append(float(row[0]) / 1e9)
-            mdl.append(float(row[1]))
+        head, *lines = f.read().splitlines()
+    n_cols = sum(not h.startswith("#") for h in head.split(","))
+    return np.array([line.split(",") for line in lines],
+                    dtype=float).reshape(-1, n_cols)
+
+
+def _plot_mdl(out_dir: Path, csv_path: Path) -> None:
+    table = _read_table(csv_path)
     svgplot.line_plot(str(out_dir / (csv_path.stem + ".svg")),
-                      [svgplot.Series(freqs, mdl, markers=False)],
+                      [svgplot.Series((table[:, 0] / 1e9).tolist(),
+                                      table[:, 1].tolist(), markers=False)],
                       "Mode-dependent loss", "frequency (GHz)", "MDL (dB)")
 
 
 def _plot_impulse(out_dir: Path, csv_path: Path) -> None:
-    with open(csv_path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        table = np.array(list(reader), dtype=float)
+    table = _read_table(csv_path)
     times = (table[:, 0] * 1e9).tolist()
     total = 10 * np.log10(np.sum(10 ** (table[:, 1:] / 10), axis=1))
     svgplot.line_plot(str(out_dir / (csv_path.stem + ".svg")),

@@ -249,8 +249,11 @@ class TestScalarArguments:
         (lambda s: apply_phase_noise(s, math.nan, seed=1), "linewidth"),
         (lambda s: apply_phase_noise(s, math.inf, seed=1), "linewidth"),
         (lambda s: apply_frequency_offset(s, math.nan), "offset"),
+        # finite, but 10 ** (snr_db / 10) underflows to 0 or overflows
+        (lambda s: add_awgn(s, -4000.0, seed=1), "snr_db"),
+        (lambda s: add_awgn(s, 4000.0, seed=1), "snr_db"),
     ], ids=["awgn-nan", "awgn-minus-inf", "phase-nan", "phase-inf",
-            "offset-nan"])
+            "offset-nan", "awgn-underflow", "awgn-overflow"])
     def test_rejected_by_name(self, call, name):
         # named where the scalar enters, with no numpy warning on the way
         sig = generate_wgn_mimo(2, 100, 1e9, 1.0, seed=0)

@@ -14,7 +14,7 @@ import pytest
 
 import wgnlink
 from wgnlink import cli, runner
-from wgnlink.channel import LinkConfig
+from wgnlink.channel import LinkConfig, MimoChannel
 from wgnlink.config import ExperimentConfig, validate_config
 from wgnlink.errors import ConfigError
 from wgnlink.pipeline import AlignmentResult
@@ -203,6 +203,9 @@ class TestCliVerbs:
         ("pipeline", "align_threshold", ".nan"),
         ("pipeline", "filter_bw", ".inf"),
         ("pipeline", "lms_step", ".nan"),
+        # finite, but the power in mW underflows to 0 or overflows
+        ("link", "launch_power_dbm", "-4000"),
+        ("link", "launch_power_dbm", "4000"),
     ])
     def test_bad_section_value_is_exit_1(self, tmp_path, section, key,
                                          value):
@@ -558,6 +561,54 @@ class TestCliVerbs:
                 for e in manifest["errors"]] == [(2, 3, "MemoryError"),
                                                  (2, 4, "MemoryError")]
 
+    @FORK_ONLY
+    def test_killed_worker_loses_and_duplicates_no_point(self, tmp_path,
+                                                         monkeypatch):
+        # a worker that dies breaks the pool of two: every point is
+        # recorded once, finished or failed, and the CSV holds exactly the
+        # finished ones
+        point = runner._wgn_point
+
+        def dying(cfg, value, seed, characterize):
+            if (value, seed) == (2, 3):
+                os._exit(1)
+            return point(cfg, value, seed, characterize)
+
+        monkeypatch.setattr(runner, "_wgn_point", dying)
+        text = COUPLED_SWEEP.replace("[1, 2]", "[1, 2, 3]")
+        out = tmp_path / "results"
+        rc = cli.main(["simulate", "--config", _write(tmp_path, text),
+                       "--out", str(out), "--no-plots", "--jobs", "2"])
+        assert rc == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        aligned = [(e["sweep_value"], e["seed"])
+                   for e in manifest["alignment"]]
+        failed = [(e["sweep_value"], e["seed"]) for e in manifest["errors"]]
+        assert sorted(aligned + failed) == [(v, s) for v in (1, 2, 3)
+                                            for s in (3, 4)]
+        assert (2, 3) in failed
+        rows = [r.split(",") for r in (out / "mi_results.csv").read_text()
+                .strip().splitlines()[1:]]
+        # 2 tributaries per finished point
+        assert sorted((int(r[2]), int(r[5]), int(r[6])) for r in rows) == [
+            (v, s, t) for v, s in sorted(aligned) for t in (0, 1)]
+
+    def test_out_of_range_launch_power_fails_its_point(self, tmp_path):
+        # a sweep value whose power in mW underflows to 0 fails its point
+        # with the key named; the other point is written
+        text = ("sweep:\n  launch_power_dbm: [0, -4000]\nseeds: [3]\n"
+                "n_samples: 40000\n")
+        out = tmp_path / "results"
+        rc = cli.main(["simulate", "--config", _write(tmp_path, text),
+                       "--out", str(out), "--no-plots"])
+        assert rc == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["sweep_value"], e["seed"])
+                for e in manifest["alignment"]] == [(0, 3)]
+        [error] = manifest["errors"]
+        assert (error["sweep_value"], error["seed"]) == (-4000, 3)
+        assert "launch_power_dbm" in error["error"]
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(wgnlink.__file__).resolve().parents[1])
@@ -644,6 +695,28 @@ class TestOutputContracts:
                    and isinstance(e["lag"], int) and abs(e["lag"]) <= 2
                    and e["peak_ratio"] > 10 for e in entries[0])
 
+    def test_manifest_sorts_points_by_number(self, tmp_path, monkeypatch):
+        # sweep value 2 before 10, as the CSV rows, in both lists
+        point = runner._wgn_point
+
+        def failing(cfg, value, seed, characterize):
+            if seed == 4:
+                raise MemoryError()
+            return point(cfg, value, seed, characterize)
+
+        monkeypatch.setattr(runner, "_wgn_point", failing)
+        text = COUPLED_SWEEP.replace("[1, 2]", "[10, 2]")
+        out = tmp_path / "results"
+        assert cli.main(["simulate", "--config", _write(tmp_path, text),
+                         "--out", str(out), "--no-plots"]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["sweep_value"], e["seed"])
+                for e in manifest["alignment"]] == [(2, 3), (10, 3)]
+        assert [(e["sweep_value"], e["seed"])
+                for e in manifest["errors"]] == [(2, 4), (10, 4)]
+        rows = (out / "mi_results.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["2", "2", "10", "10"]
+
     def test_characterized_point_keeps_its_rows(self, tmp_path):
         cfg = validate_config(_write(tmp_path, COUPLED_SWEEP))
         plain = runner._wgn_point(cfg, 2, 3, False)
@@ -662,7 +735,8 @@ class TestOutputContracts:
         lines = [m for m in (r.getMessage() for r in caplog.records
                              if r.levelno == logging.INFO)
                  if "points done" in m]
-        # 2 sweep values x 2 seeds, one line as each point finishes
+        # 2 sweep values x 2 seeds, one line as each point's result is
+        # collected
         assert [line.split(",")[:2] for line in lines] == [
             [f"sweep: {k} of 4 points done", f" {4 - k} left"]
             for k in range(1, 5)]
@@ -720,6 +794,22 @@ class TestOutputContracts:
         runner.write_plots(out)
         after = {p.name: p.read_bytes() for p in sorted(out.glob("*.svg"))}
         assert before == after
+
+    def test_header_only_mdl_csv_is_plotted(self, tmp_path):
+        # a received mode with no power leaves no valid MDL bin, so the
+        # MDL CSV holds its header only; its plot is the empty frame
+        mats = np.zeros((64, 2, 2), dtype=complex)
+        mats[:, 0, 0] = 1.0
+        names = runner._write_characterization(
+            tmp_path, "1", *runner._characterize(MimoChannel(mats, 1e8),
+                                                 None))
+        assert (tmp_path / "mdl_1.csv").read_text().splitlines() == [
+            "frequency_hz,mdl_db"]
+        runner.write_plots(tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("*.svg")) == [
+            n.replace(".csv", ".svg") for n in sorted(names)]
+        svg = (tmp_path / "mdl_1.svg").read_text()
+        assert "Mode-dependent loss" in svg and "<polyline" not in svg
 
     def test_reference_16qam_outputs(self, tmp_path):
         out = tmp_path / "results"
