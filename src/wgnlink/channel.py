@@ -10,7 +10,13 @@ power, and a link given a spectrum returns one without a transform,
 whatever its loop count.  Without MDL each span is unitary per bin, and
 circular white noise stays white under a unitary map, so such a link
 draws the noise of all its loops at once; a link with MDL adds it loop by
-loop.  A split-step solver is out of scope by design.
+loop.  A two-mode coupled link of more loops than modes builds the span's
+per-bin 2x2 transfer D(f) H(f) once, from the coupling cascade, and
+applies it per span; every other link runs the cascade per span.  The
+transfer holds M^2 values per bin: at two modes 4, next to the 3 of the
+full-length DGD rotation and dispersion it replaces; at six modes 36,
+more than all the rest of the link, so wider links keep the cascade.  A
+split-step solver is out of scope by design.
 """
 
 from __future__ import annotations
@@ -158,12 +164,30 @@ def _dispersion_response(n: int, sample_rate: float, dispersion_coeff: float,
     Built in place, with :func:`dispersion_phase`'s operations in its order,
     in one real and one complex array of `n`."""
     scale = _dispersion_scale(dispersion_coeff, length_km, wavelength_nm)
-    phase = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    np.square(phase, out=phase)
-    phase *= scale
-    phase /= SPEED_OF_LIGHT
-    out = np.multiply(phase, sign * 1j)
+    return _dispersion_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate),
+                                scale, sign, np.empty(n, dtype=complex))
+
+
+def _dispersion_rotation(freqs: np.ndarray, scale: float, sign: float,
+                         out: np.ndarray) -> np.ndarray:
+    """``exp(sign * j * scale * freqs**2 / c)`` into `out`, squaring `freqs`
+    in place: :func:`_dispersion_response` on any run of its bins."""
+    np.square(freqs, out=freqs)
+    freqs *= scale
+    freqs /= SPEED_OF_LIGHT
+    np.multiply(freqs, sign * 1j, out=out)
     return np.exp(out, out=out)
+
+
+def _fft_bins(n: int, sample_rate: float, start: int,
+              out: np.ndarray) -> np.ndarray:
+    """``np.fft.fftfreq(n, 1 / sample_rate)[start:start + len(out)]`` into
+    `out`, the same numbers: the bin numbers, wrapped past n/2, times
+    fftfreq's spacing."""
+    np.add(np.arange(out.size, dtype=np.float64), start, out=out)
+    out[max((n + 1) // 2 - start, 0):] -= n
+    out *= 1.0 / (n * (1.0 / sample_rate))
+    return out
 
 
 class MultiSectionModel:
@@ -194,15 +218,23 @@ class MultiSectionModel:
         sigma = ratio ** exponents
         self.sigma = sigma / np.sqrt(np.mean(sigma ** 2))
 
-    def delay_rotation(self, freqs: np.ndarray) -> np.ndarray:
-        """Per-section DGD phase exp(-2j pi f tau_i), shape (M, len(freqs))."""
-        return np.exp(-2j * np.pi * self.delays[:, None] * freqs[None, :])
+    def delay_rotation(self, freqs: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-section DGD phase exp(-2j pi f tau_i), shape (M, len(freqs)),
+        built in place in `out` (a new array if None)."""
+        out = np.multiply(-2j * np.pi * self.delays[:, None], freqs[None, :],
+                          out=out)
+        return np.exp(out, out=out)
 
     def apply_spectrum(self, spectrum: np.ndarray,
                        rotation: np.ndarray) -> np.ndarray:
         """Apply H(f) in place to an (M, N) spectrum, ``rotation`` being
         ``delay_rotation(freqs)``; bins pass all sections one cache-sized
-        chunk at a time, and no per-bin matrix is materialized."""
+        chunk at a time, and no per-bin matrix is materialized.  This
+        cascade defines H: a two-mode link of more loops than modes runs
+        it once per point, on identity columns, to build its span transfer
+        (:func:`_span_transfer`), and every other coupled link once per
+        span."""
         for s in range(0, spectrum.shape[1], _COUPLING_CHUNK):
             out = self.output_unitary @ spectrum[:, s:s + _COUPLING_CHUNK]
             out *= self.sigma[:, None]
@@ -342,12 +374,25 @@ def span_noise_power_ratio(cfg: LinkConfig) -> float:
 
     ASE noise is fixed in absolute terms (span_snr_db referenced to 0 dBm);
     NLIN grows as nlin_coeff * P^3, so the per-span SNR is P / (N_ase +
-    eta P^3) and peaks at P = (N_ase / 2 eta)^(1/4).
+    eta P^3) and peaks at P = (N_ase / 2 eta)^(1/4).  A term beyond float64
+    range reads as inf, and so does the ratio; with ``nlin_coeff = 0`` the
+    cube does not count.
     """
-    p_mw = 10.0 ** (cfg.launch_power_dbm / 10.0)
-    n_ase = 10.0 ** (-cfg.span_snr_db / 10.0)  # 0.0 at span_snr_db = inf
-    n_nl = cfg.nlin_coeff * p_mw ** 3
-    return (n_ase + n_nl) / p_mw
+    n_ase, n_nl = _span_noise_terms(cfg)
+    return (n_ase + n_nl) / _from_db(cfg.launch_power_dbm)
+
+
+def _span_noise_terms(cfg: LinkConfig) -> tuple[float, float]:
+    """The ASE and NLIN noise powers (mW) of one span, each inf where it
+    overflows float64."""
+    n_ase = _from_db(-cfg.span_snr_db)  # 0.0 at span_snr_db = inf
+    if cfg.nlin_coeff == 0:
+        return n_ase, 0.0
+    try:
+        cube = _from_db(cfg.launch_power_dbm) ** 3
+    except OverflowError:
+        cube = math.inf
+    return n_ase, cfg.nlin_coeff * cube
 
 
 def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
@@ -371,6 +416,17 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
     ``g = r * sum((1 + r)**l for l < L)``.  That is ``(1 + r)**L - 1``,
     the loops' expected noise, and exactly ``r`` at L = 1, where both
     paths give the same numbers.
+
+    A two-mode link with MDL or DGD and L > 2 builds the per-bin span
+    transfer ``S(f) = D(f) H(f)`` once, at the cost of two cascade passes,
+    and applies it per span: 4 multiplies and 2 adds per bin in place of
+    the dispersion multiply and the cascade's ``n_sections + 1`` matmuls.
+    Its numbers differ from the cascade's by rounding only, a few 1e-16 of
+    the largest bin per span, and the noise draws are the same.  S holds
+    4 complex values per bin, where the cascade holds 3: a full-length DGD
+    rotation (2) and dispersion (1).  At M modes S would hold M^2, so
+    links of 4 or more modes, and links of at most 2 loops, run the
+    cascade per span.
 
     A :class:`MimoSignal` is FFT'd once and returned as a signal after one
     inverse FFT.  A :class:`MimoSpectrum` is left unchanged and the result
@@ -413,39 +469,53 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
                  model, noise_rng, n_recirculations: int) -> None:
     """The span loop of :func:`run_link`, in place on an (M, N) spectrum:
     one pass per loop with MDL, else one pass of all the spans with one
-    noise draw at gain ``g`` (see :func:`run_link`)."""
+    noise draw at gain ``g`` (see :func:`run_link`).  A two-mode coupled
+    link of more loops than modes applies its span transfer per span
+    (:func:`_span_transfer`: M cascade passes to build, M^2 values per
+    bin, so worth it only there); any other link multiplies by the
+    dispersion of a pass's spans and runs the coupling cascade per span."""
     m, n = spec.shape
     passes, spans = ((1, n_recirculations) if cfg.mdl_per_span == 0
                      else (n_recirculations, 1))
-    disp_rot = _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
-                                    spans * cfg.span_length,
-                                    cfg.center_wavelength, +1.0)
-    delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate))
-                 if model is not None else None)
+    transfer = None
+    if model is not None and m == 2 and n_recirculations > m:
+        transfer = _span_transfer(model, n, sample_rate, cfg)
+    else:
+        disp_rot = _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
+                                        spans * cfg.span_length,
+                                        cfg.center_wavelength, +1.0)
+        delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 /
+                                                         sample_rate))
+                     if model is not None else None)
+    noise_ratio = span_noise_power_ratio(cfg)
     try:
-        noise_ratio = span_noise_power_ratio(cfg)
         gain = noise_ratio * sum((1.0 + noise_ratio) ** k
                                  for k in range(spans))
     except OverflowError:  # raised below, as the noise scale's overflow
-        noise_ratio = gain = math.inf
+        gain = math.inf
     # the noise is drawn a chunk at a time into one buffer and added to the
     # (re, im) floats of each row: the same numbers as one (M, 2N) draw
     floats = spec.view(np.float64)
     noise = np.empty(min(2 * _COUPLING_CHUNK, 2 * n))
     for _ in range(passes):
-        spec *= disp_rot
-        if model is not None:
-            for _ in range(spans):
-                model.apply_spectrum(spec, delay_rot)
+        if transfer is not None:
+            _apply_transfer(spec, transfer, spans)
+        else:
+            spec *= disp_rot
+            if model is not None:
+                for _ in range(spans):
+                    model.apply_spectrum(spec, delay_rot)
         if noise_ratio > 0:
             # Parseval: mean |x|^2 = sum |X|^2 / (M N^2), per-bin noise power
             # N s for per-sample s; in floats an overflow is inf, no warning
             power = float(np.vdot(spec, spec).real) / (m * n * n)
             scale = np.sqrt(n * power * gain / 2.0)
             if not math.isfinite(scale):
-                raise ValueError(f"link noise overflows: launch_power_dbm "
-                                 f"{cfg.launch_power_dbm:g}, nlin_coeff "
-                                 f"{cfg.nlin_coeff:g}, "
+                n_ase, n_nl = _span_noise_terms(cfg)
+                cause = (f"span_snr_db {cfg.span_snr_db:g}" if n_ase >= n_nl
+                         else f"launch_power_dbm {cfg.launch_power_dbm:g}, "
+                              f"nlin_coeff {cfg.nlin_coeff:g}")
+                raise ValueError(f"link noise overflows: {cause}, "
                                  f"{n_recirculations} loops")
             for row in floats:
                 for s in range(0, 2 * n, noise.size):
@@ -453,3 +523,56 @@ def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
                     noise_rng.standard_normal(out=piece)
                     piece *= scale
                     row[s:s + piece.size] += piece
+
+
+def _span_transfer(model: MultiSectionModel, n: int, sample_rate: float,
+                   cfg: LinkConfig) -> np.ndarray:
+    """The per-bin transfer of one span, ``S(f) = D(f) H(f)``, on the FFT
+    grid of `n` bins: an (M, M, n) array, ``S[i, j, k]`` row i, column j
+    at bin k.  Column j is :meth:`MultiSectionModel.apply_spectrum` on the
+    j-th identity column times the span's dispersion, built one coupling
+    chunk at a time; the chunk's frequencies, DGD rotation and dispersion
+    go into buffers of one chunk, allocated once."""
+    m = model.n_modes
+    width = min(_COUPLING_CHUNK, n)
+    scale = _dispersion_scale(cfg.dispersion_coeff, cfg.span_length,
+                              cfg.center_wavelength)
+    freqs = np.empty(width)
+    rot = np.empty((m, width), dtype=complex)
+    disp = np.empty(width, dtype=complex)
+    cols = np.empty((m, width), dtype=complex)
+    transfer = np.empty((m, m, n), dtype=complex)
+    for s in range(0, n, width):
+        w = min(width, n - s)
+        f = _fft_bins(n, sample_rate, s, freqs[:w])
+        r = model.delay_rotation(f, out=rot[:, :w])
+        d = _dispersion_rotation(f, scale, +1.0, disp[:w])
+        col = cols[:, :w]
+        for j in range(m):
+            col.fill(0)
+            col[j] = d
+            transfer[:, j, s:s + w] = model.apply_spectrum(col, r)
+    return transfer
+
+
+def _apply_transfer(spec: np.ndarray, transfer: np.ndarray,
+                    times: int) -> None:
+    """Apply the two-mode span transfer `times` times, in place, to a
+    (2, N) spectrum: a coupling chunk at a time, 4 multiplies and 2 adds
+    per bin and application, through two buffers of one chunk."""
+    (s00, s01), (s10, s11) = transfer
+    x0, x1 = spec
+    n = spec.shape[1]
+    width = min(_COUPLING_CHUNK, n)
+    buf = np.empty((2, width), dtype=complex)
+    for s in range(0, n, width):
+        e = min(s + width, n)
+        u, v = x0[s:e], x1[s:e]
+        a, b = buf[:, :e - s]
+        for _ in range(times):
+            np.multiply(s10[s:e], u, out=b)
+            u *= s00[s:e]
+            np.multiply(s01[s:e], v, out=a)
+            u += a
+            v *= s11[s:e]
+            v += b

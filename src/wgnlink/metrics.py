@@ -60,9 +60,14 @@ def build_ring_constellation(n_rings: int, mean_power: float = 1.0,
     return RingConstellation(n_rings, phase_points)
 
 
-def _fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares complex gain fit of `y` onto `x`: returns the
-    normalized `y` and its per-sample residual power ``|y - x|^2``."""
+def _fit(x: np.ndarray, f_eq: ComplexSignal
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares complex gain fit of `f_eq` onto `x`: returns the
+    normalized samples and their per-sample residual power ``|y - x|^2``.
+    A field from :func:`_fitted` on the array `x` returns its fit."""
+    if isinstance(f_eq, _Fitted) and f_eq.reference is x:
+        return f_eq.normalized, f_eq.residual
+    y = f_eq.samples
     if len(x) != len(y) or len(x) == 0:
         raise ValueError("signals must be equal non-zero length")
     denom = np.vdot(x, x)
@@ -70,6 +75,26 @@ def _fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("reference signal has zero power")
     y = y / (np.vdot(x, y) / denom)
     return y, np.abs(y - x) ** 2
+
+
+@dataclass(frozen=True)
+class _Fitted(ComplexSignal):
+    """A received field with its :func:`_fit` onto the array `reference`,
+    so that the MI and the SNR of one pair share one fit."""
+
+    reference: np.ndarray = None
+    normalized: np.ndarray = None
+    residual: np.ndarray = None
+
+    def __post_init__(self):
+        pass  # built by _fitted from a checked signal
+
+
+def _fitted(reference: np.ndarray, f_eq: ComplexSignal) -> ComplexSignal:
+    """`f_eq` carrying its fit onto `reference`: every estimate given this
+    field and that same array reads the fit instead of redoing it."""
+    return _Fitted(f_eq.samples, f_eq.sample_rate, reference,
+                   *_fit(reference, f_eq))
 
 
 def estimate_mi(f_in: ComplexSignal, f_eq: ComplexSignal,
@@ -84,7 +109,7 @@ def estimate_mi(f_in: ComplexSignal, f_eq: ComplexSignal,
     A common complex gain on both fields leaves the estimate unchanged.
     """
     x = f_in.samples
-    y, err = _fit(x, f_eq.samples)
+    y, err = _fit(x, f_eq)
     cap = np.log2(rings.n_points)
     power = float(np.mean(np.abs(x) ** 2))
     noise_var = float(np.mean(err))
@@ -117,7 +142,7 @@ def estimate_mi_discrete(symbols: np.ndarray, f_eq: ComplexSignal,
     by its largest d.
     """
     x = np.asarray(symbols, dtype=complex)
-    y, err = _fit(x, f_eq.samples)
+    y, err = _fit(x, f_eq)
     pts = np.asarray(constellation, dtype=complex)
     k = pts.size
     p2 = np.abs(pts) ** 2
@@ -153,7 +178,7 @@ def estimate_mi_discrete(symbols: np.ndarray, f_eq: ComplexSignal,
 def estimate_snr(f_in: ComplexSignal, f_eq: ComplexSignal) -> float:
     """SNR in dB after a least-squares complex gain fit, capped at 80 dB."""
     x = f_in.samples
-    _, err = _fit(x, f_eq.samples)
+    _, err = _fit(x, f_eq)
     sig = float(np.mean(np.abs(x) ** 2))
     noise = float(np.mean(err))
     if noise <= 0:

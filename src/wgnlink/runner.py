@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .estimation import (ImpulseResponse, MdlSpectrum, estimate_channel,
                          impulse_response_from_channel, mdl_from_channel)
-from .metrics import (build_ring_constellation, estimate_mi,
+from .metrics import (_fitted, build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .signals import (ComplexSignal, MimoSignal, MimoSpectrum,
@@ -93,17 +93,23 @@ def _receive(cfg: ExperimentConfig, value, seed: int, captures: list,
 def _tributary_rows(cfg: ExperimentConfig, signal: str, value, seed: int,
                     pairs, mi) -> list[dict]:
     """One `MI_COLUMNS` row per (reference, received) pair of symbol-rate
-    signals; ``mi(reference, received)`` gives the bits per symbol."""
+    signals; ``mi(reference, received)`` gives the bits per symbol.  The
+    received field is fitted onto its reference once, and the MI and the
+    SNR of the row both read that fit."""
     link, n_rec = cfg.link_for(value)
-    return [{"signal": signal, "sweep_axis": cfg.sweep_axis,
-             "sweep_value": value,
-             "distance_km": n_rec * link.span_length,
-             "launch_power_dbm": link.launch_power_dbm,
-             "seed": seed, "tributary": m,
-             "bits_per_symbol": mi(ref, eq),
-             "assumed_baud": cfg.pipeline.assumed_baud,
-             "snr_db": estimate_snr(ref, eq)}
-            for m, (ref, eq) in enumerate(pairs)]
+    rows = []
+    for m, (ref, eq) in enumerate(pairs):
+        eq = _fitted(ref.samples, eq)
+        rows.append({"signal": signal, "sweep_axis": cfg.sweep_axis,
+                     "sweep_value": value,
+                     "distance_km": n_rec * link.span_length,
+                     "launch_power_dbm": link.launch_power_dbm,
+                     "seed": seed, "tributary": m,
+                     "bits_per_symbol": mi(ref, eq),
+                     "assumed_baud": cfg.pipeline.assumed_baud,
+                     "snr_db": estimate_snr(ref, eq)})
+        del ref, eq  # one fit alive at a time: free it before the next pair
+    return rows
 
 
 def _characterize(channel: MimoChannel, band: Optional[float]

@@ -1,6 +1,7 @@
 """Tests for the linear MIMO channel model and recirculating-loop simulation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,6 +48,33 @@ def _loop_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
         noise *= np.sqrt(n * power * ratio / 2.0)
         want += noise
     return want
+
+
+def _one_pass_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
+                        seed: int) -> np.ndarray:
+    """The spectrum of a link without MDL as the cascade gives it: the
+    dispersion of all the spans in one multiply, the coupling model once
+    per span, then one (M, 2N) draw at ``(1 + r)**L - 1`` times the power
+    measured there, the gain summed as the link sums it."""
+    assert cfg.mdl_per_span == 0
+    m, n = sig.data.shape
+    model_seed, noise_seed, _ = np.random.SeedSequence(seed).spawn(3)
+    model = MultiSectionModel(m, 0.0, cfg.dgd_per_span, model_seed,
+                              cfg.n_sections)
+    rot = model.delay_rotation(np.fft.fftfreq(n, d=1 / sig.sample_rate))
+    want = np.fft.fft(sig.data, axis=1)
+    want *= _dispersion_response(n, sig.sample_rate, cfg.dispersion_coeff,
+                                 n_rec * cfg.span_length,
+                                 cfg.center_wavelength, +1.0)
+    for _ in range(n_rec):
+        model.apply_spectrum(want, rot)
+    ratio = span_noise_power_ratio(cfg)
+    gain = ratio * sum((1.0 + ratio) ** k for k in range(n_rec))
+    power = np.vdot(want, want).real / (m * n * n)
+    noise = np.random.default_rng(noise_seed).standard_normal((m, 2 * n))
+    noise = noise.view(np.complex128)
+    noise *= np.sqrt(n * power * gain / 2.0)
+    return want + noise
 
 
 def _disperse(sig: MimoSignal, cfg: LinkConfig) -> MimoSignal:
@@ -303,11 +331,12 @@ class TestRunLink:
         assert np.array_equal(a.as_array(), b.as_array())
 
     def test_noiseless_coupled_link_matches_materialized_channel(self):
-        # the spectral loop with its once-built DGD rotation against the
-        # per-span time-domain chain: dispersion, then the sampled matrices;
-        # n spans two full coupling chunks and a partial one.  With MDL the
+        # the spectral loop against the per-span time-domain chain:
+        # dispersion, then the sampled matrices.  Three loops of two modes
+        # apply the span transfer, built and applied a coupling chunk at a
+        # time; n spans two full chunks and a partial one.  With MDL the
         # link runs span by span; DGD alone takes the one-pass path, the
-        # dispersion of all three spans in one multiply
+        # transfer applied three times before one draw
         n, rate, seed = 2 * _COUPLING_CHUNK + 7232, 40e9, 11
         sig = generate_wgn_mimo(2, n, rate, 1.0, seed=22)
         model_seed = np.random.SeedSequence(seed).spawn(3)[0]
@@ -454,6 +483,84 @@ class TestNoiseOverflow:
             warnings.simplefilter("error")
             out = run_link(spec, cfg, 5, seed=1)
         assert np.isfinite(out.data).all()
+
+
+class TestSpanTransfer:
+    # a two-mode coupled link of more loops than modes applies its span
+    # transfer D(f) H(f), built once from the cascade: the numbers differ
+    # from the cascade's by rounding, a few 1e-15 of the largest bin per
+    # 20 spans; bound 1e-12.  The noise draws are the same numbers, so a
+    # differing draw (about unit size) would fail the bound
+    @pytest.mark.parametrize("n_rec", [5, 20])
+    @pytest.mark.parametrize("mdl, dgd", [(0.5, 1e-11), (0.0, 1e-11)],
+                             ids=["mdl", "dgd-only"])
+    def test_two_modes_match_the_cascade(self, n_rec, mdl, dgd):
+        cfg = LinkConfig(span_snr_db=20.0, mdl_per_span=mdl,
+                         dgd_per_span=dgd)
+        sig = generate_wgn_mimo(2, 40_001, 40e9, 1.0, seed=29)
+        got = run_link(MimoSpectrum.of(sig), cfg, n_rec, seed=15).data
+        ref = (_loop_reference if mdl else _one_pass_reference)(
+            sig, cfg, n_rec, 15)
+        assert not np.array_equal(got, ref)  # the transfer ran
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+    def test_four_modes_run_the_cascade(self):
+        # four modes would hold 16 transfer values per bin: the cascade
+        # per span, bit for bit
+        cfg = LinkConfig(n_modes=4, span_snr_db=20.0, mdl_per_span=0.5,
+                         dgd_per_span=1e-11)
+        sig = generate_wgn_mimo(4, 40_001, 40e9, 1.0, seed=30)
+        got = run_link(MimoSpectrum.of(sig), cfg, 5, seed=16).data
+        assert np.array_equal(got, _loop_reference(sig, cfg, 5, 16))
+
+    def test_no_full_length_rotation_or_dispersion(self):
+        # the link holds its spectrum (2N complex) and the transfer (4N);
+        # the chunk buffers, the cascade's chunk temporaries and the noise
+        # buffer take about 2.4 MB.  A full-length dispersion (N complex,
+        # 8 MB here) or DGD rotation (2N) would exceed the bound
+        n = 1 << 19
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, n, 40e9, 1.0, seed=31))
+        cfg = LinkConfig(mdl_per_span=0.5, dgd_per_span=1e-11)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_link(spec, cfg, 5, seed=17)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = 6 * n * 16
+        assert peak < held + 4 * 2 ** 20, peak / 2 ** 20
+
+
+class TestSpanNoiseOverflow:
+    # finite config values whose span noise terms leave float64 range
+    @pytest.mark.parametrize("cfg", [LinkConfig(launch_power_dbm=1100.0),
+                                     LinkConfig(span_snr_db=-4000.0)],
+                             ids=["cube", "ase"])
+    def test_overflowing_term_is_inf(self, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert span_noise_power_ratio(cfg) == math.inf
+
+    def test_cube_does_not_count_without_nlin(self):
+        # 10**-2.2 mW of ASE over 1e110 mW: a finite ratio, a working link
+        cfg = LinkConfig(launch_power_dbm=1100.0, nlin_coeff=0.0)
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, 4096, 40e9, 1.0, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = span_noise_power_ratio(cfg)
+            out = run_link(spec, cfg, 5, seed=1)
+        assert ratio == pytest.approx(10 ** -2.2 / 1e110, rel=1e-12)
+        assert np.isfinite(out.data).all()
+
+    def test_ase_overflow_is_named(self):
+        cfg = LinkConfig(span_snr_db=-4000.0)
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, 4096, 40e9, 1.0, seed=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"overflows: span_snr_db -4000, 5 loops"):
+                run_link(spec, cfg, 5, seed=1)
 
 
 class TestLinkConfig:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgnlink.metrics import (RingConstellation, build_ring_constellation,
-                             estimate_mi, estimate_mi_discrete, estimate_snr,
+from wgnlink import metrics
+from wgnlink.metrics import (RingConstellation, _fitted,
+                             build_ring_constellation, estimate_mi,
+                             estimate_mi_discrete, estimate_snr,
                              qam16_constellation)
 from wgnlink.signals import ComplexSignal, generate_wgn
 
@@ -258,3 +260,44 @@ class TestEstimateSnr:
     def test_tracks_construction(self, snr, seed):
         x, y = _awgn_pair(100_000, snr, seed=seed)
         assert estimate_snr(x, y) == pytest.approx(snr, abs=0.3)
+
+
+class TestSharedFit:
+    def test_fitted_field_gives_the_same_estimates(self, monkeypatch):
+        # the MI and SNR of one fitted pair: one fit, the same numbers
+        x, y = _awgn_pair(50_000, 12.0, seed=16)
+        pts = qam16_constellation()
+        sym = pts[np.random.default_rng(17).integers(0, 16, 50_000)]
+        z = ComplexSignal(sym + (y.samples - x.samples), 30e9)
+        rings = build_ring_constellation(16)
+        want = (estimate_mi(x, y, rings), estimate_snr(x, y),
+                estimate_mi_discrete(sym, z, pts), estimate_snr(
+                    ComplexSignal(sym, 30e9), z))
+        calls = []  # (fitted field or None, the arrays _fit returned)
+        fit = metrics._fit
+
+        def counted(x, f_eq):
+            out = fit(x, f_eq)
+            calls.append((getattr(f_eq, "normalized", None), out[0]))
+            return out
+
+        monkeypatch.setattr(metrics, "_fit", counted)
+        fy, fz = _fitted(x.samples, y), _fitted(sym, z)
+        got = (estimate_mi(x, fy, rings), estimate_snr(x, fy),
+               estimate_mi_discrete(sym, fz, pts),
+               estimate_snr(ComplexSignal(sym, 30e9), fz))
+        assert got == want
+        # two fits, then each estimate reads the one it was handed
+        assert len(calls) == 6
+        assert all(held is None for held, _ in calls[:2])
+        assert all(held is y_ for held, y_ in calls[2:])
+
+    def test_another_reference_is_fitted_afresh(self):
+        # the fit belongs to one reference array; an equal copy of it, or
+        # another reference, gets its own fit
+        x, y = _awgn_pair(20_000, 15.0, seed=18)
+        other, _ = _awgn_pair(20_000, 15.0, seed=19)
+        f = _fitted(x.samples, y)
+        assert estimate_snr(other, f) == estimate_snr(other, y)
+        copy = ComplexSignal(x.samples.copy(), 30e9)
+        assert estimate_snr(copy, f) == estimate_snr(x, y)
