@@ -74,6 +74,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} values must be integers >= 1, "
                                   f"got {v!r}")
         _reject_duplicates(key, self.sweep_values)
+        # the CSVs and the characterization file names print a sweep value
+        # with %.10g, so no two values may print alike there
+        if len({f"{float(v):.10g}" for v in self.sweep_values}) != len(
+                self.sweep_values):
+            raise ConfigError(f"{key} values print alike at 10 significant "
+                              f"digits: {list(self.sweep_values)}")
         for name in ("base_recirculations", "n_rings", "mi_max_symbols",
                      "n_samples"):
             v = getattr(self, name)

@@ -1,7 +1,7 @@
 """Mutual-information and SNR estimation between reference and equalized fields.
 
 Every estimate first fits a least-squares complex gain of the received field
-onto the reference and works on the normalized field and its residual.
+y onto the reference x.
 
 The MI estimator is a mismatched-decoding lower bound with a circular
 Gaussian auxiliary channel whose variance s is measured from the data
@@ -12,8 +12,13 @@ closed form
 
     mean(|y|^2 / (P + s) - |y - x|^2 / s) / ln 2 + log2((P + s) / s)
 
-which tracks log2(1+SNR) closely while remaining a lower bound.  A
-:class:`RingConstellation` only sets its clamp log2(n_rings * phase_points).
+with y the normalized field.  The fit leaves the residual y - x orthogonal
+to x, so mean(|y|^2) = P + s and the sample mean is 0 by algebra: the bound
+is log2(1 + P/s), with P/s the measured SNR.  With the pair's squared
+correlation coefficient |rho|^2 = |<x, y>|^2 / (<x, x> <y, y>), P/s is
+|rho|^2 / (1 - |rho|^2), so three inner products give both, and the MI is
+-log2(1 - |rho|^2).  A :class:`RingConstellation` only sets its clamp
+log2(n_rings * phase_points).
 
 For a known discrete source (the 16QAM reference),
 :func:`estimate_mi_discrete` evaluates the same bound as a log-sum-exp over
@@ -60,41 +65,36 @@ def build_ring_constellation(n_rings: int, mean_power: float = 1.0,
     return RingConstellation(n_rings, phase_points)
 
 
+def _gain(x: np.ndarray, y: np.ndarray) -> tuple[complex, complex]:
+    """``<x, x>`` and ``<x, y>`` of a (reference, received) pair, checked:
+    the least-squares gain of `y` onto `x` is their ratio."""
+    if len(x) != len(y) or len(x) == 0:
+        raise ValueError("signals must be equal non-zero length")
+    xx = np.vdot(x, x)
+    if xx == 0:
+        raise ValueError("reference signal has zero power")
+    xy = np.vdot(x, y)
+    if xy == 0:
+        raise ValueError("received field has no least-squares gain onto the "
+                         "reference: it is all zero or orthogonal to it")
+    return xx, xy
+
+
 def _fit(x: np.ndarray, f_eq: ComplexSignal
          ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares complex gain fit of `f_eq` onto `x`: returns the
-    normalized samples and their per-sample residual power ``|y - x|^2``.
-    A field from :func:`_fitted` on the array `x` returns its fit."""
-    if isinstance(f_eq, _Fitted) and f_eq.reference is x:
-        return f_eq.normalized, f_eq.residual
-    y = f_eq.samples
-    if len(x) != len(y) or len(x) == 0:
-        raise ValueError("signals must be equal non-zero length")
-    denom = np.vdot(x, x)
-    if denom == 0:
-        raise ValueError("reference signal has zero power")
-    y = y / (np.vdot(x, y) / denom)
+    normalized samples and their per-sample residual power ``|y - x|^2``."""
+    xx, xy = _gain(x, f_eq.samples)
+    y = f_eq.samples / (xy / xx)
     return y, np.abs(y - x) ** 2
 
 
-@dataclass(frozen=True)
-class _Fitted(ComplexSignal):
-    """A received field with its :func:`_fit` onto the array `reference`,
-    so that the MI and the SNR of one pair share one fit."""
-
-    reference: np.ndarray = None
-    normalized: np.ndarray = None
-    residual: np.ndarray = None
-
-    def __post_init__(self):
-        pass  # built by _fitted from a checked signal
-
-
-def _fitted(reference: np.ndarray, f_eq: ComplexSignal) -> ComplexSignal:
-    """`f_eq` carrying its fit onto `reference`: every estimate given this
-    field and that same array reads the fit instead of redoing it."""
-    return _Fitted(f_eq.samples, f_eq.sample_rate, reference,
-                   *_fit(reference, f_eq))
+def _rho2(f_in: ComplexSignal, f_eq: ComplexSignal) -> float:
+    """Squared correlation coefficient ``|<x, y>|^2 / (<x, x> <y, y>)`` of
+    the pair, one ratio at a time so that no product leaves float64."""
+    x, y = f_in.samples, f_eq.samples
+    xx, xy = _gain(x, y)
+    return float((abs(xy) / xx.real) * (abs(xy) / np.vdot(y, y).real))
 
 
 def estimate_mi(f_in: ComplexSignal, f_eq: ComplexSignal,
@@ -102,23 +102,20 @@ def estimate_mi(f_in: ComplexSignal, f_eq: ComplexSignal,
     """Mutual information (bits/symbol) between reference and equalized field.
 
     Inputs must be aligned, equal length, and sampled at one sample per
-    symbol.  After a least-squares complex gain fit of `f_eq` onto `f_in`,
-    with P the reference power and s the residual variance, the estimate is
-    ``mean(|y|^2/(P+s) - |y-x|^2/s) / ln 2 + log2((P+s)/s)``, clamped to
+    symbol.  The mismatched-decoding bound with a Gaussian auxiliary channel
+    fitted to the pair is ``log2(1 + P/s) = -log2(1 - |rho|^2)``: the
+    least-squares residual is orthogonal to the reference, so the closed
+    form's sample-mean term is 0 (module docstring).  So the estimate is
+    ``log2(1 + 10**(estimate_snr/10))`` below the clamp
     [0, log2(n_rings * phase_points)]; only the clamp depends on `rings`.
-    A common complex gain on both fields leaves the estimate unchanged.
+    A residual s at most 1e-7 of P reads as the clamp.  A common complex
+    gain on both fields leaves the estimate unchanged.
     """
-    x = f_in.samples
-    y, err = _fit(x, f_eq)
+    rho2 = _rho2(f_in, f_eq)
     cap = np.log2(rings.n_points)
-    power = float(np.mean(np.abs(x) ** 2))
-    noise_var = float(np.mean(err))
-    if noise_var <= power * 1e-7:
-        return cap  # residual below resolvable floor: bound exceeds the clamp
-    total = power + noise_var  # variance of the output marginal CN(0, P + s)
-    mi = float(np.mean(np.abs(y) ** 2 / total - err / noise_var) / np.log(2.0)
-               + np.log2(total / noise_var))
-    return float(np.clip(mi, 0.0, cap))
+    if 1.0 / rho2 - 1.0 <= 1e-7:  # s/P: below the resolvable floor
+        return cap
+    return float(np.clip(-np.log2(1.0 - rho2), 0.0, cap))
 
 
 def estimate_mi_discrete(symbols: np.ndarray, f_eq: ComplexSignal,
@@ -176,14 +173,14 @@ def estimate_mi_discrete(symbols: np.ndarray, f_eq: ComplexSignal,
 
 
 def estimate_snr(f_in: ComplexSignal, f_eq: ComplexSignal) -> float:
-    """SNR in dB after a least-squares complex gain fit, capped at 80 dB."""
-    x = f_in.samples
-    _, err = _fit(x, f_eq)
-    sig = float(np.mean(np.abs(x) ** 2))
-    noise = float(np.mean(err))
-    if noise <= 0:
+    """SNR ``P/s`` in dB after a least-squares complex gain fit, capped at
+    80 dB.  The fit's residual is orthogonal to the reference, so the
+    normalized field has power P + s, and ``P/s = |rho|^2 / (1 - |rho|^2)``
+    (module docstring)."""
+    rho2 = _rho2(f_in, f_eq)
+    if rho2 >= 1.0:
         return _SNR_CAP_DB
-    return float(min(10.0 * np.log10(sig / noise), _SNR_CAP_DB))
+    return float(min(10.0 * np.log10(rho2 / (1.0 - rho2)), _SNR_CAP_DB))
 
 
 def qam16_constellation(mean_power: float = 1.0) -> np.ndarray:

@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .estimation import (ImpulseResponse, MdlSpectrum, estimate_channel,
                          impulse_response_from_channel, mdl_from_channel)
-from .metrics import (_fitted, build_ring_constellation, estimate_mi,
+from .metrics import (build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .signals import (ComplexSignal, MimoSignal, MimoSpectrum,
@@ -93,13 +93,10 @@ def _receive(cfg: ExperimentConfig, value, seed: int, captures: list,
 def _tributary_rows(cfg: ExperimentConfig, signal: str, value, seed: int,
                     pairs, mi) -> list[dict]:
     """One `MI_COLUMNS` row per (reference, received) pair of symbol-rate
-    signals; ``mi(reference, received)`` gives the bits per symbol.  The
-    received field is fitted onto its reference once, and the MI and the
-    SNR of the row both read that fit."""
+    signals; ``mi(reference, received)`` gives the bits per symbol."""
     link, n_rec = cfg.link_for(value)
     rows = []
     for m, (ref, eq) in enumerate(pairs):
-        eq = _fitted(ref.samples, eq)
         rows.append({"signal": signal, "sweep_axis": cfg.sweep_axis,
                      "sweep_value": value,
                      "distance_km": n_rec * link.span_length,
@@ -108,7 +105,6 @@ def _tributary_rows(cfg: ExperimentConfig, signal: str, value, seed: int,
                      "bits_per_symbol": mi(ref, eq),
                      "assumed_baud": cfg.pipeline.assumed_baud,
                      "snr_db": estimate_snr(ref, eq)})
-        del ref, eq  # one fit alive at a time: free it before the next pair
     return rows
 
 
@@ -321,7 +317,9 @@ def characterize_captures(f_in: MimoSignal, f_out: MimoSignal,
 
 
 def _tag(value) -> str:
-    return f"{float(value):g}".replace("-", "m").replace(".", "p")
+    """A sweep value in file names: as the CSV prints it (config rejects
+    values that print alike), with ``m`` for ``-`` and ``p`` for ``.``."""
+    return _fmt(float(value)).replace("-", "m").replace(".", "p")
 
 
 def _fmt(v) -> str:
@@ -378,8 +376,9 @@ def write_plots(out_dir: str | Path) -> None:
         if p.exists():
             with open(p, newline="") as f:
                 rows.extend(csv.DictReader(f))
-    if rows:
-        _plot_mi(out_dir, rows)
+    # one MI plot per sweep axis: the two verbs may share a directory
+    for axis in sorted({r["sweep_axis"] for r in rows}):
+        _plot_mi(out_dir, [r for r in rows if r["sweep_axis"] == axis])
     for p in sorted(out_dir.glob("mdl_*.csv")):
         _plot_mdl(out_dir, p)
     for p in sorted(out_dir.glob("impulse_*.csv")):

@@ -231,8 +231,11 @@ class TestCliVerbs:
         ("snr_db: [.inf]", "sweep.snr_db"),
         ("launch_power_dbm: [false]", "sweep.launch_power_dbm"),
         ("snr_db: ['20']", "sweep.snr_db"),
+        # two values the CSV and the file names print alike
+        ("launch_power_dbm: [0.12345678901, 0.12345678902]",
+         "sweep.launch_power_dbm"),
     ], ids=["fractional", "zero", "text", "bool", "nan", "inf",
-            "bool-power", "quoted-number"])
+            "bool-power", "quoted-number", "alike-at-10-digits"])
     def test_bad_sweep_value_is_exit_1(self, tmp_path, sweep, key):
         text = f"sweep:\n  {sweep}\nseeds: [3]\n"
         cfg = _write(tmp_path, text)
@@ -724,6 +727,64 @@ class TestOutputContracts:
         assert char["rows"] == plain["rows"]
         assert "characterization" in char
         assert "characterization" not in plain
+
+    def test_wgn_rows_sit_on_the_shannon_curve(self, tmp_path):
+        # the Gaussian MI is log2(1 + SNR) of the row's own measured SNR
+        cfg = validate_config(_write(tmp_path, COUPLED_SWEEP))
+        rows = runner._wgn_point(cfg, 2, 3, False)["rows"]
+        assert len(rows) == 2
+        for r in rows:
+            assert 0 < r["bits_per_symbol"] < np.log2(64 * cfg.n_rings)
+            assert r["bits_per_symbol"] == pytest.approx(
+                np.log2(1 + 10 ** (r["snr_db"] / 10)), rel=0, abs=1e-10)
+
+    def test_close_sweep_values_get_their_own_files(self, tmp_path):
+        # values %g prints alike are told apart as the CSV prints them
+        text = COUPLED_SWEEP.replace("recirculations: [1, 2]",
+                                     "launch_power_dbm: [0.1234561, "
+                                     "0.1234562]")
+        out = tmp_path / "results"
+        assert cli.main(["simulate", "--config", _write(tmp_path, text),
+                         "--out", str(out), "--no-plots"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == [
+            f"{kind}_0p123456{d}.csv" for kind in ("impulse", "mdl")
+            for d in "12"] + ["mi_results.csv"]
+        assert sorted(p.name for p in out.glob("*.csv")) == manifest["files"]
+        # the names of the benchmark sweeps' files are unchanged
+        assert [runner._tag(v) for v in (1, 20, -2, 0, 2, -2.5)] == [
+            "1", "20", "m2", "0", "2", "m2p5"]
+
+    def test_each_sweep_axis_gets_its_mi_plot(self, tmp_path):
+        # simulate over distance and reference-16qam over launch power,
+        # written to one directory as the README's two verbs may be
+        def rows(signal, axis, values):
+            return [{"signal": signal, "sweep_axis": axis, "sweep_value": v,
+                     "distance_km": 78.0 * (
+                         v if axis == "recirculations" else 5),
+                     "launch_power_dbm": (
+                         float(v) if axis == "launch_power_dbm" else 0.0),
+                     "seed": 1, "tributary": 0,
+                     "bits_per_symbol": 3.0 + 0.25 * i,
+                     "assumed_baud": 30e9, "snr_db": 12.0 + i}
+                    for i, v in enumerate(values)]
+
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        for d in (both, alone):
+            d.mkdir()
+            runner._write_mi_csv(d / "mi_results.csv",
+                                 rows("wgn", "recirculations", [1, 2]))
+        runner._write_mi_csv(both / "mi_results_qam16.csv",
+                             rows("qam16", "launch_power_dbm", [-2, 0, 2]))
+        runner.write_plots(both)
+        runner.write_plots(alone)
+        assert sorted(p.name for p in both.glob("*.svg")) == [
+            "mi_vs_distance.svg", "mi_vs_power.svg", "mi_vs_snr.svg"]
+        # the 16QAM rows reach their own axis's plot only
+        for name in ("mi_vs_distance.svg", "mi_vs_snr.svg"):
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
+        power = (both / "mi_vs_power.svg").read_text()
+        assert "QAM16" in power and "WGN" not in power
 
     def test_sweep_progress_is_logged(self, tmp_path, caplog):
         out = tmp_path / "results"
