@@ -5,18 +5,15 @@ an exact all-pass quadratic phase, mode coupling is a seeded multi-section
 unitary/delay cascade with a frequency-flat singular-value (MDL) profile,
 amplifier noise is additive Gaussian per span, and nonlinear interference
 is a cubic-in-power additive Gaussian term.  Both noises are white, so
-:func:`run_link` injects them per frequency bin at the Parseval-scaled
-power, and a link given a spectrum returns one without a transform,
-whatever its loop count.  Without MDL each span is unitary per bin, and
-circular white noise stays white under a unitary map, so such a link
-draws the noise of all its loops at once; a link with MDL adds it loop by
-loop.  A two-mode coupled link of more loops than modes builds the span's
-per-bin 2x2 transfer D(f) H(f) once, from the coupling cascade, and
-applies it per span; every other link runs the cascade per span.  The
-transfer holds M^2 values per bin: at two modes 4, next to the 3 of the
-full-length DGD rotation and dispersion it replaces; at six modes 36,
-more than all the rest of the link, so wider links keep the cascade.  A
-split-step solver is out of scope by design.
+:func:`run_link` injects them per frequency bin, and a link given a
+spectrum returns one without a transform, whatever its loop count.  The
+link is linear, so its output is ``T x + n`` per bin, applied in one pass
+whatever the loop count: without coupling, T is the dispersion of all the
+spans and n one white draw at the loops' total noise power; with MDL or
+DGD, ``T = D(f)^L H(f)^L`` and n has the per-bin covariance K of the
+loops' noise seen at the output, both from a recursion over the loops on
+a coarse frequency grid, interpolated onto the bins.  A split-step solver
+is out of scope by design.
 """
 
 from __future__ import annotations
@@ -106,6 +103,8 @@ class LinkConfig:
                              f"power in mW, got {self.launch_power_dbm!r}")
         if self.mdl_per_span < 0:
             raise ValueError("mdl_per_span must be >= 0")
+        if self.dgd_per_span < 0:
+            raise ValueError("dgd_per_span must be >= 0")
         if self.lo_linewidth < 0:
             raise ValueError("lo_linewidth must be >= 0")
         if self.nlin_coeff < 0:
@@ -164,30 +163,12 @@ def _dispersion_response(n: int, sample_rate: float, dispersion_coeff: float,
     Built in place, with :func:`dispersion_phase`'s operations in its order,
     in one real and one complex array of `n`."""
     scale = _dispersion_scale(dispersion_coeff, length_km, wavelength_nm)
-    return _dispersion_rotation(np.fft.fftfreq(n, d=1.0 / sample_rate),
-                                scale, sign, np.empty(n, dtype=complex))
-
-
-def _dispersion_rotation(freqs: np.ndarray, scale: float, sign: float,
-                         out: np.ndarray) -> np.ndarray:
-    """``exp(sign * j * scale * freqs**2 / c)`` into `out`, squaring `freqs`
-    in place: :func:`_dispersion_response` on any run of its bins."""
-    np.square(freqs, out=freqs)
-    freqs *= scale
-    freqs /= SPEED_OF_LIGHT
-    np.multiply(freqs, sign * 1j, out=out)
+    phase = np.fft.fftfreq(n, d=1.0 / sample_rate)
+    np.square(phase, out=phase)
+    phase *= scale
+    phase /= SPEED_OF_LIGHT
+    out = np.multiply(phase, sign * 1j)
     return np.exp(out, out=out)
-
-
-def _fft_bins(n: int, sample_rate: float, start: int,
-              out: np.ndarray) -> np.ndarray:
-    """``np.fft.fftfreq(n, 1 / sample_rate)[start:start + len(out)]`` into
-    `out`, the same numbers: the bin numbers, wrapped past n/2, times
-    fftfreq's spacing."""
-    np.add(np.arange(out.size, dtype=np.float64), start, out=out)
-    out[max((n + 1) // 2 - start, 0):] -= n
-    out *= 1.0 / (n * (1.0 / sample_rate))
-    return out
 
 
 class MultiSectionModel:
@@ -205,6 +186,10 @@ class MultiSectionModel:
             raise ValueError("n_modes must be even and >= 2")
         if mdl_db < 0:
             raise ValueError("mdl_db must be >= 0")
+        if dgd < 0:
+            raise ValueError("dgd must be >= 0")
+        if n_sections < 1:
+            raise ValueError("n_sections must be >= 1")
         rng = np.random.default_rng(seed)
         self.n_modes = n_modes
         self.n_sections = n_sections
@@ -218,43 +203,21 @@ class MultiSectionModel:
         sigma = ratio ** exponents
         self.sigma = sigma / np.sqrt(np.mean(sigma ** 2))
 
-    def delay_rotation(self, freqs: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-section DGD phase exp(-2j pi f tau_i), shape (M, len(freqs)),
-        built in place in `out` (a new array if None)."""
-        out = np.multiply(-2j * np.pi * self.delays[:, None], freqs[None, :],
-                          out=out)
-        return np.exp(out, out=out)
-
-    def apply_spectrum(self, spectrum: np.ndarray,
-                       rotation: np.ndarray) -> np.ndarray:
-        """Apply H(f) in place to an (M, N) spectrum, ``rotation`` being
-        ``delay_rotation(freqs)``; bins pass all sections one cache-sized
-        chunk at a time, and no per-bin matrix is materialized.  This
-        cascade defines H: a two-mode link of more loops than modes runs
-        it once per point, on identity columns, to build its span transfer
-        (:func:`_span_transfer`), and every other coupled link once per
-        span."""
-        for s in range(0, spectrum.shape[1], _COUPLING_CHUNK):
-            out = self.output_unitary @ spectrum[:, s:s + _COUPLING_CHUNK]
-            out *= self.sigma[:, None]
-            rot = rotation[:, s:s + _COUPLING_CHUNK]
-            for u in reversed(self.unitaries):
-                out *= rot
-                out = u @ out
-            spectrum[:, s:s + _COUPLING_CHUNK] = out
-        return spectrum
+    def matrices(self, freqs: np.ndarray) -> np.ndarray:
+        """H at each of `freqs`: an (len(freqs), M, M) array."""
+        m = self.n_modes
+        h = np.broadcast_to(self.output_unitary * self.sigma[:, None],
+                            (len(freqs), m, m)).copy()
+        # per-section DGD phase exp(-2j pi f tau_i), one row per bin
+        rot = np.exp(-2j * np.pi * self.delays[:, None] * freqs[None, :]).T
+        for u in reversed(self.unitaries):
+            h = np.einsum("ij,kjl->kil", u, rot[:, :, None] * h)
+        return h
 
     def sample(self, n_bins: int, bin_spacing: float) -> MimoChannel:
         """Materialize per-bin matrices on an FFT-ordered grid."""
         freqs = np.fft.fftfreq(n_bins, d=1.0 / (n_bins * bin_spacing))
-        m = self.n_modes
-        h = np.broadcast_to(self.output_unitary * self.sigma[:, None],
-                            (n_bins, m, m)).copy()
-        rot = self.delay_rotation(freqs).T
-        for u in reversed(self.unitaries):
-            h = np.einsum("ij,kjl->kil", u, rot[:, :, None] * h)
-        return MimoChannel(h, bin_spacing)
+        return MimoChannel(self.matrices(freqs), bin_spacing)
 
 
 def _random_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -403,30 +366,31 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
     the span's mode-coupling section (identity when both MDL and DGD are
     zero), and the combined ASE + nonlinear-interference noise.  The field
     stays a spectrum whatever the loop count: the white noise is drawn per
-    frequency bin, at the per-sample power the signal power (measured by
-    Parseval) sets.  LO phase noise and frequency offset are applied once
+    frequency bin.  LO phase noise and frequency offset are applied once
     at the receiver, in the time domain.
 
-    With ``mdl_per_span > 0`` each loop draws its noise at ``r =
-    span_noise_power_ratio(cfg)`` times the power measured in that loop.
-    Without MDL every span is unitary per bin and white noise stays white
-    under it, so the L = `n_recirculations` loops fold into one pass: the
-    dispersion of L spans in one multiply, the coupling (DGD only) L
-    times, then one draw at ``g`` times the power measured there, with
-    ``g = r * sum((1 + r)**l for l < L)``.  That is ``(1 + r)**L - 1``,
-    the loops' expected noise, and exactly ``r`` at L = 1, where both
-    paths give the same numbers.
+    The link is linear and its noise is white and Gaussian, so its output
+    is ``T x + n`` per bin, and it is applied in one pass over the bins
+    whatever its loop count L.  With ``r = span_noise_power_ratio(cfg)``:
 
-    A two-mode link with MDL or DGD and L > 2 builds the per-bin span
-    transfer ``S(f) = D(f) H(f)`` once, at the cost of two cascade passes,
-    and applies it per span: 4 multiplies and 2 adds per bin in place of
-    the dispersion multiply and the cascade's ``n_sections + 1`` matmuls.
-    Its numbers differ from the cascade's by rounding only, a few 1e-16 of
-    the largest bin per span, and the noise draws are the same.  S holds
-    4 complex values per bin, where the cascade holds 3: a full-length DGD
-    rotation (2) and dispersion (1).  At M modes S would hold M^2, so
-    links of 4 or more modes, and links of at most 2 loops, run the
-    cascade per span.
+    - Without MDL and DGD every span is the dispersion ``D(f)``, and
+      circular white noise stays white under it: the link multiplies by
+      the dispersion of L spans, measures the power there and makes one
+      draw at ``g = r * sum((1 + r)**l for l < L)`` times that power,
+      ``(1 + r)**L - 1``, the loops' expected noise.
+    - With MDL or DGD, ``T = D(f)^L H(f)^L`` and ``n`` has covariance
+      ``N P K(f)``, with P the launched power, measured once, and K the
+      recursion of :func:`_link_response` for a launched power of 1,
+      which draws each loop's noise at r times the loop's expected power.
+      ``H^L`` and a Cholesky factor of K are computed on a grid of B + 1
+      frequencies from -rate/2 to +rate/2 (at B = N, the bins
+      themselves) and interpolated onto the N bins by the cubic through
+      the four nearest grid points, one
+      coupling chunk at a time; ``D^L`` is exact per bin.  B is the
+      smallest power of two of at least 4096 and 40 grid steps per
+      sample of the accumulated delay spread, ``L * dgd_per_span``, and
+      at most N.  Every bin gets one draw of M complex normals.  A
+      noiseless link (r = 0) draws nothing.
 
     A :class:`MimoSignal` is FFT'd once and returned as a signal after one
     inverse FFT.  A :class:`MimoSpectrum` is left unchanged and the result
@@ -438,19 +402,16 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
         raise ValueError("n_recirculations must be >= 1")
     if signal.n_tributaries != cfg.n_modes:
         raise ValueError("signal tributary count does not match n_modes")
-    root = np.random.SeedSequence(seed)
-    model_seed, noise_seed, lo_seed = root.spawn(3)
-    model: Optional[MultiSectionModel] = None
-    if cfg.mdl_per_span > 0 or cfg.dgd_per_span > 0:
-        model = MultiSectionModel(cfg.n_modes, cfg.mdl_per_span,
-                                  cfg.dgd_per_span, model_seed,
-                                  cfg.n_sections)
+    _, noise_seed, lo_seed = np.random.SeedSequence(seed).spawn(3)
+    noise_rng = np.random.default_rng(noise_seed)
     spectral = isinstance(signal, MimoSpectrum)
     rate = signal.sample_rate
     spec = (signal.data.copy() if spectral
             else _transform_rows(np.fft.fft, signal.data))
-    _recirculate(spec, rate, cfg, model, np.random.default_rng(noise_seed),
-                 n_recirculations)
+    if cfg.mdl_per_span > 0 or cfg.dgd_per_span > 0:
+        _couple(spec, rate, cfg, n_recirculations, seed, noise_rng)
+    else:
+        _recirculate(spec, rate, cfg, n_recirculations, noise_rng)
     if spectral and cfg.lo_linewidth == 0 and cfg.frequency_offset == 0:
         return MimoSpectrum._built(spec, rate)
     # the link owns `spec` and each array the LO stages return: transform
@@ -466,113 +427,155 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
 
 
 def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
-                 model, noise_rng, n_recirculations: int) -> None:
-    """The span loop of :func:`run_link`, in place on an (M, N) spectrum:
-    one pass per loop with MDL, else one pass of all the spans with one
-    noise draw at gain ``g`` (see :func:`run_link`).  A two-mode coupled
-    link of more loops than modes applies its span transfer per span
-    (:func:`_span_transfer`: M cascade passes to build, M^2 values per
-    bin, so worth it only there); any other link multiplies by the
-    dispersion of a pass's spans and runs the coupling cascade per span."""
+                 n_recirculations: int, noise_rng) -> None:
+    """A link without coupling, in place on an (M, N) spectrum: the
+    dispersion of all its spans in one multiply, then one noise draw at
+    gain ``g`` times the power measured there (see :func:`run_link`)."""
     m, n = spec.shape
-    passes, spans = ((1, n_recirculations) if cfg.mdl_per_span == 0
-                     else (n_recirculations, 1))
-    transfer = None
-    if model is not None and m == 2 and n_recirculations > m:
-        transfer = _span_transfer(model, n, sample_rate, cfg)
-    else:
-        disp_rot = _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
-                                        spans * cfg.span_length,
-                                        cfg.center_wavelength, +1.0)
-        delay_rot = (model.delay_rotation(np.fft.fftfreq(n, d=1.0 /
-                                                         sample_rate))
-                     if model is not None else None)
+    spec *= _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
+                                 n_recirculations * cfg.span_length,
+                                 cfg.center_wavelength, +1.0)
     noise_ratio = span_noise_power_ratio(cfg)
+    if noise_ratio == 0:
+        return
     try:
         gain = noise_ratio * sum((1.0 + noise_ratio) ** k
-                                 for k in range(spans))
+                                 for k in range(n_recirculations))
     except OverflowError:  # raised below, as the noise scale's overflow
         gain = math.inf
+    # Parseval: mean |x|^2 = sum |X|^2 / (M N^2), per-bin noise power N s
+    # for per-sample s; in floats an overflow is inf, no warning
+    power = float(np.vdot(spec, spec).real) / (m * n * n)
+    scale = np.sqrt(n * power * gain / 2.0)
+    if not math.isfinite(scale):
+        raise _noise_overflow(cfg, n_recirculations)
     # the noise is drawn a chunk at a time into one buffer and added to the
     # (re, im) floats of each row: the same numbers as one (M, 2N) draw
-    floats = spec.view(np.float64)
     noise = np.empty(min(2 * _COUPLING_CHUNK, 2 * n))
-    for _ in range(passes):
-        if transfer is not None:
-            _apply_transfer(spec, transfer, spans)
-        else:
-            spec *= disp_rot
-            if model is not None:
-                for _ in range(spans):
-                    model.apply_spectrum(spec, delay_rot)
-        if noise_ratio > 0:
-            # Parseval: mean |x|^2 = sum |X|^2 / (M N^2), per-bin noise power
-            # N s for per-sample s; in floats an overflow is inf, no warning
-            power = float(np.vdot(spec, spec).real) / (m * n * n)
-            scale = np.sqrt(n * power * gain / 2.0)
-            if not math.isfinite(scale):
-                n_ase, n_nl = _span_noise_terms(cfg)
-                cause = (f"span_snr_db {cfg.span_snr_db:g}" if n_ase >= n_nl
-                         else f"launch_power_dbm {cfg.launch_power_dbm:g}, "
-                              f"nlin_coeff {cfg.nlin_coeff:g}")
-                raise ValueError(f"link noise overflows: {cause}, "
-                                 f"{n_recirculations} loops")
-            for row in floats:
-                for s in range(0, 2 * n, noise.size):
-                    piece = noise[:2 * n - s]
-                    noise_rng.standard_normal(out=piece)
-                    piece *= scale
-                    row[s:s + piece.size] += piece
+    for row in spec.view(np.float64):
+        for s in range(0, 2 * n, noise.size):
+            piece = noise[:2 * n - s]
+            noise_rng.standard_normal(out=piece)
+            piece *= scale
+            row[s:s + piece.size] += piece
 
 
-def _span_transfer(model: MultiSectionModel, n: int, sample_rate: float,
-                   cfg: LinkConfig) -> np.ndarray:
-    """The per-bin transfer of one span, ``S(f) = D(f) H(f)``, on the FFT
-    grid of `n` bins: an (M, M, n) array, ``S[i, j, k]`` row i, column j
-    at bin k.  Column j is :meth:`MultiSectionModel.apply_spectrum` on the
-    j-th identity column times the span's dispersion, built one coupling
-    chunk at a time; the chunk's frequencies, DGD rotation and dispersion
-    go into buffers of one chunk, allocated once."""
-    m = model.n_modes
-    width = min(_COUPLING_CHUNK, n)
-    scale = _dispersion_scale(cfg.dispersion_coeff, cfg.span_length,
-                              cfg.center_wavelength)
-    freqs = np.empty(width)
-    rot = np.empty((m, width), dtype=complex)
-    disp = np.empty(width, dtype=complex)
-    cols = np.empty((m, width), dtype=complex)
-    transfer = np.empty((m, m, n), dtype=complex)
-    for s in range(0, n, width):
-        w = min(width, n - s)
-        f = _fft_bins(n, sample_rate, s, freqs[:w])
-        r = model.delay_rotation(f, out=rot[:, :w])
-        d = _dispersion_rotation(f, scale, +1.0, disp[:w])
-        col = cols[:, :w]
-        for j in range(m):
-            col.fill(0)
-            col[j] = d
-            transfer[:, j, s:s + w] = model.apply_spectrum(col, r)
-    return transfer
+def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
+            n_recirculations: int, seed, noise_rng) -> None:
+    """A link with MDL or DGD, in place on an (M, N) spectrum: ``T x + n``
+    per bin from :func:`_link_response` on the grid (see :func:`run_link`),
+    a coupling chunk at a time, so that nothing but the spectrum is held at
+    its full length."""
+    m, n = spec.shape
+    b = _grid_size(cfg, n_recirculations, sample_rate, n)
+    # B steps from -rate/2 to +rate/2, and one more past each end for the
+    # cubic's four points; an odd B, which is N, is shifted half a step
+    # onto the bins
+    step = sample_rate / b
+    coupling, cov = _link_response(
+        cfg, n_recirculations, seed,
+        np.linspace(-sample_rate / 2 - step, sample_rate / 2 + step, b + 3)
+        + b % 2 * step / 2)
+    factor = None
+    if span_noise_power_ratio(cfg) > 0:
+        # N times the launched power per bin, by Parseval; per real and
+        # imaginary part half of it
+        power = float(np.vdot(spec, spec).real) / (m * n * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov *= n * power / 2.0
+        if not np.isfinite(cov).all():
+            raise _noise_overflow(cfg, n_recirculations)
+        factor = np.linalg.cholesky(cov.transpose(2, 0, 1)).transpose(1, 2, 0)
+    for s in range(0, n, _COUPLING_CHUNK):
+        # the bins' signed numbers in FFT order; each falls in the grid
+        # step from point `idx` to `idx + 1`, a fraction `t` along it
+        k = np.arange(s, min(s + _COUPLING_CHUNK, n))
+        k[max((n + 1) // 2 - s, 0):] -= n
+        pos = k * (b / n) + (b // 2 + 1)
+        idx = np.clip(pos.astype(np.intp), 1, b)
+        t = pos - idx
+        # the cubic through grid points idx - 1 ... idx + 2
+        stencil = (idx + np.arange(-1, 3)[:, None],
+                   np.array([t * (t - 1) * (t - 2) / -6,
+                             (t + 1) * (t - 1) * (t - 2) / 2,
+                             (t + 1) * t * (t - 2) / -2,
+                             (t + 1) * t * (t - 1) / 6]))
+        out = spec[:, s:s + k.size]
+        x = out * np.exp(1j * dispersion_phase(
+            k * (sample_rate / n), cfg.dispersion_coeff,
+            n_recirculations * cfg.span_length, cfg.center_wavelength))
+        out.fill(0)
+        _add_mat_vec(coupling, stencil, x, out)
+        if factor is not None:
+            z = noise_rng.standard_normal((m, 2 * k.size)).view(complex)
+            _add_mat_vec(factor, stencil, z, out, lower=True)
 
 
-def _apply_transfer(spec: np.ndarray, transfer: np.ndarray,
-                    times: int) -> None:
-    """Apply the two-mode span transfer `times` times, in place, to a
-    (2, N) spectrum: a coupling chunk at a time, 4 multiplies and 2 adds
-    per bin and application, through two buffers of one chunk."""
-    (s00, s01), (s10, s11) = transfer
-    x0, x1 = spec
-    n = spec.shape[1]
-    width = min(_COUPLING_CHUNK, n)
-    buf = np.empty((2, width), dtype=complex)
-    for s in range(0, n, width):
-        e = min(s + width, n)
-        u, v = x0[s:e], x1[s:e]
-        a, b = buf[:, :e - s]
-        for _ in range(times):
-            np.multiply(s10[s:e], u, out=b)
-            u *= s00[s:e]
-            np.multiply(s01[s:e], v, out=a)
-            u += a
-            v *= s11[s:e]
-            v += b
+def _link_response(cfg: LinkConfig, n_recirculations: int, seed,
+                   freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling of the link's L = `n_recirculations` spans, ``H(f)^L``,
+    and the per-bin covariance ``K(f)`` of the noise its loops add, for a
+    field launched at power 1 and white over `freqs`: two (M, M, len(freqs))
+    arrays, ``[i, j, k]`` row i, column j at frequency k.
+
+    H is the span's :class:`MultiSectionModel` of the link's `seed`, as
+    :func:`run_link` splits it.  Per loop, ``K <- H K H^H + r P I``, with
+    ``r = span_noise_power_ratio(cfg)`` and P the expected power after the
+    loop's span, the mean over `freqs` of ``tr(H^l (H^l)^H + H K H^H) /
+    M``.  Dispersion is a unit-modulus scalar per bin, so it leaves K
+    unchanged.  Entries whose noise leaves float64 range read inf or nan,
+    without a warning."""
+    m = cfg.n_modes
+    model = MultiSectionModel(m, cfg.mdl_per_span, cfg.dgd_per_span,
+                              np.random.SeedSequence(seed).spawn(3)[0],
+                              cfg.n_sections)
+    span = np.ascontiguousarray(model.matrices(freqs).transpose(1, 2, 0))
+    span_h = span.conj().transpose(1, 0, 2)
+    eye = np.eye(m)[:, :, None]
+    coupling, cov = eye, np.zeros_like(span)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_recirculations):
+            coupling = np.einsum("ijk,jlk->ilk", span, coupling)
+            cov = np.einsum("ijk,jlk->ilk",
+                            np.einsum("ijk,jlk->ilk", span, cov), span_h)
+            power = float(np.sum(np.abs(coupling) ** 2)
+                          + np.trace(cov).real.sum()) / (m * freqs.size)
+            cov += span_noise_power_ratio(cfg) * power * eye
+    return coupling, cov
+
+
+def _grid_size(cfg: LinkConfig, n_recirculations: int, sample_rate: float,
+               n: int) -> int:
+    """B of :func:`run_link`: the smallest power of two of at least 4096
+    and of 40 grid steps per sample of the accumulated delay spread, and
+    at most the bin count `n`."""
+    b = 4096
+    while b < 40 * n_recirculations * cfg.dgd_per_span * sample_rate:
+        b *= 2
+    return min(b, n)
+
+
+def _add_mat_vec(values: np.ndarray, stencil: tuple, x: np.ndarray,
+                 out: np.ndarray, lower: bool = False) -> None:
+    """``out[i] += sum_j a[i, j] x[j]`` per bin, with ``a`` the (M, M, G)
+    grid `values` interpolated onto the bins by `stencil`, its (4, W) grid
+    points and their weights: per entry of ``a`` one read of the grid at
+    the four points, their weighted sum and one vector multiply-add.
+    ``lower`` skips the upper triangle, zero in a Cholesky factor."""
+    points, weights = stencil
+    for i in range(len(x)):
+        for j in range(i + 1 if lower else len(x)):
+            a = (values[i, j].take(points) * weights).sum(axis=0)
+            a *= x[j]
+            out[i] += a
+
+
+def _noise_overflow(cfg: LinkConfig, n_recirculations: int) -> ValueError:
+    """The error of a link whose noise leaves float64 range, naming the
+    larger of its span noise terms."""
+    n_ase, n_nl = _span_noise_terms(cfg)
+    cause = (f"span_snr_db {cfg.span_snr_db:g}" if n_ase >= n_nl
+             else f"launch_power_dbm {cfg.launch_power_dbm:g}, "
+                  f"nlin_coeff {cfg.nlin_coeff:g}")
+    return ValueError(f"link noise overflows: {cause}, "
+                      f"{n_recirculations} loops")

@@ -190,6 +190,7 @@ class TestCliVerbs:
                      id="link-nlin_coeff-negative"),
         pytest.param("link", "n_sections", "0\n  mdl_per_span: 0.5",
                      id="link-n_sections-0-coupled"),
+        ("link", "dgd_per_span", "-1.0e-11"),
         ("link", "frequency_offset", "25.0e9"),
         ("link", "frequency_offset", "-20.0e9"),
         # a float field must be finite; span_snr_db may only be +inf
@@ -727,6 +728,33 @@ class TestOutputContracts:
         assert char["rows"] == plain["rows"]
         assert "characterization" in char
         assert "characterization" not in plain
+
+    def test_coupled_point_carries_nothing_between_points(self, tmp_path):
+        # a 20-loop coupled point run first, after a 1-loop point and after
+        # a 6-mode link, in one process: the same rows and characterization
+        # each time, so no grid, model or buffer carries over
+        text = COUPLED_SWEEP.replace("[1, 2]", "[1, 20]")
+        cfg = validate_config(_write(tmp_path, text))
+        wide = validate_config(_write(
+            tmp_path, text.replace("link:\n", "link:\n  n_modes: 6\n"),
+            name="wide.yaml"))
+        assert wide.link.n_modes == 6
+
+        def point():
+            out = runner._wgn_point(cfg, 20, 3, True)
+            mdl, impulse = out["characterization"]
+            return out["rows"], (mdl.mdl_db, mdl.singular_values,
+                                 impulse.taps, impulse.dynamic_range_db)
+
+        first = point()
+        runner._wgn_point(cfg, 1, 3, False)
+        second = point()
+        runner._wgn_point(wide, 20, 3, False)
+        third = point()
+        for rows, char in (second, third):
+            assert rows == first[0]
+            for got, want in zip(char, first[1]):
+                assert np.array_equal(got, want)
 
     def test_wgn_rows_sit_on_the_shannon_curve(self, tmp_path):
         # the Gaussian MI is log2(1 + SNR) of the row's own measured SNR
