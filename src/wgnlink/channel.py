@@ -92,8 +92,10 @@ class LinkConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if self.span_length < 0:
-            raise ValueError("span_length must be >= 0")
+        for name in ("span_length", "mdl_per_span", "dgd_per_span",
+                     "lo_linewidth", "nlin_coeff"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.center_wavelength <= 0:
             raise ValueError("center_wavelength must be positive")
         if self.n_modes < 2 or self.n_modes % 2:
@@ -101,14 +103,6 @@ class LinkConfig:
         if not 0 < _from_db(self.launch_power_dbm) < math.inf:
             raise ValueError(f"launch_power_dbm must give a finite, nonzero "
                              f"power in mW, got {self.launch_power_dbm!r}")
-        if self.mdl_per_span < 0:
-            raise ValueError("mdl_per_span must be >= 0")
-        if self.dgd_per_span < 0:
-            raise ValueError("dgd_per_span must be >= 0")
-        if self.lo_linewidth < 0:
-            raise ValueError("lo_linewidth must be >= 0")
-        if self.nlin_coeff < 0:
-            raise ValueError("nlin_coeff must be >= 0")
         if self.n_sections < 1:
             raise ValueError("n_sections must be >= 1")
 
@@ -390,7 +384,7 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
       smallest power of two of at least 4096 and 40 grid steps per
       sample of the accumulated delay spread, ``L * dgd_per_span``, and
       at most N.  Every bin gets one draw of M complex normals.  A
-      noiseless link (r = 0) draws nothing.
+      noiseless link (r = 0) draws nothing, nor does a field of no power.
 
     A :class:`MimoSignal` is FFT'd once and returned as a signal after one
     inverse FFT.  A :class:`MimoSpectrum` is left unchanged and the result
@@ -402,7 +396,7 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
         raise ValueError("n_recirculations must be >= 1")
     if signal.n_tributaries != cfg.n_modes:
         raise ValueError("signal tributary count does not match n_modes")
-    _, noise_seed, lo_seed = np.random.SeedSequence(seed).spawn(3)
+    _, noise_seed, lo_seed = _link_seeds(seed)
     noise_rng = np.random.default_rng(noise_seed)
     spectral = isinstance(signal, MimoSpectrum)
     rate = signal.sample_rate
@@ -477,10 +471,11 @@ def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
         np.linspace(-sample_rate / 2 - step, sample_rate / 2 + step, b + 3)
         + b % 2 * step / 2)
     factor = None
-    if span_noise_power_ratio(cfg) > 0:
-        # N times the launched power per bin, by Parseval; per real and
-        # imaginary part half of it
-        power = float(np.vdot(spec, spec).real) / (m * n * n)
+    # N times the launched power per bin, by Parseval; per real and
+    # imaginary part half of it.  A field of no power draws no noise: K
+    # would be 0, which has no Cholesky factor
+    power = float(np.vdot(spec, spec).real) / (m * n * n)
+    if span_noise_power_ratio(cfg) > 0 and power > 0:
         with np.errstate(over="ignore", invalid="ignore"):
             cov *= n * power / 2.0
         if not np.isfinite(cov).all():
@@ -519,7 +514,7 @@ def _link_response(cfg: LinkConfig, n_recirculations: int, seed,
     arrays, ``[i, j, k]`` row i, column j at frequency k.
 
     H is the span's :class:`MultiSectionModel` of the link's `seed`, as
-    :func:`run_link` splits it.  Per loop, ``K <- H K H^H + r P I``, with
+    :func:`_link_seeds` splits it.  Per loop, ``K <- H K H^H + r P I``, with
     ``r = span_noise_power_ratio(cfg)`` and P the expected power after the
     loop's span, the mean over `freqs` of ``tr(H^l (H^l)^H + H K H^H) /
     M``.  Dispersion is a unit-modulus scalar per bin, so it leaves K
@@ -527,8 +522,7 @@ def _link_response(cfg: LinkConfig, n_recirculations: int, seed,
     without a warning."""
     m = cfg.n_modes
     model = MultiSectionModel(m, cfg.mdl_per_span, cfg.dgd_per_span,
-                              np.random.SeedSequence(seed).spawn(3)[0],
-                              cfg.n_sections)
+                              _link_seeds(seed)[0], cfg.n_sections)
     span = np.ascontiguousarray(model.matrices(freqs).transpose(1, 2, 0))
     span_h = span.conj().transpose(1, 0, 2)
     eye = np.eye(m)[:, :, None]
@@ -542,6 +536,12 @@ def _link_response(cfg: LinkConfig, n_recirculations: int, seed,
                           + np.trace(cov).real.sum()) / (m * freqs.size)
             cov += span_noise_power_ratio(cfg) * power * eye
     return coupling, cov
+
+
+def _link_seeds(seed) -> list:
+    """The three seeds a link's `seed` splits into: its coupling model's,
+    its noise's and its LO's, in that order."""
+    return np.random.SeedSequence(seed).spawn(3)
 
 
 def _grid_size(cfg: LinkConfig, n_recirculations: int, sample_rate: float,

@@ -11,7 +11,8 @@ and no step size.
 nothing measured, for the channel estimate of a stored pair.  Each capture
 takes at most one FFT on its way in and is held in one form at a time: the
 front end's spectrum is inverted in place, and the alignment correlates
-only a prefix of each time signal, a few times ``align_max_lag`` long.
+only a prefix of each time signal, a few times ``align_max_lag`` long, and
+reads the whole length only at the lags the prefix cannot tell apart.
 The equalizer's state is one per-bin covariance of the stacked block
 spectra; the taps, the channel estimate and the residual NMSE are each
 solved from it.  EDC is a unit-modulus scalar per frequency, so it
@@ -147,8 +148,8 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     """Locate the delay of f_out relative to f_in by FFT cross-correlation
     of a prefix of both captures.
 
-    Only the first ``P = min(n, 4 * max_lag)`` samples of each capture are
-    read, ``n = min(len(f_in), len(f_out))``.  Each prefix row is
+    The correlation reads the first ``P = min(n, 4 * max_lag)`` samples of
+    each capture, ``n = min(len(f_in), len(f_out))``.  Each prefix row is
     zero-padded to ``P + max_lag`` samples before its FFT, so the
     correlation over ``[-max_lag, max_lag]`` is linear: no sample wraps
     around into a lag, and the transforms stay ``5 * max_lag`` long at most,
@@ -158,6 +159,13 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
     smallest |lag|.  A peak-to-RMS ratio below `threshold` raises
     :class:`AlignmentError`; a capture with no power gives an all-zero
     correlation, whose ratio is 0.
+
+    The off-peak RMS is the spread of the prefix's estimate at any lag, so
+    lags within 4 RMS of the peak (two paths of nearly equal strength) are
+    not told apart by the prefix: their correlations are read again over
+    the captures' whole overlap, one inner product per tributary and lag,
+    and the largest wins, ties again toward the smallest |lag|.  The phase
+    and the peak ratio stay the prefix's.
 
     Captures with different tributary counts, captures shorter than
     ``2 * max_lag``, or a `max_lag` under 1, which leaves no off-peak lag to
@@ -204,6 +212,13 @@ def align_by_crosscorrelation(f_in: MimoSignal, f_out: MimoSignal,
             f"{threshold}; the captures may be unrelated or hold no power, "
             "or a frequency offset or phase drift decorrelates them")
     lag = int(lags[best])
+    close = lags[mags >= peak - 4 * rms]
+    if close.size > 1:
+        full = np.empty(close.size)
+        for i, k in enumerate(close):
+            a, b, _ = trim_aligned(f_in, f_out, int(k))
+            full[i] = abs(sum(np.vdot(x, y) for x, y in zip(a.data, b.data)))
+        lag = int(close[np.lexsort((np.abs(close), -full))[0]])
     return AlignmentResult(lag=lag, phase=float(np.angle(corr[lag])),
                            peak_ratio=float(ratio))
 

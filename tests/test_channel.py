@@ -424,6 +424,18 @@ class TestSpanNoise:
         got = run_link(MimoSpectrum.of(sig), cfg, 1, seed=14).data
         assert np.array_equal(got, _loop_reference(sig, cfg, 1, 14))
 
+    @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["plain", "mdl"])
+    def test_field_of_no_power_stays_zero(self, mdl):
+        # the noise scales with the launched power: a field of none leaves
+        # the link all zero, with coupling too, where K = 0 has no Cholesky
+        # factor, and without a warning
+        cfg = LinkConfig(span_snr_db=20.0, mdl_per_span=mdl)
+        spec = MimoSpectrum.of(MimoSignal(np.zeros((2, 4096), complex), 40e9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_link(spec, cfg, 5, seed=1)
+        assert not out.data.any()
+
     @pytest.mark.parametrize("n_rec", [5, 20])
     @pytest.mark.parametrize("n_modes, mdl, dgd", [
         (2, 0.0, 0.0), (2, 0.0, 1e-11), (2, 0.5, 1e-11), (4, 0.5, 1e-11)],
