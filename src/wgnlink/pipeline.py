@@ -23,10 +23,21 @@ Each capture-length FFT and inverse FFT runs one row at a time
 (:func:`wgnlink.signals._transform_rows`), never over ``axis=1``: numpy's
 batched transform holds working buffers of several capture rows that
 ``tracemalloc`` does not see, and they set the point's peak RSS.
+
+The equalizer's two passes run on two threads where the process may use
+two CPUs, and inline on one: the calling thread and one pool thread that
+is joined before the call returns.  Each bin's sums keep their order, so
+the results are the same bits either way.  The threads write only into
+buffers that the calling thread allocates, a chunk's or a piece's size:
+a thread that allocated its own would keep a malloc arena of them, which
+raised a sweep's peak RSS.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +52,9 @@ from .signals import (MimoSignal, MimoSpectrum, _gaussian_response,
 # Overlap-save blocks whose spectra are held at once; bounds the equalizer's
 # working set independently of the capture length.
 _CHUNK_BLOCKS = 16
+# Bins per piece of the covariance's per-bin product: its buffers are this
+# many bins deep, not a chunk's.
+_PIECE_BINS = 256
 # Samples per piece of phase recovery's in-place pass: its temporaries are
 # this long, not capture-sized.
 _PHASE_PIECE = 1 << 16
@@ -73,12 +87,12 @@ class EqualizerState:
     @property
     def taps(self) -> np.ndarray:
         """Forward taps ``W = R_dx R_xx^-1`` per bin, (block_size, M, M)."""
-        return _wiener(self._r(0, 0), self._r(1, 0))
+        return _wiener(self._r(0, 0), self._r(1, 0), "received")
 
     @property
     def channel(self) -> np.ndarray:
         """Channel estimate ``R_xd R_dd^-1`` per bin: the roles inverted."""
-        return _wiener(self._r(1, 1), self._r(0, 1))
+        return _wiener(self._r(1, 1), self._r(0, 1), "transmitted")
 
     @property
     def residual_nmse_db(self) -> float:
@@ -316,6 +330,13 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     when None) gives the equalized field.  It reads only `f_out` and the
     taps, and its samples do not depend on `n_output`; ``n_output=0`` skips
     it and the forward solve.  A negative `n_output` raises ValueError.
+
+    Both passes run in chunks of ``_CHUNK_BLOCKS`` blocks, split over two
+    threads when ``os.sched_getaffinity`` holds two CPUs or more and run
+    inline otherwise (:func:`_covariance`, :func:`_output_pass`); the
+    results equal a one-thread pass bit for bit.  The pool lives only
+    inside the call.  Reading the taps of an input, or the channel of a
+    reference, that has no power raises ValueError naming that capture.
     """
     if f_in.n_tributaries != f_out.n_tributaries:
         raise ValueError("tributary count mismatch")
@@ -323,7 +344,6 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
         raise ValueError("signals must be equal length (align first)")
     if n_output is not None and n_output < 0:
         raise ValueError(f"n_output must be >= 0, got {n_output}")
-    m = f_in.n_tributaries
     n = len(f_in)
     n_output = n if n_output is None else min(n_output, n)
     block = cfg.block_size
@@ -333,58 +353,163 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     n_blocks = -(-n // hop)
     chunks = [(b, min(b + _CHUNK_BLOCKS, n_blocks))
               for b in range(0, n_blocks, _CHUNK_BLOCKS)]
-
-    # [[R_xx, R_xd], [R_dx, R_dd]] per bin, from the stacked [X; D] spectra
-    corr = np.zeros((block, 2 * m, 2 * m), dtype=complex)
-    for first, stop in chunks:
-        spec = _block_spectra((f_out.data, f_in.data), first, stop, hop)
-        corr += spec @ np.conj(spec.transpose(0, 2, 1))
-    state = EqualizerState(corr)
-    out = np.empty((m, n_output), dtype=complex)
-    taps = state.taps if n_output else None
-    # whole chunks, as over the full capture, so that the samples kept are
-    # those of the full pass
-    for first, stop in chunks:
-        if first * hop >= n_output:
-            break
-        spec_x = _block_spectra((f_out.data,), first, stop, hop)
-        # overlap-save keeps the second half of each block
-        y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
-        seg = slice(first * hop, min(stop * hop, n_output))
-        y = y.transpose(1, 2, 0).reshape(m, -1)
-        out[:, seg] = y[:, :seg.stop - seg.start]
+    # joined on exit: no thread outlives the call
+    with ThreadPoolExecutor(1) if _cpus() >= 2 else nullcontext() as pool:
+        state = EqualizerState(_covariance(f_out.data, f_in.data, chunks,
+                                           hop, pool))
+        out = np.empty((f_in.n_tributaries, n_output), dtype=complex)
+        if n_output:
+            _output_pass(f_out.data, state.taps, chunks, hop, out, pool)
     return MimoSignal._built(out, f_in.sample_rate), state
 
 
-def _wiener(r_in: np.ndarray, r_cross: np.ndarray) -> np.ndarray:
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(pool: Optional[ThreadPoolExecutor], task, parts) -> None:
+    """``task(*part)`` for both `parts`: the second on `pool`'s thread while
+    the calling thread runs the first, or both in the calling thread when
+    `pool` is None."""
+    if pool is None:
+        for part in parts:
+            task(*part)
+        return
+    other = pool.submit(task, *parts[1])
+    try:
+        task(*parts[0])
+    finally:
+        other.result()
+
+
+def _frames(src: np.ndarray, buf: np.ndarray, first: int, nb: int,
+            hop: int) -> np.ndarray:
+    """Overlap-save blocks ``first..first+nb-1`` of the rows of `src` as a
+    (rows, nb, 2*hop) view of `buf`, which receives samples
+    ``(first-1)*hop .. (first+nb)*hop``, zero outside the signal.
+
+    Block b covers samples ``(b-1)*hop .. (b+1)*hop``; the samples are cast
+    into `buf` as they are copied, without padding `src` first.
+    """
+    buf = buf[:, :(nb + 1) * hop]
+    lo = (first - 1) * hop
+    a, b = max(lo, 0), min((first + nb) * hop, src.shape[1])
+    buf[:, :a - lo] = 0
+    buf[:, a - lo:b - lo] = src[:, a:b]
+    buf[:, b - lo:] = 0
+    return np.lib.stride_tricks.sliding_window_view(
+        buf, 2 * hop, axis=1)[:, ::hop]
+
+
+def _contiguous(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous `shape` view of the head of the 1-D buffer `flat`."""
+    return flat[:int(np.prod(shape))].reshape(shape)
+
+
+def _covariance(x: np.ndarray, d: np.ndarray, chunks, hop: int,
+                pool: Optional[ThreadPoolExecutor]) -> np.ndarray:
+    """The per-bin covariance of the stacked ``[X; D]`` block spectra of
+    the (M, N) input `x` and reference `d`, summed chunk by chunk in order.
+
+    Each chunk's frames are transformed into one (2M, blocks, 2*hop) array,
+    `x`'s rows on one thread and `d`'s on the other.  The per-bin product
+    is split by bins, half to each thread, in pieces of ``_PIECE_BINS``:
+    a piece's bins are copied to a (bins, 2M, blocks) buffer and conjugated
+    into a second one, and their product is added to those bins.  Every
+    buffer is allocated here, before the threads start.
+    """
+    m, block = len(x), 2 * hop
+    per = chunks[0][1] - chunks[0][0]
+    frames = np.empty((2 * m, (per + 1) * hop), dtype=complex)
+    spec = np.empty((2 * m, per, block), dtype=complex)
+    corr = np.zeros((block, 2 * m, 2 * m), dtype=complex)
+    width = min(_PIECE_BINS, hop)
+    size = width * 2 * m * per
+    pieces = [(np.empty(size, dtype=complex), np.empty(size, dtype=complex),
+               np.empty((width, 2 * m, 2 * m), dtype=complex))
+              for _ in range(2)]
+
+    def transform(rows: slice, src: np.ndarray, first: int, nb: int):
+        np.fft.fft(_frames(src, frames[rows], first, nb, hop), axis=2,
+                   out=spec[rows, :nb])
+
+    def multiply(k0: int, flat, flat_conj, prod, nb: int):
+        for k in range(k0, k0 + hop, width):
+            part = _contiguous(flat, width, 2 * m, nb)
+            part[...] = spec[:, :nb, k:k + width].transpose(2, 0, 1)
+            part_conj = _contiguous(flat_conj, width, 2 * m, nb)
+            np.conjugate(part, out=part_conj)
+            # the operands' layouts of ``s @ conj(s^T)`` over a contiguous
+            # (bins, 2M, blocks) s, so that BLAS sums as it did there
+            np.matmul(part, part_conj.transpose(0, 2, 1), out=prod)
+            acc = corr[k:k + width]
+            acc += prod
+
+    for first, stop in chunks:
+        nb = stop - first
+        _split(pool, transform, [(slice(0, m), x, first, nb),
+                                 (slice(m, 2 * m), d, first, nb)])
+        _split(pool, multiply, [(0, *pieces[0], nb), (hop, *pieces[1], nb)])
+    return corr
+
+
+def _output_pass(x: np.ndarray, taps: np.ndarray, chunks, hop: int,
+                 out: np.ndarray, pool: Optional[ThreadPoolExecutor]) -> None:
+    """The frozen-tap overlap-save pass over the (M, N) input `x` into the
+    first ``out.shape[1]`` samples of `out`.
+
+    Whole chunks run, as over the full capture, so that the samples kept
+    are those of the full pass; the chunks go to the two threads in turn.
+    Each thread has its own frame, spectrum and product buffers, allocated
+    here.  Per chunk it writes the block FFTs into the spectrum buffer in
+    (bins, M, blocks) layout, ``taps @ X`` into the product buffer and the
+    inverse FFT along the bin axis back into the spectrum buffer, then
+    copies the second half of each block into that block's slice of `out`.
+    """
+    m, block, n_output = len(x), 2 * hop, out.shape[1]
+    per = chunks[0][1] - chunks[0][0]
+    chunks = [c for c in chunks if c[0] * hop < n_output]
+    bufs = [(np.empty((m, (per + 1) * hop), dtype=complex),
+             np.empty(block * m * per, dtype=complex),
+             np.empty(block * m * per, dtype=complex)) for _ in range(2)]
+
+    def run(own, frames, flat, flat_prod):
+        for first, stop in own:
+            nb = stop - first
+            spec = _contiguous(flat, block, m, nb)
+            np.fft.fft(_frames(x, frames, first, nb, hop), axis=2,
+                       out=spec.transpose(1, 2, 0))
+            prod = _contiguous(flat_prod, block, m, nb)
+            np.matmul(taps, spec, out=prod)
+            y = np.fft.ifft(prod, axis=0, out=spec)
+            # overlap-save keeps the second half of each block
+            for j in range(nb):
+                s = (first + j) * hop
+                e = min(s + hop, n_output)
+                if e <= s:
+                    break
+                out[:, s:e] = y[hop:hop + e - s, :, j].T
+
+    _split(pool, run, [(chunks[0::2], *bufs[0]), (chunks[1::2], *bufs[1])])
+
+
+def _wiener(r_in: np.ndarray, r_cross: np.ndarray, name: str) -> np.ndarray:
     """Per-bin ``r_cross r_in^-1`` for the (bins, M, M) blocks of one
     covariance, with `r_in` loaded by ``_DIAG_LOAD`` times its mean per-bin,
-    per-mode power."""
+    per-mode power.  An `r_in` of no power, which no load makes regular,
+    raises ValueError naming the `name` capture it came from."""
     m = r_in.shape[1]
     power = np.trace(r_in, axis1=1, axis2=2).real.mean() / m
+    if power == 0:
+        raise ValueError(f"the {name} capture has no power: its per-bin "
+                         "covariance is zero and cannot be inverted")
     r_in = r_in + (_DIAG_LOAD * power) * np.eye(m)
     # W R = C with R Hermitian  <=>  R W^H = C^H
     return np.conj(np.linalg.solve(r_in, np.conj(r_cross.transpose(0, 2, 1)))
                    .transpose(0, 2, 1))
-
-
-def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
-    """FFTs of overlap-save blocks ``first..stop-1`` of the rows of the
-    equal-length (M_i, N) arrays `parts`, stacked in order, as a contiguous
-    (2*hop, sum M_i, blocks) array.
-
-    Block b covers samples ``(b-1)*hop .. (b+1)*hop``, zero outside the
-    signal; frames are cut from the arrays without padding them first.
-    """
-    n = parts[0].shape[1]
-    lo = (first - 1) * hop
-    buf = np.zeros((sum(len(p) for p in parts), (stop - first + 1) * hop),
-                   dtype=complex)
-    a, b = max(lo, 0), min(stop * hop, n)
-    np.concatenate([p[:, a:b] for p in parts], out=buf[:, a - lo:b - lo])
-    frames = np.lib.stride_tricks.sliding_window_view(
-        buf, 2 * hop, axis=1)[:, ::hop]
-    return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
 
 
 def phase_recovery(f_in: MimoSignal, f_eq: MimoSignal, window: int = 200,

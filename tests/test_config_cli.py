@@ -484,6 +484,27 @@ class TestCliVerbs:
         assert "hold no power" in caplog.text
         assert "Singular" not in caplog.text
 
+    def test_characterize_zero_power_transmitted_capture_exit_2(
+            self, tmp_path, caplog):
+        # with the alignment's threshold at 0 a transmitted capture of
+        # zeros reaches the channel solve, which names it
+        fi, fo = tmp_path / "zeros.bin", tmp_path / "out.bin"
+        sig = generate_wgn_mimo(2, 40_000, 60e9, 1.0, seed=7)
+        with open(fi, "wb") as f:
+            write_signal(f, MimoSignal(np.zeros_like(sig.data), 60e9))
+        with open(fo, "wb") as f:
+            write_signal(f, sig)
+        cfg = _write(tmp_path, "pipeline: {filter_bw: null, "
+                               "align_threshold: 0.0}\n")
+        with caplog.at_level(logging.ERROR, logger="wgnlink.cli"):
+            rc = cli.main(["characterize", "--input", str(fi), "--output",
+                           str(fo), "--out", str(tmp_path / "char"),
+                           "--config", cfg])
+        assert rc == 2
+        assert ("characterization failed: the transmitted capture has no "
+                "power" in caplog.text)
+        assert "Singular" not in caplog.text
+
     def test_jobs_capped_at_the_point_count(self, tmp_path, monkeypatch):
         # a fake pool records its size and runs each point in this process:
         # no worker starts, whatever --jobs asks for

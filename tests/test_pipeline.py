@@ -1,8 +1,10 @@
 """Tests for alignment, EDC, FDE equalization, and phase recovery."""
 
 import dataclasses
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -401,6 +403,64 @@ class TestFrontEnd:
             pipeline._front_end(sig, cfg)
 
 
+def _block_spectra(parts, first: int, stop: int, hop: int) -> np.ndarray:
+    """The one-thread equalizer's block spectra: blocks ``first..stop-1``
+    of the stacked rows of `parts`, as a contiguous (2*hop, rows, blocks)
+    array."""
+    n = parts[0].shape[1]
+    lo = (first - 1) * hop
+    buf = np.zeros((sum(len(p) for p in parts), (stop - first + 1) * hop),
+                   dtype=complex)
+    a, b = max(lo, 0), min(stop * hop, n)
+    np.concatenate([p[:, a:b] for p in parts], out=buf[:, a - lo:b - lo])
+    frames = np.lib.stride_tricks.sliding_window_view(
+        buf, 2 * hop, axis=1)[:, ::hop]
+    return np.ascontiguousarray(np.fft.fft(frames, axis=2).transpose(2, 0, 1))
+
+
+def _equalize_reference(f_in: MimoSignal, f_out: MimoSignal,
+                        cfg: PipelineConfig, n_output=None):
+    """The equalizer on one thread, as it was before its passes were split
+    over two: the oracle that :func:`fde_lms_equalize` matches bit for
+    bit."""
+    m, n = f_in.n_tributaries, len(f_in)
+    n_output = n if n_output is None else min(n_output, n)
+    block = cfg.block_size
+    hop = block // 2
+    n_blocks = -(-n // hop)
+    size = pipeline._CHUNK_BLOCKS
+    chunks = [(b, min(b + size, n_blocks)) for b in range(0, n_blocks, size)]
+    corr = np.zeros((block, 2 * m, 2 * m), dtype=complex)
+    for first, stop in chunks:
+        spec = _block_spectra((f_out.data, f_in.data), first, stop, hop)
+        corr += spec @ np.conj(spec.transpose(0, 2, 1))
+    state = pipeline.EqualizerState(corr)
+    out = np.empty((m, n_output), dtype=complex)
+    taps = state.taps if n_output else None
+    for first, stop in chunks:
+        if first * hop >= n_output:
+            break
+        spec_x = _block_spectra((f_out.data,), first, stop, hop)
+        y = np.fft.ifft(taps @ spec_x, axis=0)[hop:]
+        seg = slice(first * hop, min(stop * hop, n_output))
+        y = y.transpose(1, 2, 0).reshape(m, -1)
+        out[:, seg] = y[:, :seg.stop - seg.start]
+    return MimoSignal(out, f_in.sample_rate), state
+
+
+def _random_pair(m: int, n: int, dtype, seed: int):
+    """Independent reference and input captures of `dtype`."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, m, n)) + 1j * rng.standard_normal((2, m, n))
+    return tuple(MimoSignal(v.astype(dtype), 60e9) for v in x)
+
+
+def _affinity(monkeypatch, cpus: set) -> None:
+    """Let the equalizer see `cpus` as the CPUs it may run on."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                        lambda pid: set(cpus), raising=False)
+
+
 class TestFdeLms:
     def test_identity_channel_low_nmse(self):
         sig = generate_wgn_mimo(2, 100_000, 60e9, 1.0, seed=10)
@@ -415,6 +475,24 @@ class TestFdeLms:
             assert state.residual_nmse_db < -40
             _, silent = fde_lms_equalize(zeros, sig, cfg)
             assert silent.residual_nmse_db == -300.0
+
+    @pytest.mark.parametrize("silent, read", [("transmitted", "channel"),
+                                              ("received", "taps")])
+    def test_capture_of_no_power_named(self, silent, read):
+        # no diagonal load makes a solve against zeros regular: the
+        # capture is named instead of numpy's singular-matrix error
+        sig = generate_wgn_mimo(2, 20_000, 60e9, 1.0, seed=21)
+        zeros = MimoSignal(np.zeros_like(sig.data), sig.sample_rate)
+        pair = (zeros, sig) if silent == "transmitted" else (sig, zeros)
+        cfg = PipelineConfig(block_size=256)
+        _, state = fde_lms_equalize(*pair, cfg, n_output=0)
+        match = f"the {silent} capture has no power"
+        with pytest.raises(ValueError, match=match):
+            getattr(state, read)
+        if silent == "received":
+            # the output pass reads the taps
+            with pytest.raises(ValueError, match=match):
+                fde_lms_equalize(*pair, cfg)
 
     def test_static_rotation_taps(self):
         theta = np.pi / 6
@@ -510,6 +588,94 @@ class TestFdeLms:
         for bad in (4000, 1, 0):
             with pytest.raises(ValueError, match="block_size"):
                 PipelineConfig(block_size=bad)
+
+
+class TestTwoThreadEqualizer:
+    """Both passes split over the calling thread and one pool thread, in
+    buffers the calling thread allocates: the same bits as one thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        _affinity(monkeypatch, {0, 1})
+
+    # 16 blocks fill one chunk, 17 leave a one-block chunk, and 40 blocks
+    # less a sample (not a multiple of the hop above block size 2) spread
+    # three chunks over the two threads
+    @pytest.mark.parametrize("blocks, short", [(16, 0), (17, 0), (40, 1)])
+    @pytest.mark.parametrize("block", [2, 64, 4096])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_same_bits_as_one_thread(self, m, dtype, block, blocks, short):
+        hop = block // 2
+        n = blocks * hop - short
+        sig, out = _random_pair(m, n, dtype, seed=m * block + blocks)
+        cfg = PipelineConfig(block_size=block)
+        # none, one sample, a window ending inside a block of the last
+        # chunk that runs, and the whole capture
+        for n_output in (0, 1, n - hop // 2 - 1, None):
+            f_ref, ref = _equalize_reference(sig, out, cfg, n_output)
+            f_eq, state = fde_lms_equalize(sig, out, cfg, n_output)
+            assert np.array_equal(state.covariance, ref.covariance)
+            assert np.array_equal(state.taps, ref.taps)
+            assert np.array_equal(state.channel, ref.channel)
+            assert np.array_equal(f_eq.data, f_ref.data)
+
+    def test_one_cpu_runs_the_split_inline(self, monkeypatch):
+        sig, out = _random_pair(2, 40 * 128 - 1, np.complex64, seed=90)
+        cfg = PipelineConfig(block_size=256)
+        f_ref, ref = _equalize_reference(sig, out, cfg)
+        _affinity(monkeypatch, {0})
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started on one CPU")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        f_eq, state = fde_lms_equalize(sig, out, cfg)
+        assert np.array_equal(state.covariance, ref.covariance)
+        assert np.array_equal(f_eq.data, f_ref.data)
+
+    def test_repeated_calls_give_the_same_bits(self):
+        sig, out = _random_pair(6, 40 * 2048 - 1, np.complex128, seed=91)
+        cfg = PipelineConfig()
+        f_ref, ref = _equalize_reference(sig, out, cfg, 50_000)
+        for _ in range(5):
+            f_eq, state = fde_lms_equalize(sig, out, cfg, 50_000)
+            assert np.array_equal(state.covariance, ref.covariance)
+            assert np.array_equal(f_eq.data, f_ref.data)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recorded)
+        sig, out = _random_pair(2, 40 * 128 - 1, np.complex128, seed=92)
+        before = threading.active_count()
+        fde_lms_equalize(sig, out, PipelineConfig(block_size=256))
+        assert len(pools) == 1 and pools[0]._max_workers == 1
+        # the pool ran its thread and joined it before the call returned
+        assert len(pools[0]._threads) == 1
+        assert not any(t.is_alive() for t in pools[0]._threads)
+        assert threading.active_count() == before
+
+    def test_peak_memory_of_a_six_mode_covariance(self):
+        # taps only, 6 modes, 40 blocks of 4096 samples: the (4096, 12, 12)
+        # covariance is 9.4 MB and a chunk's (12, 16, 4096) block spectra
+        # 12.6 MB.  Measured 31.7 MiB; the one-thread equalizer, which also
+        # held each chunk's spectra transposed and conjugated, 51.5 MiB
+        sig, out = _random_pair(6, 40 * 2048, np.complex64, seed=93)
+        tracemalloc.start()
+        try:
+            _, state = fde_lms_equalize(sig, out, PipelineConfig(),
+                                        n_output=0)
+            state.taps
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
 
 class TestMeasuredWindow:
