@@ -8,12 +8,12 @@ is a cubic-in-power additive Gaussian term.  Both noises are white, so
 :func:`run_link` injects them per frequency bin, and a link given a
 spectrum returns one without a transform, whatever its loop count.  The
 link is linear, so its output is ``T x + n`` per bin, applied in one pass
-whatever the loop count: without coupling, T is the dispersion of all the
-spans and n one white draw at the loops' total noise power; with MDL or
-DGD, ``T = D(f)^L H(f)^L`` and n has the per-bin covariance K of the
-loops' noise seen at the output, both from a recursion over the loops on
-a coarse frequency grid, interpolated onto the bins.  A split-step solver
-is out of scope by design.
+whatever the loop count: ``T = D(f)^L H(f)^L`` and n has the per-bin
+covariance K of the loops' noise seen at the output, both from one
+recursion over the loops.  H is the identity without MDL and DGD; without
+DGD it is flat, so T and K are taken at one frequency; with DGD they are
+taken on a coarse frequency grid and interpolated onto the bins.  A
+split-step solver is out of scope by design.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .signals import MimoSignal, MimoSpectrum, _transform_rows
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-_COUPLING_CHUNK = 16384  # bins per cache-resident pass of the coupling
+_COUPLING_CHUNK = 16384  # bins per cache-resident pass of every link
 
 
 @dataclass(frozen=True)
@@ -365,26 +365,29 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
 
     The link is linear and its noise is white and Gaussian, so its output
     is ``T x + n`` per bin, and it is applied in one pass over the bins
-    whatever its loop count L.  With ``r = span_noise_power_ratio(cfg)``:
+    whatever its loop count L: ``T = D(f)^L H(f)^L`` and ``n`` has
+    covariance ``N P K(f)``, with P the launched power, measured once, and
+    K the recursion of :func:`_link_response` for a launched power of 1,
+    which draws each loop's noise at ``r = span_noise_power_ratio(cfg)``
+    times the loop's expected power.  ``D^L`` is exact per bin, and the
+    pass runs one chunk of bins at a time.  ``H^L`` and a Cholesky factor
+    of K are taken:
 
-    - Without MDL and DGD every span is the dispersion ``D(f)``, and
-      circular white noise stays white under it: the link multiplies by
-      the dispersion of L spans, measures the power there and makes one
-      draw at ``g = r * sum((1 + r)**l for l < L)`` times that power,
-      ``(1 + r)**L - 1``, the loops' expected noise.
-    - With MDL or DGD, ``T = D(f)^L H(f)^L`` and ``n`` has covariance
-      ``N P K(f)``, with P the launched power, measured once, and K the
-      recursion of :func:`_link_response` for a launched power of 1,
-      which draws each loop's noise at r times the loop's expected power.
-      ``H^L`` and a Cholesky factor of K are computed on a grid of B + 1
-      frequencies from -rate/2 to +rate/2 (at B = N, the bins
-      themselves) and interpolated onto the N bins by the cubic through
-      the four nearest grid points, one
-      coupling chunk at a time; ``D^L`` is exact per bin.  B is the
+    - without MDL and DGD, at one frequency, with ``H = I``: then ``T``
+      is the dispersion of L spans and K is ``(1 + r)**L - 1`` times the
+      identity, the loops' expected noise;
+    - with MDL and no DGD, at one frequency, since H is flat;
+    - with DGD, on a grid of B + 1 frequencies from -rate/2 to +rate/2
+      (at B = N, the bins themselves), and interpolated onto the N bins
+      by the cubic through the four nearest grid points.  B is the
       smallest power of two of at least 4096 and 40 grid steps per
       sample of the accumulated delay spread, ``L * dgd_per_span``, and
-      at most N.  Every bin gets one draw of M complex normals.  A
-      noiseless link (r = 0) draws nothing, nor does a field of no power.
+      at most N.
+
+    Each chunk of k bins draws one (M, 2k) block of normals, M complex
+    normals per bin.  A noiseless link (r = 0) draws nothing, nor does a
+    field of no power.  Noise beyond float64 range raises ValueError
+    naming its cause.
 
     A :class:`MimoSignal` is FFT'd once and returned as a signal after one
     inverse FFT.  A :class:`MimoSpectrum` is left unchanged and the result
@@ -402,10 +405,7 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
     rate = signal.sample_rate
     spec = (signal.data.copy() if spectral
             else _transform_rows(np.fft.fft, signal.data))
-    if cfg.mdl_per_span > 0 or cfg.dgd_per_span > 0:
-        _couple(spec, rate, cfg, n_recirculations, seed, noise_rng)
-    else:
-        _recirculate(spec, rate, cfg, n_recirculations, noise_rng)
+    _couple(spec, rate, cfg, n_recirculations, seed, noise_rng)
     if spectral and cfg.lo_linewidth == 0 and cfg.frequency_offset == 0:
         return MimoSpectrum._built(spec, rate)
     # the link owns `spec` and each array the LO stages return: transform
@@ -420,57 +420,25 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
                                                out=out.data), rate)
 
 
-def _recirculate(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
-                 n_recirculations: int, noise_rng) -> None:
-    """A link without coupling, in place on an (M, N) spectrum: the
-    dispersion of all its spans in one multiply, then one noise draw at
-    gain ``g`` times the power measured there (see :func:`run_link`)."""
-    m, n = spec.shape
-    spec *= _dispersion_response(n, sample_rate, cfg.dispersion_coeff,
-                                 n_recirculations * cfg.span_length,
-                                 cfg.center_wavelength, +1.0)
-    noise_ratio = span_noise_power_ratio(cfg)
-    if noise_ratio == 0:
-        return
-    try:
-        gain = noise_ratio * sum((1.0 + noise_ratio) ** k
-                                 for k in range(n_recirculations))
-    except OverflowError:  # raised below, as the noise scale's overflow
-        gain = math.inf
-    # Parseval: mean |x|^2 = sum |X|^2 / (M N^2), per-bin noise power N s
-    # for per-sample s; in floats an overflow is inf, no warning
-    power = float(np.vdot(spec, spec).real) / (m * n * n)
-    scale = np.sqrt(n * power * gain / 2.0)
-    if not math.isfinite(scale):
-        raise _noise_overflow(cfg, n_recirculations)
-    # the noise is drawn a chunk at a time into one buffer and added to the
-    # (re, im) floats of each row: the same numbers as one (M, 2N) draw
-    noise = np.empty(min(2 * _COUPLING_CHUNK, 2 * n))
-    for row in spec.view(np.float64):
-        for s in range(0, 2 * n, noise.size):
-            piece = noise[:2 * n - s]
-            noise_rng.standard_normal(out=piece)
-            piece *= scale
-            row[s:s + piece.size] += piece
-
-
 def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
             n_recirculations: int, seed, noise_rng) -> None:
-    """A link with MDL or DGD, in place on an (M, N) spectrum: ``T x + n``
-    per bin from :func:`_link_response` on the grid (see :func:`run_link`),
-    a coupling chunk at a time, so that nothing but the spectrum is held at
-    its full length."""
+    """The link in place on an (M, N) spectrum: ``T x + n`` per bin from
+    :func:`_link_response` (see :func:`run_link`), a coupling chunk at a
+    time, so that nothing but the spectrum is held at its full length.
+    Without DGD the pair is taken at one frequency and applied as
+    constant matrices; with DGD it is interpolated from the grid."""
     m, n = spec.shape
     b = _grid_size(cfg, n_recirculations, sample_rate, n)
     # B steps from -rate/2 to +rate/2, and one more past each end for the
     # cubic's four points; an odd B, which is N, is shifted half a step
-    # onto the bins
-    step = sample_rate / b
-    coupling, cov = _link_response(
-        cfg, n_recirculations, seed,
-        np.linspace(-sample_rate / 2 - step, sample_rate / 2 + step, b + 3)
-        + b % 2 * step / 2)
-    factor = None
+    # onto the bins.  B = 0 is one point: H is flat
+    freqs = np.zeros(1)
+    if b:
+        step = sample_rate / b
+        freqs = (np.linspace(-sample_rate / 2 - step, sample_rate / 2 + step,
+                             b + 3) + b % 2 * step / 2)
+    coupling, cov = _link_response(cfg, n_recirculations, seed, freqs)
+    factor = stencil = None
     # N times the launched power per bin, by Parseval; per real and
     # imaginary part half of it.  A field of no power draws no noise: K
     # would be 0, which has no Cholesky factor
@@ -482,19 +450,21 @@ def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
             raise _noise_overflow(cfg, n_recirculations)
         factor = np.linalg.cholesky(cov.transpose(2, 0, 1)).transpose(1, 2, 0)
     for s in range(0, n, _COUPLING_CHUNK):
-        # the bins' signed numbers in FFT order; each falls in the grid
-        # step from point `idx` to `idx + 1`, a fraction `t` along it
+        # the bins' signed numbers in FFT order
         k = np.arange(s, min(s + _COUPLING_CHUNK, n))
         k[max((n + 1) // 2 - s, 0):] -= n
-        pos = k * (b / n) + (b // 2 + 1)
-        idx = np.clip(pos.astype(np.intp), 1, b)
-        t = pos - idx
-        # the cubic through grid points idx - 1 ... idx + 2
-        stencil = (idx + np.arange(-1, 3)[:, None],
-                   np.array([t * (t - 1) * (t - 2) / -6,
-                             (t + 1) * (t - 1) * (t - 2) / 2,
-                             (t + 1) * t * (t - 2) / -2,
-                             (t + 1) * t * (t - 1) / 6]))
+        if b:
+            # each bin falls in the grid step from point `idx` to
+            # `idx + 1`, a fraction `t` along it; the cubic through grid
+            # points idx - 1 ... idx + 2
+            pos = k * (b / n) + (b // 2 + 1)
+            idx = np.clip(pos.astype(np.intp), 1, b)
+            t = pos - idx
+            stencil = (idx + np.arange(-1, 3)[:, None],
+                       np.array([t * (t - 1) * (t - 2) / -6,
+                                 (t + 1) * (t - 1) * (t - 2) / 2,
+                                 (t + 1) * t * (t - 2) / -2,
+                                 (t + 1) * t * (t - 1) / 6]))
         out = spec[:, s:s + k.size]
         x = out * np.exp(1j * dispersion_phase(
             k * (sample_rate / n), cfg.dispersion_coeff,
@@ -513,7 +483,8 @@ def _link_response(cfg: LinkConfig, n_recirculations: int, seed,
     field launched at power 1 and white over `freqs`: two (M, M, len(freqs))
     arrays, ``[i, j, k]`` row i, column j at frequency k.
 
-    H is the span's :class:`MultiSectionModel` of the link's `seed`, as
+    H is the identity for a link without MDL and DGD, and otherwise the
+    span's :class:`MultiSectionModel` of the link's `seed`, as
     :func:`_link_seeds` splits it.  Per loop, ``K <- H K H^H + r P I``, with
     ``r = span_noise_power_ratio(cfg)`` and P the expected power after the
     loop's span, the mean over `freqs` of ``tr(H^l (H^l)^H + H K H^H) /
@@ -521,9 +492,12 @@ def _link_response(cfg: LinkConfig, n_recirculations: int, seed,
     unchanged.  Entries whose noise leaves float64 range read inf or nan,
     without a warning."""
     m = cfg.n_modes
-    model = MultiSectionModel(m, cfg.mdl_per_span, cfg.dgd_per_span,
-                              _link_seeds(seed)[0], cfg.n_sections)
-    span = np.ascontiguousarray(model.matrices(freqs).transpose(1, 2, 0))
+    if cfg.mdl_per_span > 0 or cfg.dgd_per_span > 0:
+        model = MultiSectionModel(m, cfg.mdl_per_span, cfg.dgd_per_span,
+                                  _link_seeds(seed)[0], cfg.n_sections)
+        span = np.ascontiguousarray(model.matrices(freqs).transpose(1, 2, 0))
+    else:
+        span = np.repeat(np.eye(m, dtype=complex)[:, :, None], freqs.size, 2)
     span_h = span.conj().transpose(1, 0, 2)
     eye = np.eye(m)[:, :, None]
     coupling, cov = eye, np.zeros_like(span)
@@ -546,28 +520,33 @@ def _link_seeds(seed) -> list:
 
 def _grid_size(cfg: LinkConfig, n_recirculations: int, sample_rate: float,
                n: int) -> int:
-    """B of :func:`run_link`: the smallest power of two of at least 4096
+    """B of :func:`run_link`: 0 for a link without DGD, whose flat H needs
+    one grid point; otherwise the smallest power of two of at least 4096
     and of 40 grid steps per sample of the accumulated delay spread, and
     at most the bin count `n`."""
     b = 4096
     while b < 40 * n_recirculations * cfg.dgd_per_span * sample_rate:
         b *= 2
-    return min(b, n)
+    return min(b, n) if cfg.dgd_per_span > 0 else 0
 
 
-def _add_mat_vec(values: np.ndarray, stencil: tuple, x: np.ndarray,
-                 out: np.ndarray, lower: bool = False) -> None:
+def _add_mat_vec(values: np.ndarray, stencil: Optional[tuple],
+                 x: np.ndarray, out: np.ndarray, lower: bool = False) -> None:
     """``out[i] += sum_j a[i, j] x[j]`` per bin, with ``a`` the (M, M, G)
     grid `values` interpolated onto the bins by `stencil`, its (4, W) grid
     points and their weights: per entry of ``a`` one read of the grid at
-    the four points, their weighted sum and one vector multiply-add.
-    ``lower`` skips the upper triangle, zero in a Cholesky factor."""
-    points, weights = stencil
+    the four points, their weighted sum and one vector multiply-add.  With
+    no `stencil` the grid is one point, whose entries are scalars, and its
+    zero entries are skipped: the identity and the diagonal factor of a
+    link without coupling cost M multiply-adds, not M**2.  ``lower`` skips
+    the upper triangle, zero in a Cholesky factor."""
     for i in range(len(x)):
         for j in range(i + 1 if lower else len(x)):
-            a = (values[i, j].take(points) * weights).sum(axis=0)
-            a *= x[j]
-            out[i] += a
+            a = (values[i, j, 0] if stencil is None
+                 else (values[i, j].take(stencil[0]) * stencil[1]).sum(axis=0))
+            if stencil is not None or a != 0:
+                a *= x[j]
+                out[i] += a
 
 
 def _noise_overflow(cfg: LinkConfig, n_recirculations: int) -> ValueError:

@@ -26,11 +26,12 @@ batched transform holds working buffers of several capture rows that
 
 The equalizer's two passes run on two threads where the process may use
 two CPUs, and inline on one: the calling thread and one pool thread that
-is joined before the call returns.  Each bin's sums keep their order, so
-the results are the same bits either way.  The threads write only into
-buffers that the calling thread allocates, a chunk's or a piece's size:
-a thread that allocated its own would keep a malloc arena of them, which
-raised a sweep's peak RSS.
+is joined before the call returns.  A sweep's pool workers share the
+CPUs, so each counts only its share of them.  Each bin's sums keep their
+order, so the results are the same bits either way.  The threads write
+only into buffers that the calling thread allocates, a chunk's or a
+piece's size: a thread that allocated its own would keep a malloc arena
+of them, which raised a sweep's peak RSS.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ _PIECE_BINS = 256
 # Samples per piece of phase recovery's in-place pass: its temporaries are
 # this long, not capture-sized.
 _PHASE_PIECE = 1 << 16
+# Processes that share this one's CPUs: a sweep's pool size in its workers
+# (:func:`_share_cpus`), 1 elsewhere.
+_WORKERS = 1
 # Diagonal load on the per-bin input covariance, relative to the mean
 # per-bin, per-mode input power: keeps the taps finite when a short capture
 # has fewer blocks than modes.
@@ -332,8 +336,8 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
     it and the forward solve.  A negative `n_output` raises ValueError.
 
     Both passes run in chunks of ``_CHUNK_BLOCKS`` blocks, split over two
-    threads when ``os.sched_getaffinity`` holds two CPUs or more and run
-    inline otherwise (:func:`_covariance`, :func:`_output_pass`); the
+    threads when :func:`_cpus` gives two CPUs or more and run inline
+    otherwise (:func:`_covariance`, :func:`_output_pass`); the
     results equal a one-thread pass bit for bit.  The pool lives only
     inside the call.  Reading the taps of an input, or the channel of a
     reference, that has no power raises ValueError naming that capture.
@@ -364,10 +368,18 @@ def fde_lms_equalize(f_in: MimoSignal, f_out: MimoSignal,
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """This process's share of the CPUs it may run on: their count divided
+    by the processes that share them, at least one."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, cpus // _WORKERS)
+
+
+def _share_cpus(workers: int) -> None:
+    """Count this process as one of `workers` that share its CPUs: the
+    initializer of a sweep's pool workers."""
+    global _WORKERS
+    _WORKERS = workers
 
 
 def _split(pool: Optional[ThreadPoolExecutor], task, parts) -> None:

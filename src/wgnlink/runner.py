@@ -31,7 +31,8 @@ from .estimation import (ImpulseResponse, MdlSpectrum, estimate_channel,
                          impulse_response_from_channel, mdl_from_channel)
 from .metrics import (build_ring_constellation, estimate_mi,
                       estimate_mi_discrete, estimate_snr, qam16_constellation)
-from .pipeline import PipelineConfig, PipelineResult, run_pipeline
+from .pipeline import (PipelineConfig, PipelineResult, _share_cpus,
+                       run_pipeline)
 from .signals import (ComplexSignal, MimoSignal, MimoSpectrum,
                       _resampled_bins, _transform_rows, generate_wgn_mimo)
 
@@ -235,8 +236,11 @@ def _run_sweep(cfg: ExperimentConfig, kind: str, jobs: int) -> int:
     # one call per task: its pooled future's result (every future is
     # submitted before the first is awaited) or the task run in-process.
     # Any per-point failure, including MemoryError or a BrokenProcessPool
-    # from a killed worker, is recorded so the finished points are written
-    with (ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) if jobs > 1
+    # from a killed worker, is recorded so the finished points are written.
+    # Each worker's equalizer counts its share of the CPUs
+    workers = min(jobs, len(tasks))
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
+                              initargs=(workers,)) if jobs > 1
           else contextlib.nullcontext()) as pool:
         calls = [pool.submit(_run_task, cfg, kind, t).result if jobs > 1
                  else functools.partial(_run_task, cfg, kind, t)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wgnlink import channel
 from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
                              MimoChannel, MultiSectionModel,
                              _dispersion_response, _grid_size, _link_response,
@@ -18,8 +19,9 @@ from wgnlink.signals import MimoSignal, MimoSpectrum, generate_wgn_mimo
 
 
 def _nmse_db(est, ref):
-    return 10 * np.log10(np.sum(np.abs(est - ref) ** 2)
-                         / np.sum(np.abs(ref) ** 2))
+    with np.errstate(divide="ignore"):  # -inf where the two are equal
+        return 10 * np.log10(np.sum(np.abs(est - ref) ** 2)
+                             / np.sum(np.abs(ref) ** 2))
 
 
 def _loop_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
@@ -52,25 +54,37 @@ def _loop_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
     return want
 
 
-def _one_draw_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
+def _one_pass_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
                         seed: int) -> np.ndarray:
-    """The spectrum of a link without coupling: the dispersion of all the
-    spans in one multiply, then one (M, 2N) draw at ``(1 + r)**L - 1``
-    times the power measured there, the gain summed as the link sums it."""
-    assert cfg.mdl_per_span == cfg.dgd_per_span == 0
-    m, n = sig.data.shape
-    noise_seed = np.random.SeedSequence(seed).spawn(3)[1]
-    want = np.fft.fft(sig.data, axis=1)
-    want *= _dispersion_response(n, sig.sample_rate, cfg.dispersion_coeff,
-                                 n_rec * cfg.span_length,
-                                 cfg.center_wavelength, +1.0)
-    ratio = span_noise_power_ratio(cfg)
-    gain = ratio * sum((1.0 + ratio) ** k for k in range(n_rec))
-    power = np.vdot(want, want).real / (m * n * n)
-    noise = np.random.default_rng(noise_seed).standard_normal((m, 2 * n))
-    noise = noise.view(np.complex128)
-    noise *= np.sqrt(n * power * gain / 2.0)
-    return want + noise
+    """The spectrum of a link without DGD in one pass: the dispersion of
+    all the spans per bin, then the constant ``T`` and, per chunk of
+    ``_COUPLING_CHUNK`` bins, one (M, 2k) draw coloured by the Cholesky
+    factor of ``N P K``, with ``(T, K)`` from :func:`_link_response` at one
+    frequency and P the launched power.  Each entry is added to the output
+    in the link's order, so the numbers are the link's."""
+    assert cfg.dgd_per_span == 0
+    spec = MimoSpectrum.of(sig).data
+    m, n = spec.shape
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    t, cov = (a[:, :, 0] for a in _link_response(cfg, n_rec, seed,
+                                                  np.zeros(1)))
+    power = np.vdot(spec, spec).real / (m * n * n)
+    factor = np.linalg.cholesky(cov * (n * power / 2.0))
+    k = np.arange(n)
+    k[(n + 1) // 2:] -= n
+    x = spec * np.exp(1j * dispersion_phase(
+        k * (sig.sample_rate / n), cfg.dispersion_coeff,
+        n_rec * cfg.span_length, cfg.center_wavelength))
+    want = np.zeros_like(x)
+    for s in range(0, n, _COUPLING_CHUNK):
+        chunk = slice(s, s + _COUPLING_CHUNK)
+        z = rng.standard_normal((m, 2 * x[:, chunk].shape[1])).view(complex)
+        for i in range(m):
+            for j in range(m):
+                want[i, chunk] += t[i, j] * x[j, chunk]
+            for j in range(i + 1):
+                want[i, chunk] += factor[i, j] * z[j]
+    return want
 
 
 def _disperse(sig: MimoSignal, cfg: LinkConfig) -> MimoSignal:
@@ -405,24 +419,32 @@ class TestSpanNoise:
                                                              abs=0.1)
         assert abs(p_star_dbm) < 1.0  # default calibration peaks near 0 dBm
 
-    def test_noise_drawn_in_chunks_is_one_draw(self):
-        # each row's 2 x 40,001 floats take two full chunks of the draw
-        # buffer and a ragged one; a link without coupling must add the
-        # numbers of one (M, 2N) draw, bit for bit
-        cfg = LinkConfig(span_snr_db=20.0)
+    @pytest.mark.parametrize("n_rec", [1, 5])
+    @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["plain", "mdl"])
+    def test_link_without_dgd_is_the_one_pass(self, mdl, n_rec):
+        # 40,001 bins take two full chunks and a ragged one, each with its
+        # own (M, 2k) draw; a link without DGD, coupled by MDL or not, adds
+        # the numbers of the one-pass reference bit for bit
+        cfg = LinkConfig(span_snr_db=20.0, mdl_per_span=mdl)
         n, rate, seed = 40_001, 40e9, 13
-        assert 2 * _COUPLING_CHUNK < 2 * n < 6 * _COUPLING_CHUNK
+        assert 2 * _COUPLING_CHUNK < n < 3 * _COUPLING_CHUNK
         sig = generate_wgn_mimo(2, n, rate, 1.0, seed=26)
-        got = run_link(MimoSpectrum.of(sig), cfg, 5, seed=seed).data
-        assert np.array_equal(got, _one_draw_reference(sig, cfg, 5, seed))
+        got = run_link(MimoSpectrum.of(sig), cfg, n_rec, seed=seed).data
+        assert np.array_equal(got,
+                              _one_pass_reference(sig, cfg, n_rec, seed))
 
-    def test_one_loop_without_coupling_is_the_loop(self):
-        # one loop of the one-draw path: the dispersion of one span and the
-        # loop's gain r, so the same numbers as the loop
+    @pytest.mark.parametrize("n_rec", [1, 5, 20])
+    def test_uncoupled_response_is_the_closed_form(self, n_rec):
+        # without MDL and DGD, H = I: T = I and K = ((1 + r)^L - 1) I at
+        # every frequency, the loops' noise at the output
         cfg = LinkConfig(span_snr_db=20.0)
-        sig = generate_wgn_mimo(2, 40_001, 40e9, 1.0, seed=27)
-        got = run_link(MimoSpectrum.of(sig), cfg, 1, seed=14).data
-        assert np.array_equal(got, _loop_reference(sig, cfg, 1, 14))
+        freqs = np.linspace(-20e9, 20e9, 7)
+        t, cov = _link_response(cfg, n_rec, 3, freqs)
+        eye = np.eye(2)[:, :, None]
+        r = span_noise_power_ratio(cfg)
+        assert t.shape == cov.shape == (2, 2, 7)
+        assert np.max(np.abs(t - eye)) < 1e-12
+        assert np.max(np.abs(cov - ((1 + r) ** n_rec - 1) * eye)) < 1e-12
 
     @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["plain", "mdl"])
     def test_field_of_no_power_stays_zero(self, mdl):
@@ -436,10 +458,10 @@ class TestSpanNoise:
             out = run_link(spec, cfg, 5, seed=1)
         assert not out.data.any()
 
-    @pytest.mark.parametrize("n_rec", [5, 20])
+    @pytest.mark.parametrize("n_rec", [1, 5, 20])
     @pytest.mark.parametrize("n_modes, mdl, dgd", [
-        (2, 0.0, 0.0), (2, 0.0, 1e-11), (2, 0.5, 1e-11), (4, 0.5, 1e-11)],
-        ids=["plain", "dgd", "mdl-2", "mdl-4"])
+        (2, 0.0, 0.0), (2, 0.0, 1e-11), (2, 0.5, 1e-11), (4, 0.5, 1e-11),
+        (2, 0.5, 0.0)], ids=["plain", "dgd", "mdl-2", "mdl-4", "mdl-only"])
     def test_one_draw_noise_matches_the_loop(self, n_rec, n_modes, mdl,
                                              dgd):
         # the output noise's M x M covariance, summed over 32 link seeds
@@ -448,7 +470,7 @@ class TestSpanNoise:
         # the same seed and draws from other seeds, so the two noises are
         # independent.  Each band sums 8,192 outer products, so its
         # covariance errs by about 1/sqrt(8192) = 1.1% of its trace, and
-        # the worst band of each case read up to 1.9% (2.7% between the
+        # the worst band of each case read up to 2.0% (2.7% between the
         # two estimates); bound 3.5% (4.5%).  White noise at K's trace
         # reads 5% off K with MDL at two modes and 20 loops.  Without MDL
         # K is (1 + r)^L - 1 times the identity, and both traces match
@@ -495,8 +517,9 @@ class TestSpanNoise:
 
 
 class TestNoiseOverflow:
-    # at 100 dBm the span noise ratio is about 3e17: over 20 loops the
-    # one-draw gain leaves float64, and with MDL a later loop's power does
+    # at 100 dBm the span noise ratio is about 3e17: over 20 loops a later
+    # loop's power in the recursion of K leaves float64, on a link without
+    # coupling ("one-draw") as on one with MDL
     @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["one-draw", "mdl"])
     def test_named_by_power_coefficient_and_loops(self, mdl):
         cfg = LinkConfig(launch_power_dbm=100.0, mdl_per_span=mdl)
@@ -518,15 +541,19 @@ class TestNoiseOverflow:
 
 
 class TestOnePass:
-    # a coupled link applies T = D^L H^L and adds noise of covariance
-    # N P K in one pass, H^L and K from a grid of B + 1 frequencies
+    # every link applies T = D^L H^L and adds noise of covariance N P K in
+    # one pass: with DGD, H^L and K come from a grid of B + 1 frequencies,
+    # without it from one frequency, and without MDL either H = I
     @pytest.mark.parametrize("n_rec", [1, 5, 20])
-    @pytest.mark.parametrize("n_modes", [2, 4, 6])
-    def test_noiseless_link_matches_the_loop(self, n_modes, n_rec):
+    @pytest.mark.parametrize("n_modes, mdl, dgd", [
+        (2, 0.5, 1e-11), (4, 0.5, 1e-11), (6, 0.5, 1e-11), (2, 0.0, 0.0),
+        (2, 0.5, 0.0)], ids=["2", "4", "6", "plain", "mdl"])
+    def test_noiseless_link_matches_the_loop(self, n_modes, mdl, dgd, n_rec):
         # 0.5 dB MDL and 10 ps DGD per span: the cubic interpolation of
-        # H^L reads below -250 dB; bound -140 dB
+        # H^L reads below -250 dB; bound -140 dB.  Without DGD nothing is
+        # interpolated
         cfg = LinkConfig(n_modes=n_modes, span_snr_db=float("inf"),
-                         nlin_coeff=0.0, mdl_per_span=0.5, dgd_per_span=1e-11)
+                         nlin_coeff=0.0, mdl_per_span=mdl, dgd_per_span=dgd)
         sig = generate_wgn_mimo(n_modes, 40_001, 40e9, 1.0, seed=29)
         got = run_link(MimoSpectrum.of(sig), cfg, n_rec, seed=15).data
         ref = _loop_reference(sig, cfg, n_rec, 15)
@@ -562,12 +589,47 @@ class TestOnePass:
     @pytest.mark.parametrize("dgd, n_rec, n, b", [
         (1e-11, 20, 1 << 20, 4096), (1e-11, 20, 1000, 1000),
         (2e-9, 20, 1 << 20, 65_536), (2e-9, 1, 1 << 20, 4096),
-        (2e-9, 20, 40_001, 40_001), (0.0, 5, 1 << 20, 4096)])
+        (2e-9, 20, 40_001, 40_001), (0.0, 5, 1 << 20, 0),
+        (0.0, 20, 1000, 0)])
     def test_grid_size(self, dgd, n_rec, n, b):
         # the smallest power of two of at least 4096 and 40 steps per
-        # sample of the L * dgd spread, at most the bin count
+        # sample of the L * dgd spread, at most the bin count; without DGD
+        # none, the one point of a flat H
         cfg = LinkConfig(mdl_per_span=0.5, dgd_per_span=dgd)
         assert _grid_size(cfg, n_rec, 40e9, n) == b
+
+    @pytest.mark.parametrize("n_rec", [1, 20])
+    def test_one_point_matches_the_grid(self, monkeypatch, n_rec):
+        # an MDL-only link takes (T, K) at one frequency and applies it as
+        # constant matrices; forced through the grid of 4,097 points and
+        # the cubic, the same link, noise included, reads about -300 dB
+        # from it: the cubic interpolates a constant to within rounding.
+        # Bound -250 dB
+        cfg = LinkConfig(n_modes=4, span_snr_db=20.0, mdl_per_span=0.5)
+        spec = MimoSpectrum.of(generate_wgn_mimo(4, 40_001, 40e9, 1.0,
+                                                 seed=33))
+        assert _grid_size(cfg, n_rec, 40e9, 40_001) == 0
+        got = run_link(spec, cfg, n_rec, seed=18).data
+        monkeypatch.setattr(channel, "_grid_size",
+                            lambda cfg, n_rec, rate, n: 4096)
+        ref = run_link(spec, cfg, n_rec, seed=18).data
+        assert _nmse_db(got, ref) < -250
+
+    def test_one_point_skips_its_zero_entries(self):
+        # a one-point grid applies only its nonzero entries, so T = I and
+        # the diagonal factor of a link without coupling cost M
+        # multiply-adds per bin, not M^2.  Rows 0 and 2 stay finite while
+        # mode 1 carries nan, which a multiply by their zero entries (0, 1)
+        # and (2, 1) would spread to them
+        values = np.diag([1.0, 2.0, 3.0]).astype(complex)[:, :, None]
+        x = np.ones((3, 5), complex)
+        x[1] = np.nan
+        out = np.zeros((3, 5), complex)
+        channel._add_mat_vec(values, None, x, out)
+        assert np.array_equal(out[0], np.ones(5))
+        assert np.array_equal(out[2], np.full(5, 3.0))
+        channel._add_mat_vec(values, None, x, out, lower=True)
+        assert np.array_equal(out[2], np.full(5, 6.0))
 
     def test_link_holds_its_spectrum_and_a_chunk(self):
         # the link holds its copy of the spectrum (2N complex, 16 MB); the
@@ -588,6 +650,24 @@ class TestOnePass:
             tracemalloc.stop()
         held = 2 * n * 16
         assert peak < held + 7 * 2 ** 20, peak / 2 ** 20
+
+    @pytest.mark.parametrize("mdl", [0.0, 0.5], ids=["plain", "mdl"])
+    def test_link_without_dgd_holds_its_spectrum_and_a_chunk(self, mdl):
+        # without DGD there is no grid: beyond its copy of the spectrum the
+        # link holds one chunk's dispersion, draw and temporaries, 1.9 MB
+        # here.  A full-length dispersion (N complex and N floats, 12 MB)
+        # or the grid of 4,099 frequencies (4.8 MB) would exceed the bound
+        n = 1 << 19
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, n, 40e9, 1.0, seed=31))
+        cfg = LinkConfig(mdl_per_span=mdl)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_link(spec, cfg, 20, seed=17)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * 16 + 3 * 2 ** 20, peak / 2 ** 20
 
 
 class TestSpanNoiseOverflow:

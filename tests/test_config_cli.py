@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wgnlink
-from wgnlink import cli, runner
+from wgnlink import cli, pipeline, runner
 from wgnlink.channel import LinkConfig, MimoChannel
 from wgnlink.config import ExperimentConfig, validate_config
 from wgnlink.errors import ConfigError
@@ -506,13 +506,15 @@ class TestCliVerbs:
         assert "Singular" not in caplog.text
 
     def test_jobs_capped_at_the_point_count(self, tmp_path, monkeypatch):
-        # a fake pool records its size and runs each point in this process:
-        # no worker starts, whatever --jobs asks for
+        # a fake pool records its size and its workers' initializer and
+        # runs each point in this process: no worker starts, whatever
+        # --jobs asks for, and each would count itself one of the pool's
+        # size sharing the CPUs
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append((max_workers, initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -534,7 +536,25 @@ class TestCliVerbs:
                        "--out", str(tmp_path / "o"), "--no-plots",
                        "--jobs", str(10 ** 6)])
         assert rc == 0
-        assert sizes == [2]
+        assert sizes == [(2, pipeline._share_cpus, (2,))]
+
+    @FORK_ONLY
+    def test_pool_workers_share_the_cpus(self, tmp_path, monkeypatch):
+        # each worker of a pool of two counts itself one of two sharing
+        # the CPUs; each point reports what its equalizer would read, and
+        # this process still counts itself alone
+        def probe(cfg, value, seed, characterize):
+            raise RuntimeError(f"workers {pipeline._WORKERS}")
+
+        monkeypatch.setattr(runner, "_wgn_point", probe)
+        out = tmp_path / "results"
+        rc = cli.main(["simulate", "--config", _write(tmp_path, TINY_SWEEP),
+                       "--out", str(out), "--no-plots", "--jobs", "2"])
+        assert rc == 2
+        errors = json.loads((out / "manifest.json").read_text())["errors"]
+        assert len(errors) == 4
+        assert {e["error"] for e in errors} == {"workers 2"}
+        assert pipeline._WORKERS == 1
 
     def test_runtime_failure_exit_2(self, tmp_path):
         # impossible span SNR makes the pipeline alignment fail

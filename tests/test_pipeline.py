@@ -634,6 +634,34 @@ class TestTwoThreadEqualizer:
         assert np.array_equal(state.covariance, ref.covariance)
         assert np.array_equal(f_eq.data, f_ref.data)
 
+    @pytest.mark.parametrize("cpus, workers, pooled", [
+        ({0, 1}, 2, False), ({0, 1, 2}, 2, False), ({0, 1, 2, 3}, 2, True),
+        ({0}, 3, False)])
+    def test_pool_workers_share_the_cpus(self, monkeypatch, cpus, workers,
+                                         pooled):
+        # each of a sweep's pool workers takes its share of the CPUs, at
+        # least one: 2 workers on 2 or 3 CPUs run the split inline, on 4
+        # they split it.  The same bits either way
+        sig, out = _random_pair(2, 40 * 128 - 1, np.complex64, seed=94)
+        cfg = PipelineConfig(block_size=256)
+        f_ref, ref = _equalize_reference(sig, out, cfg)
+        _affinity(monkeypatch, cpus)
+        monkeypatch.setattr(pipeline, "_WORKERS", 1)  # restored afterwards
+        pipeline._share_cpus(workers)
+        assert pipeline._cpus() == max(1, len(cpus) // workers)
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", Recorded)
+        f_eq, state = fde_lms_equalize(sig, out, cfg)
+        assert len(pools) == pooled
+        assert np.array_equal(state.covariance, ref.covariance)
+        assert np.array_equal(f_eq.data, f_ref.data)
+
     def test_repeated_calls_give_the_same_bits(self):
         sig, out = _random_pair(6, 40 * 2048 - 1, np.complex128, seed=91)
         cfg = PipelineConfig()
