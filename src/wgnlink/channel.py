@@ -29,7 +29,8 @@ import numpy as np
 from .signals import MimoSignal, MimoSpectrum, _transform_rows
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-_COUPLING_CHUNK = 16384  # bins per cache-resident pass of every link
+# bins per cache-resident pass of the link and of the receiver front end
+_BIN_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -134,35 +135,25 @@ def _check_types(cfg) -> None:
 
 def dispersion_phase(freqs: np.ndarray, dispersion_coeff: float,
                      length_km: float, wavelength_nm: float) -> np.ndarray:
-    """Quadratic dispersion phase pi * lambda0^2 * D * L * f^2 / c (radians)."""
-    return (_dispersion_scale(dispersion_coeff, length_km, wavelength_nm)
-            * np.asarray(freqs) ** 2 / SPEED_OF_LIGHT)
-
-
-def _dispersion_scale(dispersion_coeff: float, length_km: float,
-                      wavelength_nm: float) -> float:
-    """The scalar factor pi * lambda0^2 * D * L of :func:`dispersion_phase`."""
+    """Quadratic dispersion phase pi * lambda0^2 * D * L * f^2 / c (radians)
+    at each of `freqs`: ``exp(+j phase)`` is the fiber's response and
+    ``exp(-j phase)`` its EDC."""
     if wavelength_nm <= 0:
         raise ValueError("wavelength must be positive")
     d_si = dispersion_coeff * 1e-6          # ps/(nm km) -> s/m^2
     lam = wavelength_nm * 1e-9
-    return np.pi * lam * lam * d_si * (length_km * 1e3)
+    scale = np.pi * lam * lam * d_si * (length_km * 1e3)
+    return scale * np.asarray(freqs) ** 2 / SPEED_OF_LIGHT
 
 
-def _dispersion_response(n: int, sample_rate: float, dispersion_coeff: float,
-                         length_km: float, wavelength_nm: float,
-                         sign: float) -> np.ndarray:
-    """``exp(sign * j * dispersion_phase)`` on the FFT grid of `n` samples at
-    `sample_rate`: the fiber response for ``sign=+1``, EDC for ``sign=-1``.
-    Built in place, with :func:`dispersion_phase`'s operations in its order,
-    in one real and one complex array of `n`."""
-    scale = _dispersion_scale(dispersion_coeff, length_km, wavelength_nm)
-    phase = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    np.square(phase, out=phase)
-    phase *= scale
-    phase /= SPEED_OF_LIGHT
-    out = np.multiply(phase, sign * 1j)
-    return np.exp(out, out=out)
+def _bin_chunks(n: int):
+    """The bins of an n-point FFT, ``_BIN_CHUNK`` at a time: per chunk its
+    slice and its bins' signed numbers in FFT order, ``fftfreq(n) * n`` as
+    integers."""
+    for s in range(0, n, _BIN_CHUNK):
+        k = np.arange(s, min(s + _BIN_CHUNK, n))
+        k[max((n + 1) // 2 - s, 0):] -= n
+        yield slice(s, s + k.size), k
 
 
 class MultiSectionModel:
@@ -423,10 +414,12 @@ def run_link(signal: MimoSignal | MimoSpectrum, cfg: LinkConfig,
 def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
             n_recirculations: int, seed, noise_rng) -> None:
     """The link in place on an (M, N) spectrum: ``T x + n`` per bin from
-    :func:`_link_response` (see :func:`run_link`), a coupling chunk at a
-    time, so that nothing but the spectrum is held at its full length.
-    Without DGD the pair is taken at one frequency and applied as
-    constant matrices; with DGD it is interpolated from the grid."""
+    :func:`_link_response` (see :func:`run_link`), a chunk of
+    :func:`_bin_chunks` at a time, with each chunk's dispersion computed
+    there, so that nothing but the spectrum is held at its full length.
+    Bin k sits at ``k * (rate / N)``.  Without DGD the pair is taken at
+    one frequency and applied as constant matrices; with DGD it is
+    interpolated from the grid."""
     m, n = spec.shape
     b = _grid_size(cfg, n_recirculations, sample_rate, n)
     # B steps from -rate/2 to +rate/2, and one more past each end for the
@@ -449,10 +442,7 @@ def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
         if not np.isfinite(cov).all():
             raise _noise_overflow(cfg, n_recirculations)
         factor = np.linalg.cholesky(cov.transpose(2, 0, 1)).transpose(1, 2, 0)
-    for s in range(0, n, _COUPLING_CHUNK):
-        # the bins' signed numbers in FFT order
-        k = np.arange(s, min(s + _COUPLING_CHUNK, n))
-        k[max((n + 1) // 2 - s, 0):] -= n
+    for chunk, k in _bin_chunks(n):
         if b:
             # each bin falls in the grid step from point `idx` to
             # `idx + 1`, a fraction `t` along it; the cubic through grid
@@ -465,7 +455,7 @@ def _couple(spec: np.ndarray, sample_rate: float, cfg: LinkConfig,
                                  (t + 1) * (t - 1) * (t - 2) / 2,
                                  (t + 1) * t * (t - 2) / -2,
                                  (t + 1) * t * (t - 1) / 6]))
-        out = spec[:, s:s + k.size]
+        out = spec[:, chunk]
         x = out * np.exp(1j * dispersion_phase(
             k * (sample_rate / n), cfg.dispersion_coeff,
             n_recirculations * cfg.span_length, cfg.center_wavelength))

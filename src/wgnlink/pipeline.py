@@ -9,10 +9,12 @@ and no step size.
 
 :func:`run_pipeline` runs the chain for the sweep and, with no link and
 nothing measured, for the channel estimate of a stored pair.  Each capture
-takes at most one FFT on its way in and is held in one form at a time: the
-front end's spectrum is inverted in place, and the alignment correlates
-only a prefix of each time signal, a few times ``align_max_lag`` long, and
-reads the whole length only at the lags the prefix cannot tell apart.
+takes at most one FFT on its way in and is held in one form at a time.
+The front end filters and compensates its spectrum a chunk of bins at a
+time, with no response of the capture's length, and the spectrum is then
+inverted in place.  The alignment correlates only a prefix of each time
+signal, a few times ``align_max_lag`` long, and reads the whole length
+only at the lags the prefix cannot tell apart.
 The equalizer's state is one per-bin covariance of the stacked block
 spectra; the taps, the channel estimate and the residual NMSE are each
 solved from it.  EDC is a unit-modulus scalar per frequency, so it
@@ -37,6 +39,7 @@ of them, which raised a sweep's peak RSS.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -44,8 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import (LinkConfig, MimoChannel, _check_types,
-                      _dispersion_response)
+from .channel import (LinkConfig, MimoChannel, _bin_chunks, _check_types,
+                      dispersion_phase)
 from .errors import AlignmentError
 from .signals import (MimoSignal, MimoSpectrum, _gaussian_response,
                       _resample_spectrum, _transform_rows)
@@ -265,8 +268,7 @@ def _front_end_length(sig: MimoSignal | MimoSpectrum,
 
 
 def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
-               link: Optional[LinkConfig] = None, edc_km: float = 0.0,
-               gauss: Optional[np.ndarray] = None
+               link: Optional[LinkConfig] = None, edc_km: float = 0.0
                ) -> MimoSignal | MimoSpectrum:
     """Receiver front end of one capture: resample to ``cfg.target_rate``,
     Gaussian filter (unless ``cfg.filter_bw`` is None) and, when `link` is
@@ -275,17 +277,23 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
     A :class:`MimoSignal` takes one FFT; a :class:`MimoSpectrum` starts
     from its bins, which are never written to.  The spectrum is cut or
     zero-padded to the new rate (:func:`wgnlink.signals._resample_spectrum`)
-    and multiplied by the filter response (`gauss` when the caller has it
-    on the output grid) and the EDC response.  Returns the output's
-    :class:`MimoSpectrum`, in bins of its own that the caller may invert in
-    place; the inverse FFT is left to the caller.  A signal already at the
-    target rate with no stage asked for passes through as itself.
+    and multiplied by the filter and EDC responses a chunk of bins at a
+    time (:func:`wgnlink.channel._bin_chunks`), each chunk's computed
+    there, so nothing but the output is held at its full length.  Returns
+    the output's :class:`MimoSpectrum`, in bins of its own that the caller
+    may invert in place; the inverse FFT is left to the caller.  A signal
+    already at the target rate with no stage asked for passes through as
+    itself.  A filter bandwidth above Nyquist warns once and is applied
+    as it is.
     """
     rate = cfg.target_rate
     spectral = isinstance(sig, MimoSpectrum)
     if (not spectral and sig.sample_rate == rate and cfg.filter_bw is None
             and link is None):
         return sig
+    if cfg.filter_bw is not None and cfg.filter_bw > rate / 2:
+        warnings.warn("filter bandwidth exceeds Nyquist; applying as-is",
+                      stacklevel=2)
     n_out = _front_end_length(sig, cfg)
     spec = sig.data if spectral else _transform_rows(np.fft.fft, sig.data)
     spec = _resample_spectrum(spec, n_out)
@@ -293,14 +301,15 @@ def _front_end(sig: MimoSignal | MimoSpectrum, cfg: PipelineConfig,
         spec = spec.copy()
     # a capture that run_pipeline handed over is freed here
     del sig
-    if cfg.filter_bw is not None:
-        if gauss is None:
-            gauss = _gaussian_response(n_out, rate, cfg.filter_bw,
-                                       cfg.filter_order)
-        spec *= gauss
-    if link is not None:
-        spec *= _dispersion_response(n_out, rate, link.dispersion_coeff,
-                                     edc_km, link.center_wavelength, -1.0)
+    step = 1.0 / (n_out * (1.0 / rate))  # as np.fft.fftfreq(n_out, 1 / rate)
+    for chunk, k in _bin_chunks(n_out):
+        if cfg.filter_bw is not None:
+            spec[:, chunk] *= _gaussian_response(k * step, cfg.filter_bw,
+                                                 cfg.filter_order)
+        if link is not None:
+            spec[:, chunk] *= np.exp(-1j * dispersion_phase(
+                k * step, link.dispersion_coeff, edc_km,
+                link.center_wavelength))
     return MimoSpectrum._built(spec, rate)
 
 
@@ -606,8 +615,9 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     recovery and channel estimate.
 
     Each capture is a :class:`MimoSignal` or its :class:`MimoSpectrum`.
-    Both go through :func:`_front_end`; when `link` is given, the received
-    one also takes EDC of ``edc_km = n_recirculations * span_length`` of
+    Both go through :func:`_front_end`, which computes its filter response
+    a chunk of bins at a time; when `link` is given, the received one also
+    takes EDC of ``edc_km = n_recirculations * span_length`` of
     its fiber.  ``link=None`` (a stored pair whose link is unknown) means
     no EDC.  A caller that passes a capture it does not keep lets it be
     freed once the front end has consumed it.  Each front-end spectrum is
@@ -640,19 +650,14 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     del f_in_raw, f_out_raw
     if captures[0].n_tributaries != captures[1].n_tributaries:
         raise ValueError("capture tributary counts differ")
-    n_in, n_rx = (_front_end_length(c, cfg) for c in captures)
-    n = min(n_in, n_rx)
+    n = min(_front_end_length(c, cfg) for c in captures)
     if n < 4:
         raise ValueError(f"a capture of {n} samples is too short to align "
                          "(need at least 4)")
     edc_km = 0.0 if link is None else link.span_length * n_recirculations
-    gauss = None
-    if cfg.filter_bw is not None and n_in == n_rx:
-        gauss = _gaussian_response(n, rate, cfg.filter_bw, cfg.filter_order)
     # the list is emptied as the front end consumes it
-    f_in = _front_end(captures.pop(0), cfg, gauss=gauss)
-    f_out = _front_end(captures.pop(0), cfg, link, edc_km, gauss)
-    del gauss
+    f_in = _front_end(captures.pop(0), cfg)
+    f_out = _front_end(captures.pop(0), cfg, link, edc_km)
     # inverted after both front ends: inverting the first spectrum before
     # the second front end ran raised a 16QAM point's peak RSS by 15 MB
     f_in, f_out = _as_signal(f_in), _as_signal(f_out)
@@ -672,9 +677,9 @@ def run_pipeline(f_in_raw: MimoSignal | MimoSpectrum,
     block = cfg.block_size
     channel = state.channel
     if link is not None:
-        channel *= _dispersion_response(block, rate, link.dispersion_coeff,
-                                        edc_km, link.center_wavelength,
-                                        +1.0)[:, None, None]
+        channel *= np.exp(1j * dispersion_phase(
+            np.fft.fftfreq(block, 1.0 / rate), link.dispersion_coeff, edc_km,
+            link.center_wavelength))[:, None, None]
     return PipelineResult(f_in=f_in, f_eq=f_eq, state=state,
                           alignment=alignment, trim_start_in=start_in,
                           channel=MimoChannel(channel, rate / block))

@@ -295,7 +295,16 @@ def _run_task(cfg: ExperimentConfig, kind: str, task) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
-    """WGN capacity/characterization sweep.  Returns the CLI exit code."""
+    """WGN capacity/characterization sweep.  Returns the CLI exit code.  A
+    capture shorter than one equalizer block at the target rate raises
+    ConfigError before any point runs."""
+    pipe = cfg.pipeline
+    n = round(cfg.n_samples * pipe.target_rate / cfg.capture_rate)
+    if n < pipe.block_size:
+        raise ConfigError(
+            f"n_samples {cfg.n_samples} at capture_rate {cfg.capture_rate!r} "
+            f"Hz is {n} samples at target_rate {pipe.target_rate!r} Hz, under "
+            f"one block_size {pipe.block_size} equalizer block")
     return _run_sweep(cfg, "wgn", jobs)
 
 

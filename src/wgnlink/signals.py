@@ -1,6 +1,7 @@
 """Complex baseband signal containers, WGN generation, the capture file
 format, and the spectral resampler and filter response of the receiver
-front end (:func:`wgnlink.pipeline._front_end`).
+front end (:func:`wgnlink.pipeline._front_end`), which evaluates the
+response at a chunk of bins' frequencies at a time.
 
 Everything downstream works on :class:`ComplexSignal` (one tributary) or
 :class:`MimoSignal` (M co-timed tributaries held as one complex (M, N)
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import BinaryIO, Optional
 
@@ -227,22 +227,13 @@ def _resampled_bins(bins, lead: tuple, n: int, n_out: int) -> np.ndarray:
     return out
 
 
-def _gaussian_response(n: int, sample_rate: float, bandwidth_3db: float,
+def _gaussian_response(freqs: np.ndarray, bandwidth_3db: float,
                        order: int) -> np.ndarray:
-    """Zero-phase Gaussian filter response on the FFT grid of `n` samples at
-    `sample_rate`: |H(f)| = exp(-ln2/2 * (|f|/B)^(2k)) with B the
-    single-sided 3-dB cutoff and k the order, so H(0) = 1 exactly.  Warns
-    when the bandwidth exceeds Nyquist."""
-    if bandwidth_3db > sample_rate / 2:
-        warnings.warn("filter bandwidth exceeds Nyquist; applying as-is",
-                      stacklevel=3)
-    # in place on the one frequency array, in the formula's order
-    h = np.fft.fftfreq(n, d=1.0 / sample_rate)
-    np.abs(h, out=h)
-    h /= bandwidth_3db
-    h **= 2 * order
-    h *= -0.5 * np.log(2.0)
-    return np.exp(h, out=h)
+    """Zero-phase Gaussian filter response at each of `freqs`: |H(f)| =
+    exp(-ln2/2 * (|f|/B)^(2k)) with B the single-sided 3-dB cutoff and k
+    the order, so H(0) = 1 exactly."""
+    return np.exp((np.abs(freqs) / bandwidth_3db) ** (2 * order)
+                  * (-0.5 * np.log(2.0)))
 
 
 def write_signal(f: BinaryIO, signal: MimoSignal) -> None:

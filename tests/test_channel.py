@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from wgnlink import channel
-from wgnlink.channel import (_COUPLING_CHUNK, SPEED_OF_LIGHT, LinkConfig,
-                             MimoChannel, MultiSectionModel,
-                             _dispersion_response, _grid_size, _link_response,
-                             add_awgn, apply_channel, apply_frequency_offset,
+from wgnlink.channel import (_BIN_CHUNK, SPEED_OF_LIGHT, LinkConfig,
+                             MimoChannel, MultiSectionModel, _bin_chunks,
+                             _grid_size, _link_response, add_awgn,
+                             apply_channel, apply_frequency_offset,
                              apply_phase_noise, dispersion_phase, run_link,
                              span_noise_power_ratio, synthesize_mimo_channel)
 from wgnlink.pipeline import PipelineConfig, _front_end
@@ -34,8 +34,9 @@ def _loop_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
     model_seed, link_noise_seed, _ = np.random.SeedSequence(seed).spawn(3)
     rng = np.random.default_rng(link_noise_seed if noise_seed is None
                                 else noise_seed)
-    disp = _dispersion_response(n, sig.sample_rate, cfg.dispersion_coeff,
-                                cfg.span_length, cfg.center_wavelength, +1.0)
+    disp = np.exp(1j * dispersion_phase(
+        np.fft.fftfreq(n, 1.0 / sig.sample_rate), cfg.dispersion_coeff,
+        cfg.span_length, cfg.center_wavelength))
     span = None
     if cfg.mdl_per_span > 0 or cfg.dgd_per_span > 0:
         span = MultiSectionModel(m, cfg.mdl_per_span, cfg.dgd_per_span,
@@ -58,7 +59,7 @@ def _one_pass_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
                         seed: int) -> np.ndarray:
     """The spectrum of a link without DGD in one pass: the dispersion of
     all the spans per bin, then the constant ``T`` and, per chunk of
-    ``_COUPLING_CHUNK`` bins, one (M, 2k) draw coloured by the Cholesky
+    ``_BIN_CHUNK`` bins, one (M, 2k) draw coloured by the Cholesky
     factor of ``N P K``, with ``(T, K)`` from :func:`_link_response` at one
     frequency and P the launched power.  Each entry is added to the output
     in the link's order, so the numbers are the link's."""
@@ -76,8 +77,8 @@ def _one_pass_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
         k * (sig.sample_rate / n), cfg.dispersion_coeff,
         n_rec * cfg.span_length, cfg.center_wavelength))
     want = np.zeros_like(x)
-    for s in range(0, n, _COUPLING_CHUNK):
-        chunk = slice(s, s + _COUPLING_CHUNK)
+    for s in range(0, n, _BIN_CHUNK):
+        chunk = slice(s, s + _BIN_CHUNK)
         z = rng.standard_normal((m, 2 * x[:, chunk].shape[1])).view(complex)
         for i in range(m):
             for j in range(m):
@@ -89,15 +90,17 @@ def _one_pass_reference(sig: MimoSignal, cfg: LinkConfig, n_rec: int,
 
 def _disperse(sig: MimoSignal, cfg: LinkConfig) -> MimoSignal:
     """One span of the fiber's dispersion, as a spectral multiply."""
-    rot = _dispersion_response(len(sig), sig.sample_rate, cfg.dispersion_coeff,
-                               cfg.span_length, cfg.center_wavelength, +1.0)
+    rot = np.exp(1j * dispersion_phase(
+        np.fft.fftfreq(len(sig), 1.0 / sig.sample_rate), cfg.dispersion_coeff,
+        cfg.span_length, cfg.center_wavelength))
     return MimoSignal(np.fft.ifft(np.fft.fft(sig.data, axis=1) * rot, axis=1),
                       sig.sample_rate)
 
 
 class TestDispersion:
     def test_zero_length_is_identity(self):
-        rot = _dispersion_response(4096, 40e9, 17.0, 0.0, 1550.0, +1.0)
+        rot = np.exp(1j * dispersion_phase(np.fft.fftfreq(4096, 1 / 40e9),
+                                           17.0, 0.0, 1550.0))
         assert np.array_equal(rot, np.ones(4096))
 
     def test_phase_oracle(self):
@@ -111,13 +114,28 @@ class TestDispersion:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_edc_inverts_forward(self):
-        fiber, edc = (_dispersion_response(16384, 60e9, 17.0, 78.0, 1550.0,
-                                           sign) for sign in (+1.0, -1.0))
+        phase = dispersion_phase(np.fft.fftfreq(16384, 1 / 60e9), 17.0, 78.0,
+                                 1550.0)
+        fiber, edc = np.exp(1j * phase), np.exp(-1j * phase)
         assert np.max(np.abs(fiber * edc - 1.0)) < 1e-12
 
     def test_invalid_wavelength(self):
         with pytest.raises(ValueError, match="wavelength"):
-            _dispersion_response(64, 60e9, 17.0, 78.0, 0.0, +1.0)
+            dispersion_phase(np.fft.fftfreq(64, 1 / 60e9), 17.0, 78.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, _BIN_CHUNK - 1, _BIN_CHUNK,
+                               _BIN_CHUNK + 1, 3 * _BIN_CHUNK + 7232,
+                               3 * _BIN_CHUNK + 7233])
+def test_bin_chunks_tile_the_fft_bins(n):
+    chunks = list(_bin_chunks(n))
+    assert len(chunks) == -(-n // _BIN_CHUNK)
+    assert np.array_equal(np.concatenate([np.arange(n)[c] for c, _ in chunks]),
+                          np.arange(n))
+    assert all(k.size <= _BIN_CHUNK for _, k in chunks)
+    k = np.concatenate([k for _, k in chunks])
+    assert k.dtype.kind == "i"
+    assert np.array_equal(k, np.round(np.fft.fftfreq(n) * n).astype(int))
 
 
 class TestSynthesizeChannel:
@@ -348,10 +366,10 @@ class TestRunLink:
     def test_noiseless_coupled_link_matches_materialized_channel(self):
         # the one pass against the per-span time-domain chain: dispersion,
         # then the sampled matrices, three times.  n spans two full
-        # coupling chunks and a partial one.  The pass interpolates H^3
+        # bin chunks and a partial one.  The pass interpolates H^3
         # from its grid; over 5e-11 s of DGD per span the cubic's error
         # reads below -250 dB here, rounding included; bound -140 dB
-        n, rate, seed = 2 * _COUPLING_CHUNK + 7232, 40e9, 11
+        n, rate, seed = 2 * _BIN_CHUNK + 7232, 40e9, 11
         sig = generate_wgn_mimo(2, n, rate, 1.0, seed=22)
         model_seed = np.random.SeedSequence(seed).spawn(3)[0]
         for mdl in (2.0, 0.0):
@@ -427,7 +445,7 @@ class TestSpanNoise:
         # the numbers of the one-pass reference bit for bit
         cfg = LinkConfig(span_snr_db=20.0, mdl_per_span=mdl)
         n, rate, seed = 40_001, 40e9, 13
-        assert 2 * _COUPLING_CHUNK < n < 3 * _COUPLING_CHUNK
+        assert 2 * _BIN_CHUNK < n < 3 * _BIN_CHUNK
         sig = generate_wgn_mimo(2, n, rate, 1.0, seed=26)
         got = run_link(MimoSpectrum.of(sig), cfg, n_rec, seed=seed).data
         assert np.array_equal(got,

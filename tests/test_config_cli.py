@@ -341,6 +341,28 @@ class TestCliVerbs:
         assert len(errors) == 1
         assert "capture_rate 40000000000.5 Hz" in errors[0]
 
+    def test_capture_shorter_than_a_block_is_exit_1(self, tmp_path,
+                                                    monkeypatch, caplog):
+        # 2,000 samples at 40 GS/s are 3,000 at 60 GS/s, under one
+        # 4,096-sample block: no point runs its link
+        links = []
+        monkeypatch.setattr(runner, "run_link", lambda *a: links.append(a))
+        cfg = _write(tmp_path, MINIMAL.replace("n_samples: 120000",
+                                                "n_samples: 2000"))
+        assert cli.main(["validate", "--config", cfg]) == 0
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR):
+            rc = cli.main(["simulate", "--config", cfg, "--out", str(out),
+                           "--no-plots"])
+        assert rc == 1
+        assert links == [] and not (out / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        for name in ("n_samples 2000", "capture_rate", "target_rate",
+                     "block_size 4096"):
+            assert name in errors[0]
+
     def test_missing_config_is_exit_1(self, tmp_path):
         rc = cli.main(["simulate", "--config", str(tmp_path / "missing.yaml")])
         assert rc == 1

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from wgnlink.channel import (MimoChannel, _dispersion_response, add_awgn,
-                             apply_channel, dispersion_phase,
-                             synthesize_mimo_channel)
+from wgnlink.channel import (MimoChannel, add_awgn, apply_channel,
+                             dispersion_phase, synthesize_mimo_channel)
 from wgnlink.estimation import (compare_channels, estimate_channel,
                                 impulse_response_from_channel,
                                 mdl_from_channel)
@@ -55,7 +54,8 @@ class TestEstimateChannel:
 
     def test_pure_dispersion_phase_profile(self):
         sig = generate_wgn_mimo(2, 400_000, RATE, 1.0, seed=5)
-        rot = _dispersion_response(len(sig), RATE, 17.0, 78.0, 1550.0, +1.0)
+        rot = np.exp(1j * dispersion_phase(np.fft.fftfreq(len(sig), 1 / RATE),
+                                           17.0, 78.0, 1550.0))
         out = MimoSignal(np.fft.ifft(np.fft.fft(sig.data, axis=1) * rot,
                                      axis=1), RATE)
         cfg = PipelineConfig(lms_step=0.4, lms_passes=4)

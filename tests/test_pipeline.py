@@ -12,10 +12,9 @@ from scipy import signal as sp_signal
 
 from wgnlink import channel as channel_module
 from wgnlink import pipeline, runner, signals
-from wgnlink.channel import (SPEED_OF_LIGHT, LinkConfig, MimoChannel,
-                             MultiSectionModel, _dispersion_response,
-                             apply_channel, apply_phase_noise,
-                             dispersion_phase, run_link,
+from wgnlink.channel import (_BIN_CHUNK, SPEED_OF_LIGHT, LinkConfig,
+                             MimoChannel, MultiSectionModel, apply_channel,
+                             apply_phase_noise, dispersion_phase, run_link,
                              synthesize_mimo_channel)
 from wgnlink.config import ExperimentConfig
 from wgnlink.errors import AlignmentError, ConfigError
@@ -315,7 +314,8 @@ class TestEdc:
     def test_wrong_length_leaves_residual_phase(self):
         sig = generate_wgn_mimo(1, 8192, 60e9, 1.0, seed=9)
         spec = np.fft.fft(sig.data, axis=1)
-        fiber = _dispersion_response(8192, 60e9, 17.0, 78.0, 1550.0, +1.0)
+        fiber = np.exp(1j * dispersion_phase(np.fft.fftfreq(8192, 1 / 60e9),
+                                             17.0, 78.0, 1550.0))
         disp = MimoSignal(np.fft.ifft(spec * fiber, axis=1), 60e9)
         back = pipeline._front_end(disp, self.CFG, LinkConfig(), 60.0)
         ratio = back.data[0] / spec[0]
@@ -390,6 +390,73 @@ class TestFrontEnd:
         # the caller's bins as they were
         assert not np.shares_memory(out.data, spec.data)
         assert np.array_equal(spec.data, bins)
+
+    @staticmethod
+    def _full_length(sig, cfg, link, edc_km):
+        """The front end with each response built at the output's full
+        length on the ``fftfreq`` grid, in place and in the order of each
+        formula: the resampled bins times the filter, then times the EDC."""
+        rate = cfg.target_rate
+        n_out = pipeline._front_end_length(sig, cfg)
+        spec = (sig if isinstance(sig, MimoSpectrum)
+                else MimoSpectrum.of(sig)).data
+        spec = signals._resample_spectrum(spec, n_out).copy()
+        if cfg.filter_bw is not None:
+            h = np.fft.fftfreq(n_out, d=1.0 / rate)
+            np.abs(h, out=h)
+            h /= cfg.filter_bw
+            h **= 2 * cfg.filter_order
+            h *= -0.5 * np.log(2.0)
+            spec *= np.exp(h, out=h)
+        if link is not None:
+            lam = link.center_wavelength * 1e-9
+            scale = (np.pi * lam * lam * (link.dispersion_coeff * 1e-6)
+                     * (edc_km * 1e3))
+            phase = np.fft.fftfreq(n_out, d=1.0 / rate)
+            np.square(phase, out=phase)
+            phase *= scale
+            phase /= SPEED_OF_LIGHT
+            edc = np.multiply(phase, -1.0 * 1j)
+            spec *= np.exp(edc, out=edc)
+        return spec
+
+    @pytest.mark.parametrize("stages", ["filter", "edc", "both"])
+    @pytest.mark.parametrize("spectral", [False, True],
+                             ids=["signal", "spectrum"])
+    @pytest.mark.parametrize("rate, n", [
+        (40e9, 10_000),                  # 15,000 bins: below one chunk
+        (60e9, _BIN_CHUNK),              # one chunk, at the capture's rate
+        (30e9, _BIN_CHUNK // 2),         # one chunk, upsampled
+        (40e9, 40_002),                  # 60,003 bins: odd, a partial chunk
+        (40e9, 40_000),                  # 60,000 bins: even, a partial chunk
+        (90e9, 90_001)])                 # 60,001 bins, downsampled
+    def test_chunks_equal_the_full_length_responses(self, rate, n, spectral,
+                                                    stages):
+        sig = generate_wgn_mimo(2, n, rate, 1.0, seed=n)
+        cfg = PipelineConfig(target_rate=60e9, filter_bw=(
+            None if stages == "edc" else 15e9))
+        link = None if stages == "filter" else self.LINK
+        want = self._full_length(sig, cfg, link, 390.0)
+        got = pipeline._front_end(MimoSpectrum.of(sig) if spectral else sig,
+                                  cfg, link, 390.0)
+        assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("rate", [60e9, 40e9])
+    def test_holds_nothing_of_capture_length_but_its_output(self, rate):
+        # a 2-mode spectrum of over 3 chunks at the target rate (its bins
+        # copied) or resampled to it, filtered and compensated: the old
+        # full-length responses held 32 bytes per bin more
+        n = 3 * _BIN_CHUNK + 7232
+        spec = MimoSpectrum.of(generate_wgn_mimo(2, n, rate, 1.0, seed=2))
+        cfg = PipelineConfig(target_rate=60e9)
+        tracemalloc.start()
+        try:
+            out = pipeline._front_end(spec, cfg, self.LINK, 390.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.size >= 3 * 2 * _BIN_CHUNK
+        assert peak < out.data.nbytes + 2 ** 20
 
     def test_target_rate_without_stages_is_unchanged(self):
         sig = generate_wgn_mimo(2, 10_000, 60e9, 1.0, seed=3)
@@ -1056,9 +1123,9 @@ class TestRunPipeline:
                                   model_seed, link.n_sections)
         block, rate = cfg.block_size, cfg.target_rate
         span = model.sample(block, rate / block).matrices
-        fiber = _dispersion_response(block, rate, link.dispersion_coeff,
-                                     loops * link.span_length,
-                                     link.center_wavelength, +1.0)
+        fiber = np.exp(1j * dispersion_phase(
+            np.fft.fftfreq(block, 1 / rate), link.dispersion_coeff,
+            loops * link.span_length, link.center_wavelength))
         truth = MimoChannel(np.linalg.matrix_power(span, loops)
                             * fiber[:, None, None], rate / block)
         _, nmse = compare_channels(res.channel, truth, band_edge=15e9)

@@ -353,8 +353,25 @@ class TestGaussianFilter:
         assert np.max(np.abs(twice - direct)) < 1e-10
 
     def test_bandwidth_above_nyquist_warns(self):
-        with pytest.warns(UserWarning):
-            _gaussian_response(256, 10e9, 8e9, 4)
+        # once per front-end call, whatever its number of bin chunks
+        sig = generate_wgn_mimo(1, 40_000, 10e9, 1.0, seed=5)
+        cfg = PipelineConfig(target_rate=10e9, filter_bw=8e9)
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _front_end(sig, cfg)
+            assert [w.category for w in caught] == [UserWarning]
+            assert "filter bandwidth exceeds Nyquist" in str(caught[0].message)
+
+    @pytest.mark.parametrize("n", [1, 256, 4097])
+    def test_response_of_any_frequencies(self, n):
+        # the formula's operations in its order: the same bits
+        f = np.fft.fftfreq(n, d=1 / 60e9)
+        want = np.abs(f) / 15e9
+        want = np.exp(want ** 8 * (-0.5 * np.log(2.0)))
+        got = _gaussian_response(f, 15e9, 4)
+        assert np.array_equal(got, want)
+        assert got[0] == 1.0 and not np.shares_memory(got, f)
 
     def test_invalid_arguments(self):
         # the front end's config owns the filter's argument checks
